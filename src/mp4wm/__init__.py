@@ -26,9 +26,7 @@ from .experiments import (
     infer_eta_xi,
     predict_gain,
     run_single,
-    scan_delta,
-    scan_density,
-    scan_pump,
+    scan,
 )
 from .params import (
     DerivedCoefficients,

@@ -14,7 +14,7 @@ import sys
 from .config import MHZ, Config, parse_config
 from .coupling import analytic_delays
 from .errors import ConfigError, GuardError, Mp4wmError
-from .experiments import run_single, scan_delta, scan_density, scan_pump
+from .experiments import run_single, scan
 from .params import derive_coefficients
 
 TRACE_HEADER = "t_ns,ref,probe,conj"
@@ -146,35 +146,31 @@ def _emit_scan(records, args) -> int:
     return 0
 
 
-def _cmd_scan_delta(cfg: Config, args) -> int:
-    deltas = [v * MHZ for v in cfg.scan_values()]
-    records = scan_delta(cfg.to_medium_params(), deltas, cfg.to_pulse_config())
-    # report the scan variable back in config units (MHz)
-    records = [dataclasses.replace(r, var=r.var / MHZ) for r in records]
-    return _emit_scan(records, args)
+# scan subcommand -> (scan axis, SI value of one config unit of the scan variable)
+_SCANS = {
+    "scan-delta": ("delta", MHZ),
+    "scan-density": ("density", 1.0),
+    "scan-pump": ("pump", MHZ),
+}
 
 
-def _cmd_scan_density(cfg: Config, args) -> int:
-    records = scan_density(
-        cfg.to_medium_params(), cfg.scan_values(), cfg.to_pulse_config()
+def _cmd_scan(cfg: Config, args) -> int:
+    axis, unit = _SCANS[args.command]
+    records = scan(
+        cfg.to_medium_params(),
+        axis,
+        [v * unit for v in cfg.scan_values()],
+        cfg.to_pulse_config(),
+        cfg.delta_policy,
     )
-    return _emit_scan(records, args)
-
-
-def _cmd_scan_pump(cfg: Config, args) -> int:
-    rabis = [v * MHZ for v in cfg.scan_values()]
-    records = scan_pump(
-        cfg.to_medium_params(), rabis, cfg.to_pulse_config(), cfg.delta_policy
-    )
-    records = [dataclasses.replace(r, var=r.var / MHZ) for r in records]
+    # report the scan variable back in config units
+    records = [dataclasses.replace(r, var=r.var / unit) for r in records]
     return _emit_scan(records, args)
 
 
 _COMMANDS = {
     "run": (_cmd_run, True),
-    "scan-delta": (_cmd_scan_delta, True),
-    "scan-density": (_cmd_scan_density, True),
-    "scan-pump": (_cmd_scan_pump, True),
+    **{name: (_cmd_scan, True) for name in _SCANS},
     "derive": (_cmd_derive, False),
 }
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
-from .experiments import PulseConfig
+from .coupling import DISPERSION_MODES, PROPAGATION_MODES
+from .errors import ConfigError, GuardError
+from .experiments import DELTA_POLICIES, PulseConfig
 from .params import MediumParams
 
 MHZ = 2.0 * math.pi * 1e6  # rad/s per MHz of ordinary frequency
@@ -120,9 +121,12 @@ def _parse_number(key: str, raw: str, line: int):
     try:
         if key in _INT_KEYS:
             return int(raw)
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"malformed number for {key}: {raw!r}", line)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}", line)
+    return value
 
 
 def parse_config(text: str) -> Config:
@@ -162,21 +166,24 @@ def parse_config(text: str) -> Config:
     merged.setdefault("scan_stop", None)
     merged.setdefault("scan_steps", None)
 
-    n = merged["n_samples"]
-    if n < 256 or (n & (n - 1)) != 0:
-        raise ConfigError(f"n_samples must be a power of two >= 256, got {n}")
     if merged["scan_steps"] is not None and merged["scan_steps"] < 2:
         raise ConfigError("scan_steps must be >= 2")
-    if merged["dispersion_mode"] not in ("constant", "full"):
-        raise ConfigError(f"unknown dispersion_mode {merged['dispersion_mode']!r}")
-    if merged["propagation_mode"] not in ("exact", "paper", "relative"):
-        raise ConfigError(f"unknown propagation_mode {merged['propagation_mode']!r}")
-    if merged["delta_policy"] not in ("track", "fixed"):
-        raise ConfigError(f"unknown delta_policy {merged['delta_policy']!r}")
+    for key, allowed in (
+        ("dispersion_mode", DISPERSION_MODES),
+        ("propagation_mode", PROPAGATION_MODES),
+        ("delta_policy", DELTA_POLICIES),
+    ):
+        if merged[key] not in allowed:
+            raise ConfigError(f"unknown {key} {merged[key]!r}")
     for key in ("window_ns", "fwhm_ns"):
         if merged[key] <= 0:
             raise ConfigError(f"{key} must be > 0")
 
     cfg = Config(**merged)
-    cfg.to_medium_params()  # surface parameter invariant violations now
+    # surface parameter and grid invariant violations now
+    cfg.to_medium_params()
+    try:
+        cfg.to_pulse_config().make_grid()
+    except GuardError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg

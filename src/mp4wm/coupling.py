@@ -65,12 +65,6 @@ class TransferMatrix:
             [[self.m_pp, self.m_pc], [self.m_cp, self.m_cc]], dtype=complex
         )
 
-    def apply(self, e_p: complex, e_c_star: complex):
-        return (
-            self.m_pp * e_p + self.m_pc * e_c_star,
-            self.m_cp * e_p + self.m_cc * e_c_star,
-        )
-
 
 def coefficients_at(
     p: MediumParams, omega, dispersion_mode: str = "constant"

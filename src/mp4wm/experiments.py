@@ -1,21 +1,18 @@
 """Model-level reproductions of the experiments and the inverse analysis.
 
-Three scans are provided: two-photon detuning, density (pseudo propagation
-distance) and pump Rabi frequency.  Each scan point runs the full pulse
-pipeline and is summarized in a :class:`ScanRecord`; a failing point is
-recorded with absent fields instead of aborting the scan.
+One scan engine covers three axes: two-photon detuning, density (pseudo
+propagation distance) and pump Rabi frequency.  Each scan point runs the
+full pulse pipeline and is summarized in a :class:`ScanRecord`; a failing
+point is recorded with absent fields instead of aborting the scan.
 """
 from __future__ import annotations
 
-import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from scipy.constants import c as C_LIGHT
 
-from .coupling import analytic_delays, peak_gain_formula, renormalized_length
+from .coupling import peak_gain_formula, renormalized_length
 from .errors import GuardError
 from .params import MediumParams, derive_coefficients
 from .pulses import (
@@ -25,9 +22,8 @@ from .pulses import (
     make_gaussian_pulse,
     propagate_pulse,
     pulse_metrics,
+    to_spectrum,
 )
-
-THREADS_ENV = "MP4WM_THREADS"
 
 _ZERO_CONJUGATE_ENERGY = 1e-30  # relative to reference energy
 
@@ -80,13 +76,10 @@ def run_single(p: MediumParams, pulse_cfg: PulseConfig) -> SingleRunResult:
     traces = propagate_pulse(
         p, pulse, pulse_cfg.propagation_mode, pulse_cfg.dispersion_mode
     )
-    conj_energy = traces.conjugate.energy
-    if conj_energy <= _ZERO_CONJUGATE_ENERGY * traces.reference.energy:
-        probe_m, conj_m = pulse_metrics(traces.reference, traces.probe, traces.probe)[0], None
-    else:
-        probe_m, conj_m = pulse_metrics(
-            traces.reference, traces.probe, traces.conjugate
-        )
+    conjugate = traces.conjugate
+    if conjugate.energy <= _ZERO_CONJUGATE_ENERGY * traces.reference.energy:
+        conjugate = None
+    probe_m, conj_m = pulse_metrics(traces.reference, traces.probe, conjugate)
     return SingleRunResult(
         traces=traces, probe_metrics=probe_m, conjugate_metrics=conj_m
     )
@@ -171,69 +164,56 @@ def _record_for(p: MediumParams, var: float, pulse_cfg: PulseConfig) -> ScanReco
     return rec
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise GuardError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if n < 0:
-        raise GuardError(f"{THREADS_ENV} must be >= 0")
-    if n == 0:
-        n = min(8, os.cpu_count() or 1)
-    return n
+DELTA_POLICIES = ("track", "fixed")
 
 
-def _scan(points, pulse_cfg: PulseConfig) -> list[ScanRecord]:
-    """Run (params, var) points; output order follows input order."""
-    points = list(points)
-    workers = _worker_count()
-    if workers <= 1 or len(points) <= 1:
-        return [_record_for(p, var, pulse_cfg) for p, var in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(lambda pv: _record_for(pv[0], pv[1], pulse_cfg), points)
-        )
+def _pump_point(p: MediumParams, rabi: float, delta_policy: str) -> MediumParams:
+    q = p.replace(omega_rabi=rabi)
+    if delta_policy == "track":
+        q = q.replace(delta_two_photon=derive_coefficients(q).light_shift)
+    return q
 
 
-def scan_delta(p: MediumParams, deltas, pulse_cfg: PulseConfig) -> list[ScanRecord]:
-    """Two-photon detuning scan; `deltas` in rad/s, recorded var in rad/s."""
-    points = [(p.replace(delta_two_photon=float(dv)), float(dv)) for dv in deltas]
-    records = _scan(points, pulse_cfg)
-    if any(not r.approx_valid for r in records):
+# scan axis -> medium at one scan value (SI units) under a delta policy
+_AXES = {
+    "delta": lambda p, v, policy: p.replace(delta_two_photon=v),
+    "density": lambda p, v, policy: p.scaled_density(v),
+    "pump": _pump_point,
+}
+
+
+def scan(
+    p: MediumParams,
+    axis: str,
+    values,
+    pulse_cfg: PulseConfig,
+    delta_policy: str = "track",
+) -> list[ScanRecord]:
+    """Run one pulse per scan value; records follow the order of `values`.
+
+    `axis="delta"` sets the two-photon detuning (rad/s), `"density"`
+    multiplies g^2 N by the value and `"pump"` sets the Rabi frequency
+    (rad/s).  For the pump axis, `delta_policy="track"` makes the
+    two-photon detuning follow the moving light shift (dtilde pinned to
+    0) and `"fixed"` keeps the configured value.  The recorded var is the
+    scan value as given.
+    """
+    if axis not in _AXES:
+        raise GuardError(f"unknown scan axis {axis!r}")
+    if delta_policy not in DELTA_POLICIES:
+        raise GuardError(f"unknown delta policy {delta_policy!r}")
+    point_at = _AXES[axis]
+    points = [(point_at(p, float(v), delta_policy), float(v)) for v in values]
+    # every point shares the input pulse: check its containment and aliasing
+    # once, so a bad one fails the scan instead of blanking every row
+    to_spectrum(
+        make_gaussian_pulse(pulse_cfg.make_grid(), pulse_cfg.fwhm, pulse_cfg.center)
+    )
+    records = [_record_for(q, v, pulse_cfg) for q, v in points]
+    if not all(r.approx_valid for r in records):
         warnings.warn(
             "some scan points have |dtilde| > 2 Delta_R where the line-center "
             "approximation breaks down",
             stacklevel=2,
         )
     return records
-
-
-def scan_density(p: MediumParams, scales, pulse_cfg: PulseConfig) -> list[ScanRecord]:
-    """Density scan: each point multiplies g^2 N by the scale factor."""
-    points = [(p.scaled_density(float(s)), float(s)) for s in scales]
-    return _scan(points, pulse_cfg)
-
-
-def scan_pump(
-    p: MediumParams,
-    rabis,
-    pulse_cfg: PulseConfig,
-    delta_policy: str = "track",
-) -> list[ScanRecord]:
-    """Pump scan over Rabi frequencies (rad/s).
-
-    With `delta_policy="track"` the two-photon detuning follows the
-    moving light shift (dtilde pinned to 0); with `"fixed"` it stays at
-    the configured value.
-    """
-    if delta_policy not in ("track", "fixed"):
-        raise GuardError(f"unknown delta policy {delta_policy!r}")
-    points = []
-    for rv in rabis:
-        rv = float(rv)
-        q = p.replace(omega_rabi=rv)
-        if delta_policy == "track":
-            q = q.replace(delta_two_photon=derive_coefficients(q).light_shift)
-        points.append((q, rv))
-    return _scan(points, pulse_cfg)

@@ -279,11 +279,14 @@ def _metrics_vs(ref_fit: GaussianFit, ref: SampledPulse, out: SampledPulse) -> P
 def pulse_metrics(
     reference: SampledPulse,
     probe_out: SampledPulse,
-    conjugate_out: SampledPulse,
-) -> tuple[PulseMetrics, PulseMetrics]:
-    """Metrics of the probe and conjugate outputs against the reference."""
+    conjugate_out: SampledPulse | None = None,
+) -> tuple[PulseMetrics, PulseMetrics | None]:
+    """Metrics of the probe and conjugate outputs against the reference.
+
+    The conjugate metrics are None when `conjugate_out` is None.
+    """
     ref_fit = fit_gaussian(reference)
-    return (
-        _metrics_vs(ref_fit, reference, probe_out),
-        _metrics_vs(ref_fit, reference, conjugate_out),
-    )
+    probe_m = _metrics_vs(ref_fit, reference, probe_out)
+    if conjugate_out is None:
+        return probe_m, None
+    return probe_m, _metrics_vs(ref_fit, reference, conjugate_out)

@@ -22,7 +22,7 @@ from mp4wm.experiments import (
     PulseConfig,
     infer_eta_xi,
     run_single,
-    scan_density,
+    scan,
 )
 from mp4wm.params import derive_coefficients
 from mp4wm.pulses import (
@@ -109,7 +109,7 @@ def test_acceptance_5_matched_pulse_locking(capsys):
     p = make_params(gamma_c_frac=0.0)
     base_l = _xi0(p) * p.cell_length / C
     targets = np.linspace(0.1, 5.0, 50)
-    records = scan_density(p, targets / base_l, PulseConfig())
+    records = scan(p, "density", targets / base_l, PulseConfig())
     ells = np.array([
         _xi0(p.scaled_density(s)) * p.cell_length / C for s in targets / base_l
     ])

@@ -115,8 +115,7 @@ class TestCli:
         header = out_csv.read_text().splitlines()[0]
         assert header == TRACE_HEADER
 
-    def test_scan_outputs_are_deterministic(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MP4WM_THREADS", "4")
+    def test_scan_outputs_are_deterministic(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
             BASE + "scan_start = 0.2\nscan_stop = 1.0\nscan_steps = 7\n",
@@ -140,6 +139,27 @@ class TestCli:
         rows = out.read_text().splitlines()[1:]
         vars_ = [float(r.split(",")[0]) for r in rows]
         assert vars_ == pytest.approx([10.0, 11.0, 12.0], rel=1e-9)
+        out_json = tmp_path / "d.json"
+        assert main(
+            ["scan-delta", "--config", cfg, "--out", str(out_json), "--format", "json"]
+        ) == 0
+        vars_ = [row["var"] for row in json.loads(out_json.read_text())]
+        assert vars_ == pytest.approx([10.0, 11.0, 12.0], rel=1e-9)
+
+    def test_scan_pump_var_in_mhz_and_policy(self, tmp_path):
+        scan_keys = "scan_start = 300\nscan_stop = 420\nscan_steps = 2\n"
+        outs = {}
+        for policy in ("track", "fixed"):
+            cfg = write_cfg(
+                tmp_path, BASE + scan_keys + f"delta_policy = {policy}\n", f"{policy}.cfg"
+            )
+            out = tmp_path / f"{policy}.csv"
+            assert main(["scan-pump", "--config", cfg, "--out", str(out)]) == 0
+            outs[policy] = out.read_text().splitlines()[1:]
+            vars_ = [float(r.split(",")[0]) for r in outs[policy]]
+            assert vars_ == pytest.approx([300.0, 420.0], rel=1e-9)
+        # at 300 MHz a fixed delta leaves dtilde != 0, which the tracked scan avoids
+        assert outs["fixed"][0] != outs["track"][0]
 
     def test_scan_json_roundtrips_nine_digits(self, tmp_path):
         cfg = write_cfg(
@@ -177,6 +197,38 @@ class TestCli:
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["derive", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("fwhm_ns", "nan"), ("window_ns", "inf"), ("scan_start", "nan"), ("eta0", "inf")],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, key, value):
+        lines = (BASE + "scan_start = 0.5\nscan_stop = 1.0\nscan_steps = 2\n").splitlines()
+        keys = [line.split(" =")[0] for line in lines]
+        if key in keys:
+            lineno = keys.index(key) + 1
+            lines[lineno - 1] = f"{key} = {value}"
+        else:
+            lines.append(f"{key} = {value}")
+            lineno = len(lines)
+        cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+        out = tmp_path / "d.csv"
+        assert main(["scan-density", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {lineno}" in err
+        assert key in err
+
+    @pytest.mark.parametrize("fwhm_ns", ["900", "0.5"])
+    def test_bad_input_pulse_fails_the_scan(self, tmp_path, capsys, fwhm_ns):
+        # 900 ns does not fit the 2000 ns window; 0.5 ns aliases on its grid
+        cfg = write_cfg(
+            tmp_path,
+            BASE + f"fwhm_ns = {fwhm_ns}\nscan_start = 0.5\nscan_stop = 1.0\nscan_steps = 2\n",
+        )
+        out = tmp_path / "d.csv"
+        assert main(["scan-density", "--config", cfg, "--out", str(out)]) == 3
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         # pulse too wide for the window -> containment guard -> exit 3

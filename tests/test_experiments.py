@@ -10,9 +10,7 @@ from mp4wm.experiments import (
     infer_eta_xi,
     predict_gain,
     run_single,
-    scan_delta,
-    scan_density,
-    scan_pump,
+    scan,
 )
 from mp4wm.params import derive_coefficients
 
@@ -59,7 +57,7 @@ class TestScanDelta:
         p = make_params(gamma_c_frac=0.0)
         shift = derive_coefficients(p).light_shift
         deltas = shift + np.linspace(-1.0, 1.0, 9) * 2.0 * MHZ
-        records = scan_delta(p, deltas, CFG)
+        records = scan(p, "delta", deltas, CFG)
         gains = [r.gain_peak for r in records]
         assert int(np.argmax(gains)) == 4  # the dtilde = 0 point
 
@@ -67,13 +65,19 @@ class TestScanDelta:
         p = make_params(gamma_c_frac=0.0)
         d = derive_coefficients(p)
         with pytest.warns(UserWarning, match="dtilde"):
-            scan_delta(p, [d.light_shift + 5.0 * d.delta_r], CFG)
+            scan(p, "delta", [d.light_shift + 5.0 * d.delta_r], CFG)
+
+
+class TestScanEngine:
+    def test_rejects_unknown_axis(self):
+        with pytest.raises(GuardError, match="axis"):
+            scan(make_params(), "length", [1.0], CFG)
 
 
 class TestScanDensity:
     def test_gain_monotone_in_density(self):
         p = make_params(gamma_c_frac=0.0)
-        records = scan_density(p, np.linspace(0.05, 1.0, 8), CFG)
+        records = scan(p, "density", np.linspace(0.05, 1.0, 8), CFG)
         gains = [r.gain_peak for r in records]
         assert all(b > a for a, b in zip(gains, gains[1:]))
 
@@ -81,15 +85,17 @@ class TestScanDensity:
         # at small xi z / c the probe delay is twice the conjugate delay
         p = make_params(gamma_c_frac=0.0)
         scale = 0.2 / _xi_z_over_c(p)
-        (rec,) = scan_density(p, [scale], CFG)
+        (rec,) = scan(p, "density", [scale], CFG)
         assert rec.probe_delay / rec.conj_delay == pytest.approx(2.0, abs=0.05)
 
     def test_density_scale_matches_length_scale(self):
         # in relative mode, scaling g^2 N is equivalent to scaling z
         p = make_params(gamma_c_frac=0.5)
         s = 0.43
-        (by_density,) = scan_density(p, [s], CFG)
-        (by_length,) = scan_density(p.replace(cell_length=s * p.cell_length), [1.0], CFG)
+        (by_density,) = scan(p, "density", [s], CFG)
+        (by_length,) = scan(
+            p.replace(cell_length=s * p.cell_length), "density", [1.0], CFG
+        )
         for field in (
             "gain_peak",
             "gain_energy",
@@ -104,7 +110,7 @@ class TestScanDensity:
 
     def test_graceful_degradation_on_overflow(self):
         p = make_params(gamma_c_frac=0.0)
-        records = scan_density(p, [1.0, 1e6], CFG)
+        records = scan(p, "density", [1.0, 1e6], CFG)
         assert records[0].gain_peak is not None
         assert records[1].gain_peak is None
         assert records[1].var == 1e6
@@ -123,20 +129,26 @@ class TestScanPump:
 
     def test_delay_grows_as_pump_weakens(self):
         p = make_params(gamma_c_frac=0.0)
-        records = scan_pump(p, np.array([600.0, 420.0, 300.0]) * MHZ, CFG)
+        records = scan(p, "pump", np.array([600.0, 420.0, 300.0]) * MHZ, CFG)
         delays = [r.conj_delay for r in records]
         assert delays[0] < delays[1] < delays[2]
 
     def test_fixed_policy_detunes(self):
         p = make_params(gamma_c_frac=0.0)
-        tracked = scan_pump(p, [300.0 * MHZ], CFG, delta_policy="track")
-        fixed = scan_pump(p, [300.0 * MHZ], CFG, delta_policy="fixed")
+        tracked = scan(p, "pump", [300.0 * MHZ], CFG, delta_policy="track")
+        fixed = scan(p, "pump", [300.0 * MHZ], CFG, delta_policy="fixed")
         # moving the pump with delta fixed leaves dtilde != 0 -> lower gain
         assert fixed[0].gain_peak < tracked[0].gain_peak
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(GuardError):
-            scan_pump(make_params(), [420.0 * MHZ], CFG, delta_policy="chase")
+            scan(make_params(), "pump", [420.0 * MHZ], CFG, delta_policy="chase")
+
+    def test_warns_outside_validity(self):
+        # with delta fixed, a weak pump moves the light shift far from delta
+        p = make_params(gamma_c_frac=0.0)
+        with pytest.warns(UserWarning, match="dtilde"):
+            scan(p, "pump", [100.0 * MHZ], CFG, delta_policy="fixed")
 
     def test_gain_curvature_changes_near_saturation(self):
         # G(pump) turns from convex (loss-dominated recovery) to concave
@@ -145,7 +157,7 @@ class TestScanPump:
         p = make_params(gamma_c_frac=0.5)
         sat = derive_coefficients(p).saturation_rabi
         rabis = np.linspace(0.4, 4.0, 60) * sat
-        records = scan_pump(p, rabis, CFG)
+        records = scan(p, "pump", rabis, CFG)
         gains = np.array([r.gain_peak for r in records])
         curv = np.diff(gains, 2)
         sign_changes = np.flatnonzero(np.sign(curv[1:]) != np.sign(curv[:-1]))
