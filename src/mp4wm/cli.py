@@ -30,8 +30,10 @@ def _fmt(x) -> str:
     return f"{x:.9g}"
 
 
-def _round9(x: float) -> float:
+def _round9(x):
     """Round to 9 significant digits so JSON output round-trips exactly."""
+    if x is None:
+        return None
     return float(f"{x:.9g}")
 
 
@@ -105,44 +107,34 @@ def _cmd_run(cfg: Config, args) -> int:
     return 0
 
 
-def _scan_rows(records) -> list[str]:
-    rows = [SCAN_HEADER]
-    for r in records:
-        ns = lambda v: None if v is None else v * 1e9
-        rows.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.var,
-                    r.gain_peak,
-                    r.gain_energy,
-                    ns(r.probe_delay),
-                    ns(r.conj_delay),
-                    ns(r.differential_delay),
-                    r.probe_broadening,
-                    r.conj_broadening,
-                    r.renorm_length,
-                    r.inferred_eta,
-                    r.inferred_xi,
-                    r.predicted_gain,
-                )
-            )
-        )
-    return rows
+def _scan_cells(r) -> tuple:
+    """The cells of one scan row in SCAN_HEADER order; delays in ns."""
+    ns = lambda v: None if v is None else v * 1e9
+    return (
+        r.var,
+        r.gain_peak,
+        r.gain_energy,
+        ns(r.probe_delay),
+        ns(r.conj_delay),
+        ns(r.differential_delay),
+        r.probe_broadening,
+        r.conj_broadening,
+        r.renorm_length,
+        r.inferred_eta,
+        r.inferred_xi,
+        r.predicted_gain,
+    )
 
 
 def _emit_scan(records, args) -> int:
+    rows = [_scan_cells(r) for r in records]
     if args.format == "json":
-        payload = []
         header = SCAN_HEADER.split(",")
-        for row in _scan_rows(records)[1:]:
-            cells = row.split(",")
-            payload.append(
-                {k: (float(v) if v else None) for k, v in zip(header, cells)}
-            )
+        payload = [dict(zip(header, map(_round9, row))) for row in rows]
         _write(args.out, json.dumps(payload, indent=2) + "\n")
     else:
-        _write(args.out, "\n".join(_scan_rows(records)) + "\n")
+        lines = [SCAN_HEADER] + [",".join(map(_fmt, row)) for row in rows]
+        _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -169,9 +161,9 @@ def _cmd_scan(cfg: Config, args) -> int:
 
 
 _COMMANDS = {
-    "run": (_cmd_run, True),
-    **{name: (_cmd_scan, True) for name in _SCANS},
-    "derive": (_cmd_derive, False),
+    "run": _cmd_run,
+    **{name: _cmd_scan for name in _SCANS},
+    "derive": _cmd_derive,
 }
 
 
@@ -181,17 +173,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ultraslow matched-pulse propagation in double-lambda 4WM",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_out) in _COMMANDS.items():
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="path to key=value config")
-        sp.add_argument("--out", required=needs_out, help="output CSV path")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name != "derive":  # derive prints to stdout and writes no file
+            sp.add_argument("--out", required=True, help="output file path")
+        if name in _SCANS:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, _ = _COMMANDS[args.command]
+    handler = _COMMANDS[args.command]
     try:
         cfg = _load_config(args.config)
         return handler(cfg, args)

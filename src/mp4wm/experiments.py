@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from scipy.constants import c as C_LIGHT
 
@@ -18,11 +19,11 @@ from .params import MediumParams, derive_coefficients
 from .pulses import (
     PropagationResult,
     PulseMetrics,
+    SampledPulse,
     TimeGrid,
     make_gaussian_pulse,
     propagate_pulse,
     pulse_metrics,
-    to_spectrum,
 )
 
 _ZERO_CONJUGATE_ENERGY = 1e-30  # relative to reference energy
@@ -41,6 +42,13 @@ class PulseConfig:
 
     def make_grid(self) -> TimeGrid:
         return TimeGrid.centered(self.window, self.n_samples, self.center)
+
+    @cached_property
+    def input_pulse(self) -> SampledPulse:
+        """The Gaussian input, built and checked for containment and aliasing once."""
+        pulse = make_gaussian_pulse(self.make_grid(), self.fwhm, self.center)
+        pulse.spectrum  # computing the spectrum runs the aliasing guard
+        return pulse
 
 
 @dataclass(frozen=True)
@@ -71,10 +79,8 @@ class ScanRecord:
 
 def run_single(p: MediumParams, pulse_cfg: PulseConfig) -> SingleRunResult:
     """Propagate one Gaussian probe pulse and measure it like the experiment."""
-    grid = pulse_cfg.make_grid()
-    pulse = make_gaussian_pulse(grid, pulse_cfg.fwhm, pulse_cfg.center)
     traces = propagate_pulse(
-        p, pulse, pulse_cfg.propagation_mode, pulse_cfg.dispersion_mode
+        p, pulse_cfg.input_pulse, pulse_cfg.propagation_mode, pulse_cfg.dispersion_mode
     )
     conjugate = traces.conjugate
     if conjugate.energy <= _ZERO_CONJUGATE_ENERGY * traces.reference.energy:
@@ -113,12 +119,9 @@ def predict_gain(eta: float, xi: float, gamma_c: float, z: float) -> GainPredict
     """Line-center probe gain predicted from inferred eta and xi."""
     if eta <= 0 or xi <= 0 or z < 0 or gamma_c < 0:
         raise GuardError("predict_gain needs eta, xi > 0 and z, gamma_c >= 0")
-    loss_ratio = 0.5 * eta * gamma_c / xi
-    if loss_ratio >= 1.0:
-        raise GuardError("loss exceeds gain: 2 xi <= eta gamma_c")
-    return GainPrediction(
-        gain=peak_gain_formula(eta, xi, gamma_c, z), loss_ratio=loss_ratio
-    )
+    # peak_gain_formula raises GuardError when the loss exceeds the gain
+    return GainPrediction(gain=peak_gain_formula(eta, xi, gamma_c, z),
+                          loss_ratio=0.5 * eta * gamma_c / xi)
 
 
 def _record_for(p: MediumParams, var: float, pulse_cfg: PulseConfig) -> ScanRecord:
@@ -204,11 +207,9 @@ def scan(
         raise GuardError(f"unknown delta policy {delta_policy!r}")
     point_at = _AXES[axis]
     points = [(point_at(p, float(v), delta_policy), float(v)) for v in values]
-    # every point shares the input pulse: check its containment and aliasing
-    # once, so a bad one fails the scan instead of blanking every row
-    to_spectrum(
-        make_gaussian_pulse(pulse_cfg.make_grid(), pulse_cfg.fwhm, pulse_cfg.center)
-    )
+    # every point propagates this input: a bad one fails the scan here
+    # instead of blanking every row
+    pulse_cfg.input_pulse
     records = [_record_for(q, v, pulse_cfg) for q, v in points]
     if not all(r.approx_valid for r in records):
         warnings.warn(

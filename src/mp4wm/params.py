@@ -113,17 +113,6 @@ class MediumParams:
                 stacklevel=3,
             )
 
-    @classmethod
-    def from_eta0(cls, eta0, **kwargs):
-        """Build params from a target slow-down factor instead of g^2 N."""
-        if eta0 <= 0:
-            raise ConfigError("eta0 must be > 0")
-        omega_rabi = kwargs.get("omega_rabi")
-        if omega_rabi is None:
-            raise ConfigError("omega_rabi is required")
-        g2n = eta0 * omega_rabi**2 / 4.0
-        return cls(coupling_g2n=g2n, **kwargs)
-
     def scaled_density(self, s: float) -> "MediumParams":
         """Multiply the coupling strength g^2 N by `s` (density scaling)."""
         if s <= 0:

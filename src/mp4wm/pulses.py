@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.constants import c as C_LIGHT
@@ -23,7 +24,7 @@ _FOUR_LN2 = 4.0 * math.log(2.0)
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid with n_samples a power of two."""
+    """Uniform time grid with n_samples a power of two from 256 to 2**20."""
 
     n_samples: int
     t_start: float
@@ -31,8 +32,10 @@ class TimeGrid:
 
     def __post_init__(self):
         n = self.n_samples
-        if n < 256 or (n & (n - 1)) != 0:
-            raise GuardError(f"n_samples must be a power of two >= 256, got {n}")
+        if not 256 <= n <= 2**20 or (n & (n - 1)) != 0:
+            raise GuardError(
+                f"n_samples must be a power of two in [256, 2**20], got {n}"
+            )
         if not (self.t_step > 0 and math.isfinite(self.t_step)):
             raise GuardError("t_step must be positive and finite")
 
@@ -55,6 +58,11 @@ class TimeGrid:
                    t_step=window / n_samples)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class SampledPulse:
     """Complex envelope sampled on a :class:`TimeGrid`."""
@@ -68,13 +76,16 @@ class SampledPulse:
             raise GuardError("envelope length must match the grid")
         if not np.all(np.isfinite(env.real)) or not np.all(np.isfinite(env.imag)):
             raise GuardError("envelope must be finite everywhere")
-        env = env.copy()
-        env.setflags(write=False)
-        object.__setattr__(self, "envelope", env)
+        object.__setattr__(self, "envelope", _read_only(env.copy()))
 
-    @property
+    @cached_property
     def intensity(self) -> np.ndarray:
-        return np.abs(self.envelope) ** 2
+        return _read_only(np.abs(self.envelope) ** 2)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Aliasing-checked :func:`to_spectrum` of the pulse, computed once."""
+        return _read_only(to_spectrum(self))
 
     @property
     def energy(self) -> float:
@@ -170,7 +181,7 @@ def propagate_pulse(
     intensity is directly plottable.
     """
     pulse.check_containment("input pulse")
-    spec0 = to_spectrum(pulse)
+    spec0 = pulse.spectrum
     grid = pulse.grid
     omegas = grid.omegas
     m_pp, _, m_cp, _ = transfer_entries(

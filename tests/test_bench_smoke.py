@@ -1,0 +1,18 @@
+"""The benchmark harness runs end to end on a tiny grid (no timing bounds)."""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bench_smoke_scan_density():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "scan-density",
+         "--seed", "1", "--seconds", "1", "--trace", "1", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True

@@ -73,8 +73,10 @@ class TestParse:
             parse_config(BASE.replace("eta0 = 960", "eta0 = twelve"))
 
     def test_bad_sample_count_is_config_error(self):
-        with pytest.raises(ConfigError):
-            parse_config(BASE + "n_samples = 1000\n")
+        # parse_config only builds the grid description: nothing is allocated
+        for n in (1000, 268435456):
+            with pytest.raises(ConfigError):
+                parse_config(BASE + f"n_samples = {n}\n")
 
     def test_scan_values_grid(self):
         cfg = parse_config(BASE + "scan_start = 1\nscan_stop = 3\nscan_steps = 5\n")
@@ -189,6 +191,20 @@ class TestCli:
         assert good[1] != ""
         assert float(bad[0]) == 1e6
         assert all(cell == "" for cell in bad[1:])
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("run", ["--out", "t.csv", "--format", "json"]), ("derive", ["--out", "t.csv"])],
+    )
+    def test_flags_a_command_ignores_are_usage_errors(
+        self, tmp_path, monkeypatch, command, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, BASE)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg] + flags)
+        assert exc.value.code == 2
+        assert not (tmp_path / "t.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE + "mystery = 1\n")

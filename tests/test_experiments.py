@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mp4wm import experiments, pulses
 from mp4wm.coupling import analytic_delays, coefficients_at
 from mp4wm.errors import GuardError
 from mp4wm.experiments import (
@@ -69,6 +70,27 @@ class TestScanDelta:
 
 
 class TestScanEngine:
+    def test_input_pulse_built_and_transformed_once(self, monkeypatch):
+        calls = {"make_gaussian_pulse": 0, "to_spectrum": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(experiments, "make_gaussian_pulse")
+        counted(pulses, "to_spectrum")
+        cfg = PulseConfig(n_samples=1024)
+        records = scan(make_params(), "density", [0.2, 0.6, 1.0, 1.4], cfg)
+        assert len(records) == 4
+        assert calls == {"make_gaussian_pulse": 1, "to_spectrum": 1}
+        pulse = cfg.input_pulse
+        for arr in (pulse.envelope, pulse.intensity, pulse.spectrum):
+            assert not arr.flags.writeable
+
     def test_rejects_unknown_axis(self):
         with pytest.raises(GuardError, match="axis"):
             scan(make_params(), "length", [1.0], CFG)
