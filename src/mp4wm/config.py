@@ -8,7 +8,7 @@ Unknown and duplicate keys are errors, with line numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .coupling import DISPERSION_MODES, PROPAGATION_MODES
 from .errors import ConfigError, GuardError
@@ -17,66 +17,38 @@ from .params import MediumParams
 
 MHZ = 2.0 * math.pi * 1e6  # rad/s per MHz of ordinary frequency
 
-_FLOAT_KEYS = {
-    "omega_rabi_mhz",
-    "delta_raman_mhz",
-    "delta_one_mhz",
-    "delta_two_photon_mhz",
-    "gamma_mhz",
-    "gamma_c_over_gamma",
-    "eta0",
-    "g2n_mhz2",
-    "cell_length_cm",
-    "fwhm_ns",
-    "window_ns",
-    "pulse_center_ns",
-    "scan_start",
-    "scan_stop",
-}
+# the keys that do not parse as floats; every other key is a float
 _INT_KEYS = {"n_samples", "scan_steps"}
 _STR_KEYS = {"dispersion_mode", "propagation_mode", "delta_policy"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
-
-_DEFAULTS = {
-    "delta_one_mhz": 0.0,
-    "delta_two_photon_mhz": 0.0,
-    "gamma_mhz": 6.0,
-    "gamma_c_over_gamma": 0.5,
-    "fwhm_ns": 70.0,
-    "window_ns": 2000.0,
-    "pulse_center_ns": 0.0,
-    "n_samples": 4096,
-    "dispersion_mode": "constant",
-    "propagation_mode": "relative",
-    "delta_policy": "track",
-}
-
-_REQUIRED = ("omega_rabi_mhz", "delta_raman_mhz", "cell_length_cm")
+MAX_SCAN_STEPS = 100_000  # scan_values() builds the whole grid as a list
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Config:
-    """Parsed and validated configuration in config units."""
+    """Parsed and validated configuration in config units.
+
+    Each field is one config key; a field without a default is required.
+    """
 
     omega_rabi_mhz: float
     delta_raman_mhz: float
-    delta_one_mhz: float
-    delta_two_photon_mhz: float
-    gamma_mhz: float
-    gamma_c_over_gamma: float
-    eta0: float | None
-    g2n_mhz2: float | None
     cell_length_cm: float
-    fwhm_ns: float
-    window_ns: float
-    pulse_center_ns: float
-    n_samples: int
-    dispersion_mode: str
-    propagation_mode: str
-    delta_policy: str
-    scan_start: float | None
-    scan_stop: float | None
-    scan_steps: int | None
+    eta0: float | None = None  # exactly one of eta0 and g2n_mhz2 is set
+    g2n_mhz2: float | None = None
+    delta_one_mhz: float = 0.0
+    delta_two_photon_mhz: float = 0.0
+    gamma_mhz: float = 6.0
+    gamma_c_over_gamma: float = 0.5
+    fwhm_ns: float = 70.0
+    window_ns: float = 2000.0
+    pulse_center_ns: float = 0.0
+    n_samples: int = 4096
+    dispersion_mode: str = "constant"
+    propagation_mode: str = "relative"
+    delta_policy: str = "track"
+    scan_start: float | None = None
+    scan_stop: float | None = None
+    scan_steps: int | None = None
 
     def to_medium_params(self) -> MediumParams:
         omega_rabi = self.omega_rabi_mhz * MHZ
@@ -131,6 +103,7 @@ def _parse_number(key: str, raw: str, line: int):
 
 def parse_config(text: str) -> Config:
     """Parse and validate config text; raises :class:`ConfigError`."""
+    keys = {f.name: f for f in fields(Config)}
     values: dict = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -141,7 +114,7 @@ def parse_config(text: str) -> Config:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _ALL_KEYS:
+        if key not in keys:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", lineno)
@@ -150,36 +123,30 @@ def parse_config(text: str) -> Config:
         else:
             values[key] = _parse_number(key, raw, lineno)
 
-    for key in _REQUIRED:
-        if key not in values:
+    for key, f in keys.items():
+        if f.default is MISSING and key not in values:
             raise ConfigError(f"missing required key {key!r}")
     if "eta0" in values and "g2n_mhz2" in values:
         raise ConfigError("eta0 and g2n_mhz2 are mutually exclusive")
     if "eta0" not in values and "g2n_mhz2" not in values:
         raise ConfigError("one of eta0 or g2n_mhz2 is required")
 
-    merged = dict(_DEFAULTS)
-    merged.update(values)
-    merged.setdefault("eta0", None)
-    merged.setdefault("g2n_mhz2", None)
-    merged.setdefault("scan_start", None)
-    merged.setdefault("scan_stop", None)
-    merged.setdefault("scan_steps", None)
-
-    if merged["scan_steps"] is not None and merged["scan_steps"] < 2:
+    cfg = Config(**values)
+    if cfg.scan_steps is not None and cfg.scan_steps < 2:
         raise ConfigError("scan_steps must be >= 2")
+    if cfg.scan_steps is not None and cfg.scan_steps > MAX_SCAN_STEPS:
+        raise ConfigError(f"scan_steps must be <= {MAX_SCAN_STEPS}")
     for key, allowed in (
         ("dispersion_mode", DISPERSION_MODES),
         ("propagation_mode", PROPAGATION_MODES),
         ("delta_policy", DELTA_POLICIES),
     ):
-        if merged[key] not in allowed:
-            raise ConfigError(f"unknown {key} {merged[key]!r}")
+        if getattr(cfg, key) not in allowed:
+            raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}")
     for key in ("window_ns", "fwhm_ns"):
-        if merged[key] <= 0:
+        if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be > 0")
 
-    cfg = Config(**merged)
     # surface parameter and grid invariant violations now
     cfg.to_medium_params()
     try:

@@ -8,7 +8,7 @@ point is recorded with absent fields instead of aborting the scan.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from scipy.constants import c as C_LIGHT
@@ -134,37 +134,33 @@ def _record_for(p: MediumParams, var: float, pulse_cfg: PulseConfig) -> ScanReco
 
     pm = res.probe_metrics
     cm = res.conjugate_metrics
-    rec = ScanRecord(
+    dtau = eta_i = xi_i = gain_pred = None
+    if cm is not None:
+        dtau = pm.delay_vs_reference - cm.delay_vs_reference
+        try:
+            eta_i, xi_i = infer_eta_xi(
+                cm.delay_vs_reference, dtau, p.cell_length, p.gamma_c
+            )
+            gain_pred = predict_gain(eta_i, xi_i, p.gamma_c, p.cell_length).gain
+        except GuardError:
+            eta_i = xi_i = None
+    return ScanRecord(
         var=var,
         gain_peak=pm.gain_peak,
         gain_energy=pm.gain_energy,
         probe_delay=pm.delay_vs_reference,
-        probe_broadening=pm.broadening_fraction,
         conj_delay=cm.delay_vs_reference if cm else None,
+        differential_delay=dtau,
+        probe_broadening=pm.broadening_fraction,
         conj_broadening=cm.broadening_fraction if cm else None,
+        renorm_length=(
+            renormalized_length(pm.gain_peak) if pm.gain_peak >= 1.0 else None
+        ),
+        inferred_eta=eta_i,
+        inferred_xi=xi_i,
+        predicted_gain=gain_pred,
         approx_valid=approx_valid,
     )
-    if pm.gain_peak >= 1.0:
-        rec = replace(rec, renorm_length=renormalized_length(pm.gain_peak))
-    if cm is not None:
-        dtau = pm.delay_vs_reference - cm.delay_vs_reference
-        rec = replace(rec, differential_delay=dtau)
-        if cm.delay_vs_reference > 0 and dtau > 0 and p.cell_length > 0:
-            try:
-                eta_i, xi_i = infer_eta_xi(
-                    cm.delay_vs_reference, dtau, p.cell_length, p.gamma_c
-                )
-                rec = replace(
-                    rec,
-                    inferred_eta=eta_i,
-                    inferred_xi=xi_i,
-                    predicted_gain=predict_gain(
-                        eta_i, xi_i, p.gamma_c, p.cell_length
-                    ).gain,
-                )
-            except GuardError:
-                pass
-    return rec
 
 
 DELTA_POLICIES = ("track", "fixed")

@@ -6,7 +6,7 @@ Spectra use the NumPy FFT convention (forward kernel e^{-i w t}); see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -69,27 +69,34 @@ class SampledPulse:
 
     grid: TimeGrid
     envelope: np.ndarray
+    intensity: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         env = np.asarray(self.envelope, dtype=complex)
         if env.shape != (self.grid.n_samples,):
             raise GuardError("envelope length must match the grid")
-        if not np.all(np.isfinite(env.real)) or not np.all(np.isfinite(env.imag)):
-            raise GuardError("envelope must be finite everywhere")
+        with np.errstate(over="ignore", invalid="ignore"):
+            inten = np.abs(env) ** 2
+        if not np.all(np.isfinite(inten)):
+            if not np.all(np.isfinite(env)):
+                raise GuardError("envelope must be finite everywhere")
+            raise GuardError("intensity overflows double precision; the gain is too large")
         object.__setattr__(self, "envelope", _read_only(env.copy()))
-
-    @cached_property
-    def intensity(self) -> np.ndarray:
-        return _read_only(np.abs(self.envelope) ** 2)
+        object.__setattr__(self, "intensity", _read_only(inten))
 
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Aliasing-checked :func:`to_spectrum` of the pulse, computed once."""
         return _read_only(to_spectrum(self))
 
-    @property
+    @cached_property
     def energy(self) -> float:
         return float(np.sum(self.intensity) * self.grid.t_step)
+
+    @cached_property
+    def fit(self) -> "GaussianFit":
+        """:func:`fit_gaussian` of the pulse, computed once."""
+        return fit_gaussian(self)
 
     def check_containment(self, label: str = "pulse"):
         inten = self.intensity
@@ -270,8 +277,9 @@ def _centroid(pulse: SampledPulse) -> float:
     return float((pulse.grid.times * inten).sum() / total)
 
 
-def _metrics_vs(ref_fit: GaussianFit, ref: SampledPulse, out: SampledPulse) -> PulseMetrics:
-    fit = fit_gaussian(out)
+def _metrics_vs(ref: SampledPulse, out: SampledPulse) -> PulseMetrics:
+    ref_fit = ref.fit
+    fit = out.fit
     delay = fit.center - ref_fit.center
     return PulseMetrics(
         peak_time=fit.center,
@@ -296,8 +304,7 @@ def pulse_metrics(
 
     The conjugate metrics are None when `conjugate_out` is None.
     """
-    ref_fit = fit_gaussian(reference)
-    probe_m = _metrics_vs(ref_fit, reference, probe_out)
+    probe_m = _metrics_vs(reference, probe_out)
     if conjugate_out is None:
         return probe_m, None
-    return probe_m, _metrics_vs(ref_fit, reference, conjugate_out)
+    return probe_m, _metrics_vs(reference, conjugate_out)

@@ -4,12 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def test_bench_smoke_scan_density():
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_smoke(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "scan-density",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1", "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

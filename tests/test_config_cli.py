@@ -1,10 +1,14 @@
+import dataclasses
 import json
 import math
+import re
+import warnings
+from pathlib import Path
 
 import pytest
 
 from mp4wm.cli import SCAN_HEADER, TRACE_HEADER, main
-from mp4wm.config import MHZ, parse_config
+from mp4wm.config import MAX_SCAN_STEPS, MHZ, Config, parse_config
 from mp4wm.errors import ConfigError
 
 BASE = """\
@@ -77,6 +81,59 @@ class TestParse:
         for n in (1000, 268435456):
             with pytest.raises(ConfigError):
                 parse_config(BASE + f"n_samples = {n}\n")
+
+    def test_every_key_parsed(self):
+        text = """\
+omega_rabi_mhz = 400
+delta_raman_mhz = 3000
+cell_length_cm = 1.5
+delta_one_mhz = 30
+delta_two_photon_mhz = 12
+gamma_mhz = 5
+gamma_c_over_gamma = 0.25
+eta0 = 500
+fwhm_ns = 60
+window_ns = 1500
+pulse_center_ns = 10
+n_samples = 2048
+dispersion_mode = full
+propagation_mode = exact
+delta_policy = fixed
+scan_start = 0.5
+scan_stop = 2.5
+scan_steps = 9
+"""
+        expected = {
+            "omega_rabi_mhz": 400.0, "delta_raman_mhz": 3000.0, "cell_length_cm": 1.5,
+            "delta_one_mhz": 30.0, "delta_two_photon_mhz": 12.0, "gamma_mhz": 5.0,
+            "gamma_c_over_gamma": 0.25, "eta0": 500.0, "g2n_mhz2": None,
+            "fwhm_ns": 60.0, "window_ns": 1500.0, "pulse_center_ns": 10.0,
+            "n_samples": 2048, "dispersion_mode": "full", "propagation_mode": "exact",
+            "delta_policy": "fixed", "scan_start": 0.5, "scan_stop": 2.5, "scan_steps": 9,
+        }
+        cfg = parse_config(text)
+        assert set(expected) == {f.name for f in dataclasses.fields(Config)}
+        for key, value in expected.items():
+            assert getattr(cfg, key) == value, key
+            assert type(getattr(cfg, key)) is type(value), key
+        cfg = parse_config(text.replace("eta0 = 500", "g2n_mhz2 = 1e7"))
+        assert (cfg.eta0, cfg.g2n_mhz2) == (None, 1e7)
+        assert cfg.to_medium_params().coupling_g2n == pytest.approx(1e7 * MHZ**2, rel=1e-12)
+
+    def test_readme_table_lists_the_config_fields(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("| key | meaning | default |", 1)[1].split("\n\n", 1)[0]
+        keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+        assert keys == [f.name for f in dataclasses.fields(Config)]
+
+    def test_scan_steps_bounds(self):
+        scan_keys = BASE + "scan_start = 0\nscan_stop = 1\n"
+        assert parse_config(scan_keys + f"scan_steps = {MAX_SCAN_STEPS}\n").scan_steps == MAX_SCAN_STEPS
+        # parse only: a grid this large is never built
+        for steps, message in ((1, ">= 2"), (MAX_SCAN_STEPS + 1, "<= 100000"),
+                               (1000000000, "<= 100000")):
+            with pytest.raises(ConfigError, match=message):
+                parse_config(scan_keys + f"scan_steps = {steps}\n")
 
     def test_scan_values_grid(self):
         cfg = parse_config(BASE + "scan_start = 1\nscan_stop = 3\nscan_steps = 5\n")
@@ -245,6 +302,17 @@ class TestCli:
         assert main(["scan-density", "--config", cfg, "--out", str(out)]) == 3
         assert "error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_intensity_overflow_is_one_line_guard_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE.replace("eta0 = 960", "eta0 = 100000"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would raise here
+            code = main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "overflow" in err
+        assert "RuntimeWarning" not in err and "nan" not in err
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         # pulse too wide for the window -> containment guard -> exit 3

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ class TestScanDelta:
 
 class TestScanEngine:
     def test_input_pulse_built_and_transformed_once(self, monkeypatch):
-        calls = {"make_gaussian_pulse": 0, "to_spectrum": 0}
+        calls = {"make_gaussian_pulse": 0, "to_spectrum": 0, "fit_gaussian": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -83,10 +84,13 @@ class TestScanEngine:
 
         counted(experiments, "make_gaussian_pulse")
         counted(pulses, "to_spectrum")
+        counted(pulses, "fit_gaussian")
         cfg = PulseConfig(n_samples=1024)
         records = scan(make_params(), "density", [0.2, 0.6, 1.0, 1.4], cfg)
         assert len(records) == 4
-        assert calls == {"make_gaussian_pulse": 1, "to_spectrum": 1}
+        # the shared input is the relative-mode reference: fitted once, then
+        # the probe and the conjugate of each point
+        assert calls == {"make_gaussian_pulse": 1, "to_spectrum": 1, "fit_gaussian": 9}
         pulse = cfg.input_pulse
         for arr in (pulse.envelope, pulse.intensity, pulse.spectrum):
             assert not arr.flags.writeable
@@ -131,11 +135,16 @@ class TestScanDensity:
             )
 
     def test_graceful_degradation_on_overflow(self):
+        # at 100x the density the output envelope is finite but |E|^2 is not;
+        # at 1e6x the envelope itself is not
         p = make_params(gamma_c_frac=0.0)
-        records = scan(p, "density", [1.0, 1e6], CFG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = scan(p, "density", [1.0, 100.0, 1e6], CFG)
         assert records[0].gain_peak is not None
         assert records[1].gain_peak is None
-        assert records[1].var == 1e6
+        assert records[2].gain_peak is None
+        assert records[2].var == 1e6
 
 
 class TestScanPump:

@@ -31,6 +31,17 @@ class TestGrid:
         with pytest.raises(GuardError):
             TimeGrid(n_samples=128, t_start=0.0, t_step=1e-9)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [(np.nan, "finite"), (complex(0.0, np.inf), "finite"),
+         (1e200, "overflow"), (complex(1e308, 1e308), "overflow")],
+    )
+    def test_pulse_guards_non_finite_envelope_and_intensity(self, value, message):
+        env = np.zeros(GRID.n_samples, dtype=complex)
+        env[3] = value
+        with np.errstate(all="raise"), pytest.raises(GuardError, match=message):
+            SampledPulse(grid=GRID, envelope=env)
+
     def test_frequency_spacing(self):
         g = GRID
         dw = g.omegas[1] - g.omegas[0]
