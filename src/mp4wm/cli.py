@@ -1,13 +1,12 @@
 """Command-line surface: run, scan-delta, scan-density, scan-pump, derive.
 
-Exit codes: 0 success, 2 config error, 3 numerical/guard error.
+Exit codes: 0 success, 2 config or file error, 3 numerical/guard error.
 All CSV output uses 9 significant digits, '.' decimals and '\\n' endings,
 so repeated runs with the same config are byte-identical.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -18,10 +17,22 @@ from .experiments import run_single, scan
 from .params import derive_coefficients
 
 TRACE_HEADER = "t_ns,ref,probe,conj"
-SCAN_HEADER = (
-    "var,gain_peak,gain_energy,probe_delay_ns,conj_delay_ns,dtau_ns,"
-    "probe_broad,conj_broad,L,eta_inf,xi_inf_per_s,gain_pred"
-)
+# scan output column -> (ScanRecord field, factor from SI units); every row
+# starts with a "var" column holding the scan value in config units
+_SCAN_COLUMNS = {
+    "gain_peak": ("gain_peak", 1.0),
+    "gain_energy": ("gain_energy", 1.0),
+    "probe_delay_ns": ("probe_delay", 1e9),
+    "conj_delay_ns": ("conj_delay", 1e9),
+    "dtau_ns": ("differential_delay", 1e9),
+    "probe_broad": ("probe_broadening", 1.0),
+    "conj_broad": ("conj_broadening", 1.0),
+    "L": ("renorm_length", 1.0),
+    "eta_inf": ("inferred_eta", 1.0),
+    "xi_inf_per_s": ("inferred_xi", 1.0),
+    "gain_pred": ("predicted_gain", 1.0),
+}
+SCAN_HEADER = ",".join(["var", *_SCAN_COLUMNS])
 
 
 def _fmt(x) -> str:
@@ -43,12 +54,17 @@ def _load_config(path: str) -> Config:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {path}: not UTF-8 at byte {exc.start}")
     return parse_config(text)
 
 
 def _write(path: str, content: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(content)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc.strerror}")
 
 
 def _metrics_dict(m) -> dict:
@@ -107,37 +123,6 @@ def _cmd_run(cfg: Config, args) -> int:
     return 0
 
 
-def _scan_cells(r) -> tuple:
-    """The cells of one scan row in SCAN_HEADER order; delays in ns."""
-    ns = lambda v: None if v is None else v * 1e9
-    return (
-        r.var,
-        r.gain_peak,
-        r.gain_energy,
-        ns(r.probe_delay),
-        ns(r.conj_delay),
-        ns(r.differential_delay),
-        r.probe_broadening,
-        r.conj_broadening,
-        r.renorm_length,
-        r.inferred_eta,
-        r.inferred_xi,
-        r.predicted_gain,
-    )
-
-
-def _emit_scan(records, args) -> int:
-    rows = [_scan_cells(r) for r in records]
-    if args.format == "json":
-        header = SCAN_HEADER.split(",")
-        payload = [dict(zip(header, map(_round9, row))) for row in rows]
-        _write(args.out, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = [SCAN_HEADER] + [",".join(map(_fmt, row)) for row in rows]
-        _write(args.out, "\n".join(lines) + "\n")
-    return 0
-
-
 # scan subcommand -> (scan axis, SI value of one config unit of the scan variable)
 _SCANS = {
     "scan-delta": ("delta", MHZ),
@@ -148,16 +133,29 @@ _SCANS = {
 
 def _cmd_scan(cfg: Config, args) -> int:
     axis, unit = _SCANS[args.command]
+    values = cfg.scan_values()
     records = scan(
         cfg.to_medium_params(),
         axis,
-        [v * unit for v in cfg.scan_values()],
+        [v * unit for v in values],
         cfg.to_pulse_config(),
         cfg.delta_policy,
     )
-    # report the scan variable back in config units
-    records = [dataclasses.replace(r, var=r.var / unit) for r in records]
-    return _emit_scan(records, args)
+    rows = []
+    for var, r in zip(values, records):
+        row = [var]
+        for field, factor in _SCAN_COLUMNS.values():
+            x = getattr(r, field)
+            row.append(None if x is None else x * factor)
+        rows.append(row)
+    if args.format == "json":
+        header = SCAN_HEADER.split(",")
+        payload = [dict(zip(header, map(_round9, row))) for row in rows]
+        _write(args.out, json.dumps(payload, indent=2) + "\n")
+    else:
+        lines = [SCAN_HEADER] + [",".join(map(_fmt, row)) for row in rows]
+        _write(args.out, "\n".join(lines) + "\n")
+    return 0
 
 
 _COMMANDS = {

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 
-from .coupling import DISPERSION_MODES, PROPAGATION_MODES
 from .errors import ConfigError, GuardError
 from .experiments import DELTA_POLICIES, PulseConfig
 from .params import MediumParams
@@ -136,18 +135,13 @@ def parse_config(text: str) -> Config:
         raise ConfigError("scan_steps must be >= 2")
     if cfg.scan_steps is not None and cfg.scan_steps > MAX_SCAN_STEPS:
         raise ConfigError(f"scan_steps must be <= {MAX_SCAN_STEPS}")
-    for key, allowed in (
-        ("dispersion_mode", DISPERSION_MODES),
-        ("propagation_mode", PROPAGATION_MODES),
-        ("delta_policy", DELTA_POLICIES),
-    ):
-        if getattr(cfg, key) not in allowed:
-            raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}")
+    if cfg.delta_policy not in DELTA_POLICIES:
+        raise ConfigError(f"unknown delta_policy {cfg.delta_policy!r}")
     for key in ("window_ns", "fwhm_ns"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be > 0")
 
-    # surface parameter and grid invariant violations now
+    # surface parameter, mode and grid invariant violations now
     cfg.to_medium_params()
     try:
         cfg.to_pulse_config().make_grid()

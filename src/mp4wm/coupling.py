@@ -44,7 +44,6 @@ _SINHC_THRESHOLD = 1e-6
 class CouplingCoefficients:
     """Complex model coefficients at one envelope frequency."""
 
-    omega: float
     eta: complex
     sigma: complex   # (eta/2)(dtilde + omega + i gamma_c)
     alpha: complex   # eta * Delta_R
@@ -75,9 +74,7 @@ def coefficients_at(
     sigma = 0.5 * eta * (d.delta_tilde + omega + 1j * p.gamma_c)
     alpha = eta * d.delta_r
     xi = cmath.sqrt(alpha * alpha - sigma * sigma)
-    return CouplingCoefficients(
-        omega=float(omega), eta=eta, sigma=sigma, alpha=alpha, xi=xi
-    )
+    return CouplingCoefficients(eta=eta, sigma=sigma, alpha=alpha, xi=xi)
 
 
 def transfer_entries(
@@ -150,8 +147,9 @@ def transfer_matrix(
 class AnalyticDelays:
     """Closed-form delay and gain figures at line center (dtilde=0, w=0)."""
 
-    tau: float                # common delay eta z / 2c (s)
-    dtau_low_gain: float      # differential delay, low-gain limit (s)
+    # common delay eta z / 2c (s); also the differential delay in the
+    # low-gain limit, where (eta / 2 xi) tanh(xi z / c) -> eta z / 2c
+    tau: float
     dtau_locked: float        # differential delay plateau (s)
     linear_gain_coeff: float  # (xi - eta gamma_c / 2) / c (1/m)
     peak_gain: float          # intensity gain of the probe at line center
@@ -186,10 +184,8 @@ def analytic_delays(p: MediumParams, z: float | None = None) -> AnalyticDelays:
     xi = math.hypot(d.alpha0, 0.5 * eta * p.gamma_c)
     if 2.0 * xi <= eta * p.gamma_c:
         raise GuardError("locked delay undefined: 2 xi <= eta gamma_c")
-    tau = eta * z / (2.0 * C_LIGHT)
     return AnalyticDelays(
-        tau=tau,
-        dtau_low_gain=tau,
+        tau=eta * z / (2.0 * C_LIGHT),
         dtau_locked=eta / (2.0 * xi - eta * p.gamma_c),
         linear_gain_coeff=(xi - 0.5 * eta * p.gamma_c) / C_LIGHT,
         peak_gain=peak_gain_formula(eta, xi, p.gamma_c, z),

@@ -13,7 +13,12 @@ from functools import cached_property
 
 from scipy.constants import c as C_LIGHT
 
-from .coupling import peak_gain_formula, renormalized_length
+from .coupling import (
+    DISPERSION_MODES,
+    PROPAGATION_MODES,
+    peak_gain_formula,
+    renormalized_length,
+)
 from .errors import GuardError
 from .params import MediumParams, derive_coefficients
 from .pulses import (
@@ -39,6 +44,12 @@ class PulseConfig:
     center: float = 0.0
     propagation_mode: str = "relative"
     dispersion_mode: str = "constant"
+
+    def __post_init__(self):
+        if self.dispersion_mode not in DISPERSION_MODES:
+            raise GuardError(f"unknown dispersion_mode {self.dispersion_mode!r}")
+        if self.propagation_mode not in PROPAGATION_MODES:
+            raise GuardError(f"unknown propagation_mode {self.propagation_mode!r}")
 
     def make_grid(self) -> TimeGrid:
         return TimeGrid.centered(self.window, self.n_samples, self.center)

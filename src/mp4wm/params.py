@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from scipy.constants import c as C_LIGHT
 
@@ -66,17 +66,8 @@ class MediumParams:
     cell_length: float
 
     def __post_init__(self):
-        for name in (
-            "omega_rabi",
-            "delta_raman",
-            "delta_one",
-            "delta_two_photon",
-            "gamma",
-            "gamma_c",
-            "coupling_g2n",
-            "cell_length",
-        ):
-            _require_finite(name, float(getattr(self, name)))
+        for f in fields(self):
+            _require_finite(f.name, float(getattr(self, f.name)))
         if self.omega_rabi <= 0:
             raise ConfigError("omega_rabi must be > 0")
         if self.delta_raman <= 0:

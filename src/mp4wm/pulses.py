@@ -241,7 +241,9 @@ def fit_gaussian(pulse: SampledPulse) -> GaussianFit:
     # fit in nanoseconds around the discrete peak to keep the Vandermonde sane
     x = (t - t0) / 1e-9
     y = np.log(inten[idx])
-    w = inten[idx]  # polyfit squares the weights: effective weight I^2
+    # polyfit squares the weights: effective weight I^2, scaled by the peak
+    # so that squaring cannot overflow
+    w = inten[idx] / peak
     a, b, c = np.polyfit(x, y, 2, w=w)
     if a >= 0.0:
         raise FitError("non-negative log-intensity curvature: not a pulse")
@@ -259,8 +261,6 @@ class PulseMetrics:
 
     peak_time: float
     fwhm_intensity: float
-    peak_intensity: float
-    energy: float
     gain_peak: float
     gain_energy: float
     delay_vs_reference: float
@@ -284,8 +284,6 @@ def _metrics_vs(ref: SampledPulse, out: SampledPulse) -> PulseMetrics:
     return PulseMetrics(
         peak_time=fit.center,
         fwhm_intensity=fit.fwhm,
-        peak_intensity=fit.peak,
-        energy=out.energy,
         gain_peak=fit.peak / ref_fit.peak,
         gain_energy=out.energy / ref.energy,
         delay_vs_reference=delay,

@@ -271,6 +271,25 @@ class TestCli:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["derive", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(BASE.encode() + b"# caf\xe9\n")
+        assert main(["derive", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "scan-density"])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, command):
+        cfg = write_cfg(
+            tmp_path, BASE + "scan_start = 0.5\nscan_stop = 1.0\nscan_steps = 2\n"
+        )
+        out = tmp_path / "no-such-dir" / "d.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(out) in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "key, value",
         [("fwhm_ns", "nan"), ("window_ns", "inf"), ("scan_start", "nan"), ("eta0", "inf")],

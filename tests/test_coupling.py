@@ -227,10 +227,6 @@ class TestAnalyticDelays:
         )
         assert ad.dtau_locked == pytest.approx(7.22e-9, rel=1e-3)
 
-    def test_low_gain_delay_equals_tau(self):
-        ad = analytic_delays(make_params(), z=1e-6)
-        assert ad.dtau_low_gain == ad.tau
-
     def test_linear_gain_coefficient(self):
         p = make_params(gamma_c_frac=0.5)
         ad = analytic_delays(p)

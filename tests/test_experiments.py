@@ -99,6 +99,11 @@ class TestScanEngine:
         with pytest.raises(GuardError, match="axis"):
             scan(make_params(), "length", [1.0], CFG)
 
+    @pytest.mark.parametrize("key", ["propagation_mode", "dispersion_mode"])
+    def test_rejects_unknown_mode(self, key):
+        with pytest.raises(GuardError, match=f"unknown {key} 'warp'"):
+            scan(make_params(), "density", [1.0], PulseConfig(**{key: "warp"}))
+
 
 class TestScanDensity:
     def test_gain_monotone_in_density(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,16 @@ class TestFitRobustness:
         )
         with pytest.raises(FitError, match="unique dominant peak"):
             fit_gaussian(SampledPulse(GRID, env))
+
+    def test_huge_intensity_fits_like_the_unit_pulse(self):
+        unit = fit_gaussian(make_gaussian_pulse(GRID, 120e-9, center=13e-9))
+        huge = make_gaussian_pulse(GRID, 120e-9, center=13e-9, peak_amplitude=1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow inside polyfit would raise
+            fit = fit_gaussian(huge)
+        assert fit.center == pytest.approx(unit.center, rel=1e-12)
+        assert fit.fwhm == pytest.approx(unit.fwhm, rel=1e-12)
+        assert fit.peak == pytest.approx(1e200 * unit.peak, rel=1e-12)
 
     def test_too_few_samples(self):
         grid = TimeGrid.centered(65536e-9, 256)  # dt = 256 ns
