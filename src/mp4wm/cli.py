@@ -67,7 +67,9 @@ def _write(path: str, content: str):
         raise ConfigError(f"cannot write output {path}: {exc.strerror}")
 
 
-def _metrics_dict(m) -> dict:
+def _metrics_dict(m, pulse) -> dict:
+    inten = pulse.intensity  # fitted, so its sum is > 0
+    centroid = float((pulse.grid.times * inten).sum() / float(inten.sum()))
     return {
         "peak_time_ns": _round9(m.peak_time * 1e9),
         "fwhm_ns": _round9(m.fwhm_intensity * 1e9),
@@ -76,7 +78,7 @@ def _metrics_dict(m) -> dict:
         "delay_ns": _round9(m.delay_vs_reference * 1e9),
         "broadening_fraction": _round9(m.broadening_fraction),
         "fractional_delay": _round9(m.fractional_delay),
-        "centroid_ns": _round9(m.centroid_time * 1e9),
+        "centroid_ns": _round9(centroid * 1e9),
     }
 
 
@@ -106,10 +108,9 @@ def _cmd_run(cfg: Config, args) -> int:
         lines.append(f"{_fmt(t_ns[i])},{_fmt(ref[i])},{_fmt(probe[i])},{_fmt(conj[i])}")
     _write(args.out, "\n".join(lines) + "\n")
 
-    metrics = {"probe": _metrics_dict(res.probe_metrics)}
-    metrics["conjugate"] = (
-        _metrics_dict(res.conjugate_metrics) if res.conjugate_metrics else None
-    )
+    metrics = {"probe": _metrics_dict(res.probe_metrics, tr.probe), "conjugate": None}
+    if res.conjugate_metrics:
+        metrics["conjugate"] = _metrics_dict(res.conjugate_metrics, tr.conjugate)
     try:
         ad = analytic_delays(cfg.to_medium_params())
         metrics["analytic"] = {

@@ -52,7 +52,10 @@ class Config:
     def to_medium_params(self) -> MediumParams:
         omega_rabi = self.omega_rabi_mhz * MHZ
         if self.eta0 is not None:
-            g2n = self.eta0 * omega_rabi**2 / 4.0
+            try:
+                g2n = self.eta0 * omega_rabi**2 / 4.0
+            except OverflowError:  # MediumParams rejects this Omega and says why
+                g2n = math.inf
         else:
             g2n = self.g2n_mhz2 * MHZ**2
         gamma = self.gamma_mhz * MHZ

@@ -166,7 +166,10 @@ def peak_gain_formula(eta: float, xi: float, gamma_c: float, z: float) -> float:
     if loss_ratio >= 1.0:
         raise GuardError("loss exceeds gain: 2 xi <= eta gamma_c")
     big_l = xi * z / C_LIGHT
-    amp = math.cosh(big_l) - loss_ratio * math.sinh(big_l)
+    try:
+        amp = math.cosh(big_l) - loss_ratio * math.sinh(big_l)
+    except OverflowError:
+        raise GuardError(f"gain overflows double precision: xi z / c = {big_l:g}") from None
     return math.exp(-eta * gamma_c * z / C_LIGHT) * amp * amp
 
 

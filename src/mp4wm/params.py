@@ -24,11 +24,6 @@ class ModelValidityWarning(UserWarning):
     """The parameters leave the asymptotic regime the model assumes."""
 
 
-def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class MediumParams:
     """All physical inputs of the propagation model.
@@ -66,10 +61,17 @@ class MediumParams:
     cell_length: float
 
     def __post_init__(self):
-        for f in fields(self):
-            _require_finite(f.name, float(getattr(self, f.name)))
+        # Omega first: an overflowing Omega^2 also makes a g^2 N from eta0 infinite
         if self.omega_rabi <= 0:
             raise ConfigError("omega_rabi must be > 0")
+        if not 0.0 < self.omega_rabi * self.omega_rabi < math.inf:
+            raise ConfigError(
+                f"omega_rabi squared must be finite and > 0, got {self.omega_rabi!r} rad/s"
+            )
+        for f in fields(self):
+            value = float(getattr(self, f.name))
+            if not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.delta_raman <= 0:
             raise ConfigError("delta_raman must be > 0")
         if self.gamma <= 0:

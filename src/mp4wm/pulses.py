@@ -22,6 +22,16 @@ _FIT_MIN_SAMPLES = 8
 _FOUR_LN2 = 4.0 * math.log(2.0)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _check_sample_count(n: int):
+    if not 256 <= n <= 2**20 or (n & (n - 1)) != 0:
+        raise GuardError(f"n_samples must be a power of two in [256, 2**20], got {n}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid with n_samples a power of two from 256 to 2**20."""
@@ -31,11 +41,7 @@ class TimeGrid:
     t_step: float
 
     def __post_init__(self):
-        n = self.n_samples
-        if not 256 <= n <= 2**20 or (n & (n - 1)) != 0:
-            raise GuardError(
-                f"n_samples must be a power of two in [256, 2**20], got {n}"
-            )
+        _check_sample_count(self.n_samples)
         if not (self.t_step > 0 and math.isfinite(self.t_step)):
             raise GuardError("t_step must be positive and finite")
 
@@ -43,24 +49,20 @@ class TimeGrid:
     def span(self) -> float:
         return self.n_samples * self.t_step
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return self.t_start + self.t_step * np.arange(self.n_samples)
+        return _read_only(self.t_start + self.t_step * np.arange(self.n_samples))
 
-    @property
+    @cached_property
     def omegas(self) -> np.ndarray:
         """Angular frequency bins in FFT order."""
-        return 2.0 * math.pi * np.fft.fftfreq(self.n_samples, self.t_step)
+        return _read_only(2.0 * math.pi * np.fft.fftfreq(self.n_samples, self.t_step))
 
     @classmethod
     def centered(cls, window: float, n_samples: int, center: float = 0.0) -> "TimeGrid":
+        _check_sample_count(n_samples)  # before the window is divided by it
         return cls(n_samples=n_samples, t_start=center - window / 2.0,
                    t_step=window / n_samples)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -138,13 +140,13 @@ def make_gaussian_pulse(
 def to_spectrum(pulse: SampledPulse, check: bool = True) -> np.ndarray:
     """Spectrum on the grid's FFT-ordered frequency bins.
 
-    Continuous normalization: S(w) = sum E(t) e^{-i w t} dt.  With
-    `check`, errors out if spectral magnitude at the edge bins exceeds
-    1e-6 of the spectral peak (aliasing guard).
+    Continuous normalization, phase origin at the grid's first sample:
+    S(w) = sum E(t) e^{-i w (t - t_start)} dt.  With `check`, errors out
+    if spectral magnitude at the edge bins exceeds 1e-6 of the spectral
+    peak (aliasing guard).
     """
     g = pulse.grid
-    spec = np.fft.fft(np.asarray(pulse.envelope)) * g.t_step
-    spec = spec * np.exp(-1j * g.omegas * g.t_start)
+    spec = np.fft.fft(pulse.envelope) * g.t_step
     if check:
         peak = float(np.abs(spec).max())
         if peak > 0.0:
@@ -158,13 +160,12 @@ def to_spectrum(pulse: SampledPulse, check: bool = True) -> np.ndarray:
     return spec
 
 
-def from_spectrum(spectrum: np.ndarray, grid: TimeGrid) -> SampledPulse:
-    """Inverse of :func:`to_spectrum` on the same grid."""
+def from_spectrum(spectrum: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Envelope array of `spectrum`: :func:`to_spectrum` inverted, same phase origin."""
     spec = np.asarray(spectrum, dtype=complex)
     if spec.shape != (grid.n_samples,):
         raise GuardError("spectrum length must match the grid")
-    env = np.fft.ifft(spec * np.exp(1j * grid.omegas * grid.t_start)) / grid.t_step
-    return SampledPulse(grid=grid, envelope=env)
+    return np.fft.ifft(spec) / grid.t_step
 
 
 @dataclass(frozen=True)
@@ -190,18 +191,17 @@ def propagate_pulse(
     pulse.check_containment("input pulse")
     spec0 = pulse.spectrum
     grid = pulse.grid
-    omegas = grid.omegas
     m_pp, _, m_cp, _ = transfer_entries(
-        p, omegas, None, propagation_mode, dispersion_mode
+        p, grid.omegas, None, propagation_mode, dispersion_mode
     )
 
-    probe = from_spectrum(m_pp * spec0, grid)
-    conj_star = from_spectrum(m_cp * spec0, grid)  # E_c*(-w) synthesized in time
-    conjugate = SampledPulse(grid=grid, envelope=np.conj(conj_star.envelope))
+    probe = SampledPulse(grid, from_spectrum(m_pp * spec0, grid))
+    # E_c*(-w) synthesized in time, conjugated back to E_c(t)
+    conjugate = SampledPulse(grid, np.conj(from_spectrum(m_cp * spec0, grid)))
 
     if propagation_mode == "exact":
-        vac = np.exp(-1j * omegas * p.cell_length / C_LIGHT)
-        reference = from_spectrum(vac * spec0, grid)
+        vac = np.exp(-1j * grid.omegas * p.cell_length / C_LIGHT)
+        reference = SampledPulse(grid, from_spectrum(vac * spec0, grid))
     else:
         reference = pulse
 
@@ -266,15 +266,6 @@ class PulseMetrics:
     delay_vs_reference: float
     broadening_fraction: float
     fractional_delay: float
-    centroid_time: float  # diagnostic; delays are taken from the fit
-
-
-def _centroid(pulse: SampledPulse) -> float:
-    inten = pulse.intensity
-    total = float(inten.sum())
-    if total == 0.0:
-        return math.nan
-    return float((pulse.grid.times * inten).sum() / total)
 
 
 def _metrics_vs(ref: SampledPulse, out: SampledPulse) -> PulseMetrics:
@@ -289,7 +280,6 @@ def _metrics_vs(ref: SampledPulse, out: SampledPulse) -> PulseMetrics:
         delay_vs_reference=delay,
         broadening_fraction=fit.fwhm / ref_fit.fwhm - 1.0,
         fractional_delay=delay / ref_fit.fwhm,
-        centroid_time=_centroid(out),
     )
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
@@ -6,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mp4wm.cli import SCAN_HEADER, TRACE_HEADER, main
 from mp4wm.config import MAX_SCAN_STEPS, MHZ, Config, parse_config
@@ -338,3 +341,52 @@ class TestCli:
         cfg = write_cfg(tmp_path, BASE + "fwhm_ns = 900\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 3
         assert "error" in capsys.readouterr().err
+
+
+# Exit-contract sweep: a small grid and three scan steps keep each command
+# cheap; every key may take an extreme value or a valid one.
+SWEEP_BASE = BASE + "n_samples = 256\nscan_start = 0.5\nscan_stop = 1.0\nscan_steps = 3\n"
+SWEEP_EXTREMES = ["0", "1", "-1", "1e9", "-1e9", "1e300", "1e-300"]
+SWEEP_ORDINARY = {
+    "omega_rabi_mhz": "300", "delta_raman_mhz": "2000", "cell_length_cm": "1",
+    "eta0": "500", "g2n_mhz2": "1e7", "delta_one_mhz": "30",
+    "delta_two_photon_mhz": "0", "gamma_mhz": "5", "gamma_c_over_gamma": "0.01",
+    "fwhm_ns": "100", "window_ns": "3000", "pulse_center_ns": "50",
+    "n_samples": "512", "dispersion_mode": "full", "propagation_mode": "exact",
+    "delta_policy": "fixed", "scan_start": "0.2", "scan_stop": "1.5",
+    "scan_steps": "4",
+}
+SWEEP_OVERRIDE = st.sampled_from(sorted(SWEEP_ORDINARY)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from([*SWEEP_EXTREMES, SWEEP_ORDINARY[key]]))
+)
+
+
+def test_sweep_ordinary_values_cover_every_key():
+    assert set(SWEEP_ORDINARY) == {f.name for f in dataclasses.fields(Config)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["run", "scan-delta", "scan-density", "scan-pump", "derive"]),
+    overrides=st.lists(SWEEP_OVERRIDE, min_size=1, max_size=3, unique_by=lambda kv: kv[0]),
+)
+@example(command="derive", overrides=[("omega_rabi_mhz", "1e300")])
+@example(command="scan-pump", overrides=[("scan_start", "1e-300")])
+@example(command="scan-pump", overrides=[("scan_stop", "1e300")])
+@example(command="run", overrides=[("n_samples", "0")])
+@example(command="run", overrides=[("delta_raman_mhz", "1"), ("delta_two_photon_mhz", "1e9")])
+def test_every_input_exits_0_2_or_3_with_one_line(tmp_path_factory, command, overrides):
+    values = dict(line.split(" = ") for line in SWEEP_BASE.splitlines())
+    values.update(overrides)
+    tmp = tmp_path_factory.mktemp("sweep")
+    cfg = write_cfg(tmp, "".join(f"{k} = {v}\n" for k, v in values.items()))
+    argv = [command, "--config", cfg]
+    if command != "derive":
+        argv += ["--out", str(tmp / "out.csv")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)  # an escaping exception fails the test
+    assert code in (0, 2, 3)
+    stderr = err.getvalue()
+    assert "Traceback" not in stderr
+    assert sum(line.startswith("mp4wm:") for line in stderr.splitlines()) <= 1

@@ -95,6 +95,24 @@ class TestScanEngine:
         for arr in (pulse.envelope, pulse.intensity, pulse.spectrum):
             assert not arr.flags.writeable
 
+    def test_each_output_pulse_built_once(self, monkeypatch):
+        built = []
+        post_init = pulses.SampledPulse.__post_init__
+
+        def counted(pulse):
+            built.append(pulse)
+            post_init(pulse)
+        monkeypatch.setattr(pulses.SampledPulse, "__post_init__", counted)
+        cfg = PulseConfig(n_samples=1024)
+        scan(make_params(), "density", [0.2, 0.6, 1.0], cfg)
+        # the shared input, then the probe and the conjugate of each point
+        assert len(built) == 1 + 2 * 3
+        grid = cfg.input_pulse.grid
+        for name in ("times", "omegas"):
+            arr = getattr(grid, name)
+            assert getattr(grid, name) is arr
+            assert not arr.flags.writeable
+
     def test_rejects_unknown_axis(self):
         with pytest.raises(GuardError, match="axis"):
             scan(make_params(), "length", [1.0], CFG)

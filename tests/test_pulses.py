@@ -18,6 +18,7 @@ from mp4wm.pulses import (
     to_spectrum,
 )
 
+from _oracles import pulse_oracle
 from conftest import C, make_params
 
 RNG = np.random.default_rng(7)
@@ -78,7 +79,7 @@ class TestSpectrum:
     def test_roundtrip(self):
         pulse = make_gaussian_pulse(GRID, 70e-9, center=40e-9)
         back = from_spectrum(to_spectrum(pulse), GRID)
-        assert back.envelope == pytest.approx(pulse.envelope, rel=1e-12, abs=1e-12)
+        assert back == pytest.approx(pulse.envelope, rel=1e-12, abs=1e-12)
 
     def test_delta_pulse_flat_spectrum(self):
         env = np.zeros(GRID.n_samples, dtype=complex)
@@ -195,6 +196,21 @@ class TestPropagation:
                          cm.gain_peak, cm.delay_vs_reference))
         for a, b in zip(*vals):
             assert b == pytest.approx(a, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "propagation_mode, dispersion_mode", [("relative", "constant"), ("exact", "full")]
+    )
+    def test_matches_rk4_pulse_oracle(self, propagation_mode, dispersion_mode):
+        p = make_params(delta1_mhz=30.0, gamma_c_frac=0.01)
+        grid = TimeGrid.centered(2048e-9, 1024)
+        pulse = make_gaussian_pulse(grid, 70e-9)
+        res = propagate_pulse(p, pulse, propagation_mode, dispersion_mode)
+        probe, conj = pulse_oracle(
+            p, pulse.envelope, grid.t_step, propagation_mode, dispersion_mode
+        )
+        for out, expected in ((res.probe, probe), (res.conjugate, conj)):
+            peak = np.max(np.abs(expected))
+            assert np.max(np.abs(out.envelope - expected)) <= 1e-9 * peak
 
     def test_output_containment_guard(self):
         # delayed, strongly broadened output must not wrap the window
