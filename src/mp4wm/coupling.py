@@ -15,6 +15,19 @@ mu = sqrt(d^2/4 + alpha^2), gives the closed form
 
     exp(N L) = exp(-d L / 2) [cosh(mu L) I + sinh(mu L)/mu * D].
 
+:func:`transfer_entries` forms all four entries from two exponentials,
+e_pm = e^{(-d/2 +/- mu) L} = P e^{+/- mu L} with P = e^{-d L/2} (times the
+vacuum phase e^{-i w L} in exact mode):
+
+    m_pp, m_cc = (e_+ + e_-)/2 -/+ (d/2) (e_+ - e_-)/(2 mu),
+    m_cp = -m_pc = -i alpha (e_+ - e_-)/(2 mu).
+
+e^{mu L} is taken as 1 + expm1(mu L), so that e_+ - e_- =
+P expm1(mu L) (1 + e^{-mu L}) keeps full precision as mu L -> 0; below
+|mu L| = 1e-6 the series L (1 + (mu L)^2/6) replaces sinh(mu L)/mu.
+:func:`entry_bounds` bounds |m_pp| and |m_cp| from the same d, alpha and
+mu^2 without evaluating the entries.
+
 The Fourier convention is the NumPy one: spectra are obtained with the
 e^{-i w t} kernel, so a time delay tau multiplies a spectrum by
 e^{-i w tau}.  Under this convention the matrix above yields positive
@@ -77,6 +90,28 @@ def coefficients_at(
     return CouplingCoefficients(eta=eta, sigma=sigma, alpha=alpha, xi=xi)
 
 
+def _big_l(p: MediumParams, z: float | None) -> float:
+    """Propagation time z / c through the cell, or through `z` when given."""
+    if z is None:
+        z = p.cell_length
+    if z < 0:
+        raise GuardError("propagation distance must be >= 0")
+    return z / C_LIGHT
+
+
+def _generator_terms(p: MediumParams, omega: np.ndarray, dispersion_mode: str):
+    """d, alpha and mu^2 = d^2/4 + alpha^2 at each frequency.
+
+    Extreme inputs overflow to non-finite values, so callers run this under
+    ``np.errstate``.
+    """
+    d = derive_coefficients(p)
+    eta = eta_of_omega(p, omega, dispersion_mode)
+    alpha = eta * d.delta_r
+    direct = eta * (1j * (d.delta_tilde + omega) + p.gamma_c)
+    return direct, alpha, 0.25 * direct * direct + alpha * alpha
+
+
 def transfer_entries(
     p: MediumParams,
     omega,
@@ -93,38 +128,61 @@ def transfer_entries(
     """
     if propagation_mode not in PROPAGATION_MODES:
         raise GuardError(f"unknown propagation mode {propagation_mode!r}")
-    if z is None:
-        z = p.cell_length
-    if z < 0:
-        raise GuardError("propagation distance must be >= 0")
-
+    big_l = _big_l(p, z)
     omega = np.asarray(omega, dtype=float)
-    d = derive_coefficients(p)
-    eta = eta_of_omega(p, omega, dispersion_mode)
-    alpha = eta * d.delta_r
-    direct = eta * (1j * (d.delta_tilde + omega) + p.gamma_c)
-
-    big_l = z / C_LIGHT
     # overflow at extreme gain-length products degrades a point to
     # non-finite entries, which downstream guards turn into absent results
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        mu = np.sqrt(0.25 * direct * direct + alpha * alpha)
+        direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode)
+        mu = np.sqrt(mu_sq)
         x = mu * big_l
-        ch = np.cosh(x)
-        # sinh(mu L)/mu, series-protected near mu L = 0
-        small = np.abs(x) < _SINHC_THRESHOLD
-        shc = np.where(
-            small, big_l * (1.0 + x * x / 6.0), np.sinh(x) / np.where(small, 1.0, mu)
-        )
         pref = np.exp(-0.5 * direct * big_l)
         if propagation_mode == "exact":
+            # a factor of its own: folded into the exponent, the phase would
+            # round at the ulp of |d L/2|, ~6e-14 relative at |mu L| ~ 700
             pref = pref * np.exp(-1j * omega * big_l)
+        grow_m1 = np.expm1(x)             # e^{mu L} - 1
+        shrink = 1.0 / (1.0 + grow_m1)    # e^{-mu L}
+        e_plus = pref * (1.0 + grow_m1)
+        e_minus = pref * shrink
+        pref_ch = 0.5 * (e_plus + e_minus)
+        # e_+ - e_- = P expm1(mu L) (1 + e^{-mu L}) does not cancel as mu L -> 0
+        pref_shc = 0.5 * pref * grow_m1 * (1.0 + shrink) / mu
+        small = np.abs(x) < _SINHC_THRESHOLD
+        pref_shc = np.where(small, pref * big_l * (1.0 + x * x / 6.0), pref_shc)
+        half_d_shc = 0.5 * direct * pref_shc
+        m_cp = -1j * alpha * pref_shc
+        return pref_ch - half_d_shc, -m_cp, m_cp, pref_ch + half_d_shc
 
-        m_pp = pref * (ch - 0.5 * direct * shc)
-        m_pc = pref * (1j * alpha * shc)
-        m_cp = pref * (-1j * alpha * shc)
-        m_cc = pref * (ch + 0.5 * direct * shc)
-    return m_pp, m_pc, m_cp, m_cc
+
+def entry_bounds(
+    p: MediumParams,
+    omega,
+    z: float | None = None,
+    dispersion_mode: str = "constant",
+):
+    """Upper bounds on |m_pp| and |m_cp| (= |m_pc|) at each frequency.
+
+    With g = e^{(|Re mu| - Re d/2) L} and r = min(L, 1/|mu|),
+
+        |m_pp| <= g (1 + |d|/2 r),    |m_cp| <= g |alpha| r,
+
+    because |cosh mu L| and |sinh mu L| are at most e^{|Re mu| L} and
+    sinh(mu L)/mu is the integral of cosh(mu s) over [0, L].  The
+    exact-mode vacuum factor has modulus 1, so the bounds hold in every
+    propagation mode.  |mu| and Re mu of the principal root come from mu^2
+    as sqrt(|mu^2|) and sqrt((|mu^2| + Re mu^2)/2), with no complex sqrt.
+    The bounds are non-finite where the entries may overflow.
+    """
+    big_l = _big_l(p, z)
+    omega = np.asarray(omega, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode)
+        abs_mu_sq = np.abs(mu_sq)
+        re_mu = np.sqrt(0.5 * (abs_mu_sq + mu_sq.real))
+        g = np.exp((re_mu - 0.5 * direct.real) * big_l)
+        r = np.minimum(big_l, 1.0 / np.sqrt(abs_mu_sq))
+        return g * (1.0 + 0.5 * np.abs(direct) * r), g * np.abs(alpha) * r
 
 
 def transfer_matrix(

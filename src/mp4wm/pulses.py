@@ -12,12 +12,14 @@ from functools import cached_property
 import numpy as np
 from scipy.constants import c as C_LIGHT
 
-from .coupling import transfer_entries
+from .coupling import entry_bounds, transfer_entries
 from .errors import AliasingError, ContainmentError, FitError, GuardError
 from .params import MediumParams
 
 _CONTAINMENT_RATIO = 1e-6   # boundary intensity vs peak
 _ALIASING_RATIO = 1e-6      # edge spectral magnitude vs spectral peak
+_BAND_RATIO = 1e-16         # spectral magnitude vs peak that the kernel evaluates
+_BAND_TOLERANCE = 1e-13     # bound of the skipped bins' output vs the output peak
 _FIT_MIN_SAMPLES = 8
 _FOUR_LN2 = 4.0 * math.log(2.0)
 
@@ -66,6 +68,15 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
+class SpectralBand:
+    """Split of a spectrum's FFT bins at `_BAND_RATIO` of its peak magnitude."""
+
+    inside: np.ndarray     # indices where |S| > _BAND_RATIO * max |S|
+    outside: np.ndarray    # the other indices
+    outside_abs: np.ndarray  # |S| on `outside`
+
+
+@dataclass(frozen=True)
 class SampledPulse:
     """Complex envelope sampled on a :class:`TimeGrid`."""
 
@@ -90,6 +101,18 @@ class SampledPulse:
     def spectrum(self) -> np.ndarray:
         """Aliasing-checked :func:`to_spectrum` of the pulse, computed once."""
         return _read_only(to_spectrum(self))
+
+    @cached_property
+    def band(self) -> SpectralBand:
+        """:class:`SpectralBand` of :attr:`spectrum`, computed once."""
+        mag = np.abs(self.spectrum)
+        kept = mag > _BAND_RATIO * mag.max()
+        outside = np.flatnonzero(~kept)
+        return SpectralBand(
+            inside=_read_only(np.flatnonzero(kept)),
+            outside=_read_only(outside),
+            outside_abs=_read_only(mag[outside]),
+        )
 
     @cached_property
     def energy(self) -> float:
@@ -121,9 +144,10 @@ def make_gaussian_pulse(
     if fwhm_intensity <= 0:
         raise GuardError("fwhm must be > 0")
     t = grid.times
-    env = peak_amplitude * np.exp(
-        -2.0 * math.log(2.0) * ((t - center) / fwhm_intensity) ** 2
-    )
+    with np.errstate(over="ignore"):  # far wings square to inf and exp to 0
+        env = peak_amplitude * np.exp(
+            -2.0 * math.log(2.0) * ((t - center) / fwhm_intensity) ** 2
+        )
     pulse = SampledPulse(grid=grid, envelope=env.astype(complex))
     try:
         pulse.check_containment("input pulse")
@@ -168,6 +192,50 @@ def from_spectrum(spectrum: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return np.fft.ifft(spec) / grid.t_step
 
 
+def _output_envelopes(
+    p: MediumParams, pulse: SampledPulse, propagation_mode: str, dispersion_mode: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """ifft(m_pp S0) and ifft(m_cp S0) as envelopes, the kernel run on the band.
+
+    The bins outside the input's band add at most sum_k B_k |S0_k| / (N dt)
+    to any output sample, with B_k from :func:`entry_bounds` (0 when no bin
+    is outside).  Unless that is finite and within `_BAND_TOLERANCE` of the
+    peak amplitude of each output, both are recomputed with the kernel on
+    the full grid.
+    """
+    grid = pulse.grid
+    spec0 = pulse.spectrum
+    band = pulse.band
+    m_pp, _, m_cp, _ = transfer_entries(
+        p, grid.omegas[band.inside], None, propagation_mode, dispersion_mode
+    )
+    # non-finite entries pass through silently; the output guards report them
+    with np.errstate(invalid="ignore", over="ignore"):
+        outputs = []
+        for m in (m_pp, m_cp):
+            spec = np.zeros(grid.n_samples, dtype=complex)
+            spec[band.inside] = m * spec0[band.inside]
+            outputs.append(from_spectrum(spec, grid))
+        bounds = entry_bounds(p, grid.omegas[band.outside], None, dispersion_mode)
+        scale = 1.0 / (grid.n_samples * grid.t_step)
+        if all(
+            _within_tolerance(float(np.dot(b, band.outside_abs)) * scale, env)
+            for b, env in zip(bounds, outputs)
+        ):
+            return outputs[0], outputs[1]
+        m_pp, _, m_cp, _ = transfer_entries(
+            p, grid.omegas, None, propagation_mode, dispersion_mode
+        )
+        return from_spectrum(m_pp * spec0, grid), from_spectrum(m_cp * spec0, grid)
+
+
+def _within_tolerance(error_bound: float, envelope: np.ndarray) -> bool:
+    """Whether `error_bound` is finite and at most `_BAND_TOLERANCE` of max |envelope|."""
+    return math.isfinite(error_bound) and (
+        error_bound <= _BAND_TOLERANCE * float(np.abs(envelope).max())
+    )
+
+
 @dataclass(frozen=True)
 class PropagationResult:
     reference: SampledPulse
@@ -191,13 +259,12 @@ def propagate_pulse(
     pulse.check_containment("input pulse")
     spec0 = pulse.spectrum
     grid = pulse.grid
-    m_pp, _, m_cp, _ = transfer_entries(
-        p, grid.omegas, None, propagation_mode, dispersion_mode
+    probe_env, conj_star_env = _output_envelopes(
+        p, pulse, propagation_mode, dispersion_mode
     )
-
-    probe = SampledPulse(grid, from_spectrum(m_pp * spec0, grid))
+    probe = SampledPulse(grid, probe_env)
     # E_c*(-w) synthesized in time, conjugated back to E_c(t)
-    conjugate = SampledPulse(grid, np.conj(from_spectrum(m_cp * spec0, grid)))
+    conjugate = SampledPulse(grid, np.conj(conj_star_env))
 
     if propagation_mode == "exact":
         vac = np.exp(-1j * grid.omegas * p.cell_length / C_LIGHT)

@@ -5,6 +5,8 @@ fixed-step fourth-order (RK4) integration of the per-frequency
 coupled-mode equations; the integrator below never calls into the
 closed-form solver.  :func:`pulse_oracle` carries the same integration
 through a whole pulse, using plain ``np.fft`` transforms.
+:func:`cosh_sinh_entries` keeps the closed form written with cosh and
+sinh, the reference for the two-exponential form of the package.
 """
 import numpy as np
 from scipy.constants import c as C_LIGHT
@@ -22,6 +24,32 @@ def generator(p, omega, dispersion_mode="constant", include_vacuum=True):
     if include_vacuum:
         a -= 1j * omega * np.eye(2)
     return a / C_LIGHT
+
+
+def cosh_sinh_entries(p, omega, z, propagation_mode="relative",
+                      dispersion_mode="constant"):
+    """(m_pp, m_pc, m_cp, m_cc) as exp(-d L/2) [cosh(mu L) I + sinh(mu L)/mu D].
+
+    Below |mu L| = 1e-6 sinh(mu L)/mu is the series L (1 + (mu L)^2 / 6).
+    """
+    omega = np.asarray(omega, dtype=float)
+    d = derive_coefficients(p)
+    eta = eta_of_omega(p, omega, dispersion_mode)
+    alpha = eta * d.delta_r
+    direct = eta * (1j * (d.delta_tilde + omega) + p.gamma_c)
+    big_l = z / C_LIGHT
+    mu = np.sqrt(0.25 * direct * direct + alpha * alpha)
+    x = mu * big_l
+    small = np.abs(x) < 1e-6
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shc = np.where(small, big_l * (1.0 + x * x / 6.0),
+                       np.sinh(x) / np.where(small, 1.0, mu))
+    pref = np.exp(-0.5 * direct * big_l)
+    if propagation_mode == "exact":
+        pref = pref * np.exp(-1j * omega * big_l)
+    ch = np.cosh(x)
+    return (pref * (ch - 0.5 * direct * shc), pref * (1j * alpha * shc),
+            pref * (-1j * alpha * shc), pref * (ch + 0.5 * direct * shc))
 
 
 def rk4_transfer_batch(mats, zs, n_steps=10_000):

@@ -336,6 +336,14 @@ class TestCli:
         assert "overflow" in err
         assert "RuntimeWarning" not in err and "nan" not in err
 
+    def test_kernel_overflow_is_one_line_guard_error(self, tmp_path, capsys):
+        # e^{mu z/c} itself overflows: the entries, and so the envelope, are not finite
+        cfg = write_cfg(tmp_path, BASE.replace("eta0 = 960", "eta0 = 1e9"))
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["mp4wm: error: envelope must be finite everywhere"]
+
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         # pulse too wide for the window -> containment guard -> exit 3
         cfg = write_cfg(tmp_path, BASE + "fwhm_ns = 900\n")
@@ -375,6 +383,7 @@ def test_sweep_ordinary_values_cover_every_key():
 @example(command="scan-pump", overrides=[("scan_stop", "1e300")])
 @example(command="run", overrides=[("n_samples", "0")])
 @example(command="run", overrides=[("delta_raman_mhz", "1"), ("delta_two_photon_mhz", "1e9")])
+@example(command="run", overrides=[("pulse_center_ns", "1e9")])
 def test_every_input_exits_0_2_or_3_with_one_line(tmp_path_factory, command, overrides):
     values = dict(line.split(" = ") for line in SWEEP_BASE.splitlines())
     values.update(overrides)

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mp4wm.coupling import (
+    _SINHC_THRESHOLD,
     analytic_delays,
     coefficients_at,
+    entry_bounds,
     peak_gain_formula,
     renormalized_length,
     transfer_entries,
     transfer_matrix,
 )
 from mp4wm.errors import GuardError
-from mp4wm.params import derive_coefficients
+from mp4wm.params import derive_coefficients, eta_of_omega
 
-from _oracles import generator, rk4_transfer
+from _oracles import cosh_sinh_entries, generator, rk4_transfer
 from conftest import C, MHZ, make_params
 
 RNG = np.random.default_rng(20260826)
@@ -187,6 +189,79 @@ class TestTransferMatrix:
             transfer_matrix(make_params(), 0.0, z=-1.0)
         with pytest.raises(GuardError):
             transfer_matrix(make_params(), 0.0, propagation_mode="warp")
+
+
+def _abs_mu(p, omega, dispersion_mode):
+    """|mu| = |sqrt(d^2/4 + alpha^2)| at one frequency."""
+    d = derive_coefficients(p)
+    eta = complex(eta_of_omega(p, omega, dispersion_mode))
+    direct = eta * (1j * (d.delta_tilde + omega) + p.gamma_c)
+    return abs(cmath.sqrt(0.25 * direct * direct + (eta * d.delta_r) ** 2))
+
+
+class TestTwoExponentialForm:
+    @pytest.mark.parametrize("dispersion_mode", ["constant", "full"])
+    @pytest.mark.parametrize("propagation_mode", ["relative", "exact"])
+    def test_matches_the_cosh_sinh_form(self, propagation_mode, dispersion_mode):
+        rng = np.random.default_rng(20261018)
+        mu_ls = np.logspace(-8.0, math.log10(700.0), 31)
+        assert mu_ls[0] < _SINHC_THRESHOLD < mu_ls[-1]
+        for mu_l in mu_ls:
+            p = make_params(
+                eta0=float(rng.uniform(50.0, 2000.0)),
+                gamma_c_frac=float(rng.uniform(0.0, 0.5)),
+                delta2_mhz=float(rng.uniform(-3000.0, 3000.0)),
+                delta1_mhz=30.0,
+            )
+            for w in rng.uniform(-6e9, 6e9, size=6):
+                z = mu_l * C / _abs_mu(p, w, dispersion_mode)
+                got = transfer_entries(p, w, z, propagation_mode, dispersion_mode)
+                want = np.array(
+                    cosh_sinh_entries(p, w, z, propagation_mode, dispersion_mode)
+                )
+                # m_pp and m_cc cancel by design, so they are held to the matrix
+                # scale; m_cp does not, so it is held to its own size
+                assert np.max(np.abs(np.array(got) - want)) <= 1e-14 * np.max(np.abs(want))
+                assert abs(got[2] - want[2]) <= 1e-14 * abs(want[2])
+                assert got[1] == -got[2]
+
+    def test_overflow_gives_non_finite_entries_and_bounds(self):
+        # mu z / c ~ 5e6: e^{mu L} overflows, silently
+        p = make_params(eta0=1e9)
+        w = np.linspace(-1e8, 1e8, 5)
+        for entry in transfer_entries(p, w):
+            assert not np.any(np.isfinite(entry))
+        for bound in entry_bounds(p, w):
+            assert not np.any(np.isfinite(bound))
+
+
+class TestEntryBounds:
+    @pytest.mark.parametrize("dispersion_mode", ["constant", "full"])
+    def test_bounds_hold_on_every_bin(self, dispersion_mode):
+        w = 2.0 * math.pi * np.fft.fftfreq(4096, 0.5e-9)
+        for _ in range(20):
+            p = make_params(
+                eta0=float(RNG.uniform(50.0, 2000.0)),
+                gamma_c_frac=float(RNG.uniform(0.0, 0.5)),
+                delta2_mhz=float(RNG.uniform(-3000.0, 3000.0)),
+                delta1_mhz=30.0,
+            )
+            z = float(RNG.uniform(0.0, 0.03))
+            m_pp, m_pc, m_cp, _ = transfer_entries(p, w, z, "exact", dispersion_mode)
+            b_pp, b_cp = entry_bounds(p, w, z, dispersion_mode)
+            finite = np.isfinite(m_pp) & np.isfinite(m_cp)
+            assert np.all(np.abs(m_pp[finite]) <= b_pp[finite])
+            assert np.all(np.abs(m_cp[finite]) <= b_cp[finite])
+            assert not np.any(np.isfinite(b_pp[~finite]))
+
+    def test_zero_length_bounds_are_exact(self):
+        b_pp, b_cp = entry_bounds(make_params(), np.array([0.0, 1e9]), z=0.0)
+        assert np.array_equal(b_pp, [1.0, 1.0])
+        assert np.array_equal(b_cp, [0.0, 0.0])
+
+    def test_rejects_negative_length(self):
+        with pytest.raises(GuardError):
+            entry_bounds(make_params(), 0.0, z=-1.0)
 
 
 class TestPhaseToDelay:

@@ -113,6 +113,21 @@ class TestScanEngine:
             assert getattr(grid, name) is arr
             assert not arr.flags.writeable
 
+    def test_kernel_runs_on_the_input_band_only(self, monkeypatch):
+        sizes = []
+        transfer_entries = pulses.transfer_entries
+
+        def counted(p, omega, *args):
+            sizes.append(omega.size)
+            return transfer_entries(p, omega, *args)
+        monkeypatch.setattr(pulses, "transfer_entries", counted)
+        cfg = PulseConfig(n_samples=1024)
+        scan(make_params(), "density", [0.2, 0.6, 1.0], cfg)
+        band_size = cfg.input_pulse.band.inside.size
+        assert band_size < cfg.n_samples
+        # no point of the README medium needs the full-grid fallback
+        assert sizes == [band_size] * 3
+
     def test_rejects_unknown_axis(self):
         with pytest.raises(GuardError, match="axis"):
             scan(make_params(), "length", [1.0], CFG)

@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mp4wm.coupling import coefficients_at
+from mp4wm import pulses
+from mp4wm.coupling import coefficients_at, entry_bounds, transfer_entries
 from mp4wm.errors import AliasingError, ContainmentError, FitError, GuardError
 from mp4wm.params import derive_coefficients
 from mp4wm.pulses import (
@@ -219,6 +221,110 @@ class TestPropagation:
         pulse = make_gaussian_pulse(grid, 70e-9)
         with pytest.raises(ContainmentError):
             propagate_pulse(p, pulse)
+
+
+def _full_grid_outputs(p, pulse, propagation_mode, dispersion_mode):
+    """ifft(m_pp fft(E)) and ifft(m_cp fft(E)) with the kernel on every bin."""
+    m_pp, _, m_cp, _ = transfer_entries(
+        p, pulse.grid.omegas, None, propagation_mode, dispersion_mode
+    )
+    spec = np.fft.fft(pulse.envelope)
+    return (m_pp, m_cp), (np.fft.ifft(m_pp * spec), np.fft.ifft(m_cp * spec))
+
+
+class TestBandLimitedKernel:
+    GRID_1K = TimeGrid.centered(2048e-9, 1024)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        delta2_mhz=st.floats(-3000.0, 3000.0),
+        density=st.floats(0.2, 1.5),
+        gamma_c_frac=st.floats(0.0, 0.5),
+        dispersion_mode=st.sampled_from(["constant", "full"]),
+        propagation_mode=st.sampled_from(["relative", "paper", "exact"]),
+    )
+    def test_matches_the_full_grid_within_its_bound(
+        self, delta2_mhz, density, gamma_c_frac, dispersion_mode, propagation_mode
+    ):
+        p = make_params(
+            delta1_mhz=30.0, gamma_c_frac=gamma_c_frac, delta2_mhz=delta2_mhz
+        ).scaled_density(density)
+        pulse = make_gaussian_pulse(self.GRID_1K, 70e-9)
+        outputs = pulses._output_envelopes(p, pulse, propagation_mode, dispersion_mode)
+        entries, expected = _full_grid_outputs(p, pulse, propagation_mode, dispersion_mode)
+        for out, want in zip(outputs, expected):
+            # near the pole of the full eta(w) the kernel overflows on some
+            # bins; the band path must then overflow too, not hide it
+            assert np.all(np.isfinite(out)) == np.all(np.isfinite(want))
+            if np.all(np.isfinite(want)):
+                assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+        try:
+            res = propagate_pulse(p, pulse, propagation_mode, dispersion_mode)
+        except GuardError:
+            pass  # a guard on the output, not on how it was computed
+        else:
+            assert np.array_equal(res.probe.envelope, outputs[0])
+            assert np.array_equal(res.conjugate.envelope, np.conj(outputs[1]))
+        outside = pulse.band.outside
+        bounds = entry_bounds(p, self.GRID_1K.omegas[outside], None, dispersion_mode)
+        for m, bound in zip(entries, bounds):
+            size = np.abs(m[outside])
+            finite = np.isfinite(size)
+            assert np.all(size[finite] <= bound[finite])
+            assert not np.any(np.isfinite(bound[~finite]))
+
+    def test_band_is_the_input_spectrum_above_its_cutoff(self):
+        pulse = make_gaussian_pulse(GRID, 70e-9)
+        band = pulse.band
+        mag = np.abs(pulse.spectrum)
+        assert pulse.band is band
+        assert 0 < band.inside.size < GRID.n_samples
+        assert np.all(mag[band.inside] > 1e-16 * mag.max())
+        assert np.all(mag[band.outside] <= 1e-16 * mag.max())
+        assert np.array_equal(np.sort(np.r_[band.inside, band.outside]),
+                              np.arange(GRID.n_samples))
+        assert np.array_equal(band.outside_abs, mag[band.outside])
+        for arr in (band.inside, band.outside, band.outside_abs):
+            assert not arr.flags.writeable
+
+    def test_point_that_fails_the_bound_is_the_full_grid_path(self, monkeypatch):
+        # heavy loss far off the light shift: the output peak is too small
+        # for the bound on 4096 - 356 skipped bins
+        p = make_params(delta1_mhz=30.0, gamma_c_frac=0.5, delta2_mhz=1000.0)
+        pulse = make_gaussian_pulse(GRID, 70e-9)
+        sizes = []
+
+        def counted(p, omega, *args):
+            sizes.append(omega.size)
+            return transfer_entries(p, omega, *args)
+        monkeypatch.setattr(pulses, "transfer_entries", counted)
+        res = propagate_pulse(p, pulse, "exact", "full")
+        assert sizes == [pulse.band.inside.size, GRID.n_samples]
+        m_pp, _, m_cp, _ = transfer_entries(p, GRID.omegas, None, "exact", "full")
+        probe = from_spectrum(m_pp * pulse.spectrum, GRID)
+        conj_star = from_spectrum(m_cp * pulse.spectrum, GRID)
+        assert np.array_equal(res.probe.envelope, probe)
+        assert np.array_equal(res.conjugate.envelope, np.conj(conj_star))
+
+    def test_all_bins_in_band_is_one_full_grid_call(self, monkeypatch):
+        # 3.2 samples wide: the spectrum falls to ~1e-8 at the grid edge, so
+        # every bin is inside the band and the aliasing guard still passes
+        grid = TimeGrid.centered(1024e-9, 1024)
+        pulse = make_gaussian_pulse(grid, 3.2e-9)
+        assert pulse.band.outside.size == 0
+        sizes = []
+
+        def counted(p, omega, *args):
+            sizes.append(omega.size)
+            return transfer_entries(p, omega, *args)
+        monkeypatch.setattr(pulses, "transfer_entries", counted)
+        p = make_params()
+        res = propagate_pulse(p, pulse)
+        assert sizes == [grid.n_samples]
+        _, (probe, conj_star) = _full_grid_outputs(p, pulse, "relative", "constant")
+        assert np.max(np.abs(res.probe.envelope - probe)) <= 1e-13 * np.max(np.abs(probe))
+        conj = np.conj(conj_star)
+        assert np.max(np.abs(res.conjugate.envelope - conj)) <= 1e-13 * np.max(np.abs(conj))
 
 
 class TestFitRobustness:
