@@ -3,12 +3,10 @@
 from .coupling import (
     AnalyticDelays,
     CouplingCoefficients,
-    TransferMatrix,
     analytic_delays,
     coefficients_at,
     renormalized_length,
     transfer_entries,
-    transfer_matrix,
 )
 from .errors import (
     AliasingError,
@@ -19,7 +17,6 @@ from .errors import (
     Mp4wmError,
 )
 from .experiments import (
-    GainPrediction,
     PulseConfig,
     ScanRecord,
     SingleRunResult,

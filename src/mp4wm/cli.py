@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .config import MHZ, Config, parse_config
 from .coupling import analytic_delays
@@ -87,7 +88,7 @@ def _cmd_derive(cfg: Config, args) -> int:
     out = {
         "eta0": _round9(d.eta0),
         "delta_r_mhz": _round9(d.delta_r / MHZ),
-        "light_shift_mhz": _round9(d.light_shift / MHZ),
+        "light_shift_mhz": _round9(d.delta_r / MHZ),  # equal to the Raman bandwidth
         "v_group_m_s": _round9(d.v_group),
         "saturation_rabi_mhz": _round9(d.saturation_rabi / MHZ),
     }
@@ -185,15 +186,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = _COMMANDS[args.command]
-    try:
-        cfg = _load_config(args.config)
-        return handler(cfg, args)
-    except ConfigError as exc:
-        print(f"mp4wm: config error: {exc}", file=sys.stderr)
-        return 2
-    except Mp4wmError as exc:
-        print(f"mp4wm: error: {exc}", file=sys.stderr)
-        return 3
+    # the active filters still decide which warnings count; caught ones are
+    # printed one line each after a success, and dropped after an error
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            cfg = _load_config(args.config)
+            status = handler(cfg, args)
+        except ConfigError as exc:
+            print(f"mp4wm: config error: {exc}", file=sys.stderr)
+            return 2
+        except Mp4wmError as exc:
+            print(f"mp4wm: error: {exc}", file=sys.stderr)
+            return 3
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"mp4wm: warning: {message}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from scipy.constants import c as C_LIGHT
 from .errors import GuardError
 from .params import MediumParams, derive_coefficients, eta_of_omega
 
-PROPAGATION_MODES = ("exact", "paper", "relative")
+PROPAGATION_MODES = ("exact", "relative")
 DISPERSION_MODES = ("constant", "full")
 
 # below this |mu L| the sinh(mu L)/mu factor switches to its series
@@ -61,21 +61,6 @@ class CouplingCoefficients:
     sigma: complex   # (eta/2)(dtilde + omega + i gamma_c)
     alpha: complex   # eta * Delta_R
     xi: complex      # principal sqrt(alpha^2 - sigma^2)
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """2x2 complex map of (E_p(w,0), E_c*(-w,0)) across the cell."""
-
-    m_pp: complex
-    m_pc: complex
-    m_cp: complex
-    m_cc: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [[self.m_pp, self.m_pc], [self.m_cp, self.m_cc]], dtype=complex
-        )
 
 
 def coefficients_at(
@@ -123,8 +108,8 @@ def transfer_entries(
 
     `omega` may be a scalar or ndarray; entries broadcast with it.
     `propagation_mode="exact"` keeps the vacuum factor e^{-i w z/c};
-    `"relative"` and `"paper"` drop it, so delays are measured against
-    the vacuum reference pulse, as in the experiment.
+    `"relative"` drops it, so delays are measured against the vacuum
+    reference pulse, as in the experiment.
     """
     if propagation_mode not in PROPAGATION_MODES:
         raise GuardError(f"unknown propagation mode {propagation_mode!r}")
@@ -183,22 +168,6 @@ def entry_bounds(
         g = np.exp((re_mu - 0.5 * direct.real) * big_l)
         r = np.minimum(big_l, 1.0 / np.sqrt(abs_mu_sq))
         return g * (1.0 + 0.5 * np.abs(direct) * r), g * np.abs(alpha) * r
-
-
-def transfer_matrix(
-    p: MediumParams,
-    omega: float,
-    z: float | None = None,
-    propagation_mode: str = "relative",
-    dispersion_mode: str = "constant",
-) -> TransferMatrix:
-    """Transfer matrix at one frequency. See :func:`transfer_entries`."""
-    m_pp, m_pc, m_cp, m_cc = transfer_entries(
-        p, omega, z, propagation_mode, dispersion_mode
-    )
-    return TransferMatrix(
-        m_pp=complex(m_pp), m_pc=complex(m_pc), m_cp=complex(m_cp), m_cc=complex(m_cc)
-    )
 
 
 @dataclass(frozen=True)

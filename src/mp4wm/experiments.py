@@ -93,10 +93,10 @@ def run_single(p: MediumParams, pulse_cfg: PulseConfig) -> SingleRunResult:
     traces = propagate_pulse(
         p, pulse_cfg.input_pulse, pulse_cfg.propagation_mode, pulse_cfg.dispersion_mode
     )
-    conjugate = traces.conjugate
-    if conjugate.energy <= _ZERO_CONJUGATE_ENERGY * traces.reference.energy:
-        conjugate = None
-    probe_m, conj_m = pulse_metrics(traces.reference, traces.probe, conjugate)
+    probe_m = pulse_metrics(traces.reference, traces.probe)
+    conj_m = None
+    if traces.conjugate.energy > _ZERO_CONJUGATE_ENERGY * traces.reference.energy:
+        conj_m = pulse_metrics(traces.reference, traces.conjugate)
     return SingleRunResult(
         traces=traces, probe_metrics=probe_m, conjugate_metrics=conj_m
     )
@@ -120,19 +120,12 @@ def infer_eta_xi(
     return eta, xi
 
 
-@dataclass(frozen=True)
-class GainPrediction:
-    gain: float
-    loss_ratio: float  # eta gamma_c / 2 xi, linear loss over peak linear gain
-
-
-def predict_gain(eta: float, xi: float, gamma_c: float, z: float) -> GainPrediction:
+def predict_gain(eta: float, xi: float, gamma_c: float, z: float) -> float:
     """Line-center probe gain predicted from inferred eta and xi."""
     if eta <= 0 or xi <= 0 or z < 0 or gamma_c < 0:
         raise GuardError("predict_gain needs eta, xi > 0 and z, gamma_c >= 0")
     # peak_gain_formula raises GuardError when the loss exceeds the gain
-    return GainPrediction(gain=peak_gain_formula(eta, xi, gamma_c, z),
-                          loss_ratio=0.5 * eta * gamma_c / xi)
+    return peak_gain_formula(eta, xi, gamma_c, z)
 
 
 def _record_for(p: MediumParams, var: float, pulse_cfg: PulseConfig) -> ScanRecord:
@@ -152,7 +145,7 @@ def _record_for(p: MediumParams, var: float, pulse_cfg: PulseConfig) -> ScanReco
             eta_i, xi_i = infer_eta_xi(
                 cm.delay_vs_reference, dtau, p.cell_length, p.gamma_c
             )
-            gain_pred = predict_gain(eta_i, xi_i, p.gamma_c, p.cell_length).gain
+            gain_pred = predict_gain(eta_i, xi_i, p.gamma_c, p.cell_length)
         except GuardError:
             eta_i = xi_i = None
     return ScanRecord(
@@ -180,7 +173,7 @@ DELTA_POLICIES = ("track", "fixed")
 def _pump_point(p: MediumParams, rabi: float, delta_policy: str) -> MediumParams:
     q = p.replace(omega_rabi=rabi)
     if delta_policy == "track":
-        q = q.replace(delta_two_photon=derive_coefficients(q).light_shift)
+        q = q.replace(delta_two_photon=derive_coefficients(q).delta_r)
     return q
 
 

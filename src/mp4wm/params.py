@@ -96,14 +96,12 @@ class MediumParams:
                     "detuning/decoherence; dispersive corrections to the "
                     "slow-down factor may be significant",
                     ModelValidityWarning,
-                    stacklevel=3,
                 )
         if self.delta_raman < _VALIDITY_FACTOR * max(self.delta_one, self.gamma):
             warnings.warn(
                 "upper-lambda detuning is not far off resonance compared "
                 "with the lower lambda and the linewidth",
                 ModelValidityWarning,
-                stacklevel=3,
             )
 
     def scaled_density(self, s: float) -> "MediumParams":
@@ -118,16 +116,11 @@ class MediumParams:
 
 @dataclass(frozen=True)
 class DerivedCoefficients:
-    """Scalar coefficients derived from :class:`MediumParams`.
-
-    `delta_r` and `light_shift` are the same quantity (both equal
-    Omega^2 / 4 Delta) and are bit-identical by construction.
-    """
+    """Scalar coefficients derived from :class:`MediumParams`."""
 
     eta0: float           # slow-down factor, 4 g^2 N / Omega^2
-    delta_r: float        # Raman bandwidth (rad/s)
+    delta_r: float        # Raman bandwidth, also the light shift Omega^2/4Delta (rad/s)
     alpha0: float         # cross-coupling eta0 * delta_r (rad/s)
-    light_shift: float    # rad/s
     delta_tilde: float    # light-shifted two-photon detuning (rad/s)
     v_group: float        # c / eta0 (m/s)
     saturation_rabi: float  # 2 sqrt(Delta * gamma) (rad/s)
@@ -141,7 +134,6 @@ def derive_coefficients(p: MediumParams) -> DerivedCoefficients:
         eta0=eta0,
         delta_r=delta_r,
         alpha0=eta0 * delta_r,
-        light_shift=delta_r,
         delta_tilde=p.delta_two_photon - delta_r,
         v_group=C_LIGHT / eta0,
         saturation_rabi=2.0 * math.sqrt(p.delta_raman * p.gamma),

@@ -200,33 +200,33 @@ def _output_envelopes(
     The bins outside the input's band add at most sum_k B_k |S0_k| / (N dt)
     to any output sample, with B_k from :func:`entry_bounds` (0 when no bin
     is outside).  Unless that is finite and within `_BAND_TOLERANCE` of the
-    peak amplitude of each output, both are recomputed with the kernel on
-    the full grid.
+    peak amplitude of each output, the kernel also fills the outside bins
+    and both outputs are transformed again, which makes them the full-grid
+    outputs.
     """
     grid = pulse.grid
-    spec0 = pulse.spectrum
     band = pulse.band
-    m_pp, _, m_cp, _ = transfer_entries(
-        p, grid.omegas[band.inside], None, propagation_mode, dispersion_mode
-    )
+    specs = np.zeros((2, grid.n_samples), dtype=complex)  # m_pp S0 and m_cp S0
+
+    def fill(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m_pp, _, m_cp, _ = transfer_entries(
+            p, grid.omegas[bins], None, propagation_mode, dispersion_mode
+        )
+        for spec, m in zip(specs, (m_pp, m_cp)):
+            spec[bins] = m * pulse.spectrum[bins]
+        return from_spectrum(specs[0], grid), from_spectrum(specs[1], grid)
+
     # non-finite entries pass through silently; the output guards report them
     with np.errstate(invalid="ignore", over="ignore"):
-        outputs = []
-        for m in (m_pp, m_cp):
-            spec = np.zeros(grid.n_samples, dtype=complex)
-            spec[band.inside] = m * spec0[band.inside]
-            outputs.append(from_spectrum(spec, grid))
+        outputs = fill(band.inside)
         bounds = entry_bounds(p, grid.omegas[band.outside], None, dispersion_mode)
         scale = 1.0 / (grid.n_samples * grid.t_step)
         if all(
             _within_tolerance(float(np.dot(b, band.outside_abs)) * scale, env)
             for b, env in zip(bounds, outputs)
         ):
-            return outputs[0], outputs[1]
-        m_pp, _, m_cp, _ = transfer_entries(
-            p, grid.omegas, None, propagation_mode, dispersion_mode
-        )
-        return from_spectrum(m_pp * spec0, grid), from_spectrum(m_cp * spec0, grid)
+            return outputs
+        return fill(band.outside)
 
 
 def _within_tolerance(error_bound: float, envelope: np.ndarray) -> bool:
@@ -335,31 +335,17 @@ class PulseMetrics:
     fractional_delay: float
 
 
-def _metrics_vs(ref: SampledPulse, out: SampledPulse) -> PulseMetrics:
-    ref_fit = ref.fit
+def pulse_metrics(reference: SampledPulse, out: SampledPulse) -> PulseMetrics:
+    """Metrics of one output pulse against the reference."""
+    ref_fit = reference.fit
     fit = out.fit
     delay = fit.center - ref_fit.center
     return PulseMetrics(
         peak_time=fit.center,
         fwhm_intensity=fit.fwhm,
         gain_peak=fit.peak / ref_fit.peak,
-        gain_energy=out.energy / ref.energy,
+        gain_energy=out.energy / reference.energy,
         delay_vs_reference=delay,
         broadening_fraction=fit.fwhm / ref_fit.fwhm - 1.0,
         fractional_delay=delay / ref_fit.fwhm,
     )
-
-
-def pulse_metrics(
-    reference: SampledPulse,
-    probe_out: SampledPulse,
-    conjugate_out: SampledPulse | None = None,
-) -> tuple[PulseMetrics, PulseMetrics | None]:
-    """Metrics of the probe and conjugate outputs against the reference.
-
-    The conjugate metrics are None when `conjugate_out` is None.
-    """
-    probe_m = _metrics_vs(reference, probe_out)
-    if conjugate_out is None:
-        return probe_m, None
-    return probe_m, _metrics_vs(reference, conjugate_out)

@@ -1,5 +1,8 @@
 import math
 
+import numpy as np
+
+from mp4wm.coupling import transfer_entries
 from mp4wm.params import MediumParams
 
 MHZ = 2.0 * math.pi * 1e6
@@ -34,3 +37,8 @@ def make_params(
         coupling_g2n=eta0 * omega_rabi**2 / 4.0,
         cell_length=z,
     )
+
+
+def transfer_array(p, omega, *args, **kwargs):
+    """:func:`transfer_entries` at one frequency as [[m_pp, m_pc], [m_cp, m_cc]]."""
+    return np.array(transfer_entries(p, omega, *args, **kwargs)).reshape(2, 2)

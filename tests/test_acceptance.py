@@ -16,7 +16,6 @@ from mp4wm.coupling import (
     coefficients_at,
     renormalized_length,
     transfer_entries,
-    transfer_matrix,
 )
 from mp4wm.experiments import (
     PulseConfig,
@@ -31,11 +30,10 @@ from mp4wm.pulses import (
     fit_gaussian,
     make_gaussian_pulse,
     propagate_pulse,
-    pulse_metrics,
 )
 
 from _oracles import ivp_transfer
-from conftest import C, MHZ, make_params
+from conftest import C, MHZ, make_params, transfer_array
 
 DERIVE_CONFIG = """\
 omega_rabi_mhz = 420
@@ -185,7 +183,7 @@ def test_acceptance_7_oracle_equivalence(capsys):
         if abs(coefficients_at(p, omega).xi) * z / C > 10.0:
             continue
         draws += 1
-        closed = transfer_matrix(p, omega, z, propagation_mode="exact").as_array()
+        closed = transfer_array(p, omega, z, propagation_mode="exact")
         oracle = ivp_transfer(p, omega, z)
         worst = max(
             worst,
@@ -213,8 +211,8 @@ def test_acceptance_8_invariant_suite(capsys):
     p = make_params(gamma_c_frac=0.5)
     w = 2.0 * math.pi * 3e6
     z1, z2 = 0.008, 0.011
-    whole = transfer_matrix(p, w, z1 + z2).as_array()
-    split = transfer_matrix(p, w, z2).as_array() @ transfer_matrix(p, w, z1).as_array()
+    whole = transfer_array(p, w, z1 + z2)
+    split = transfer_array(p, w, z2) @ transfer_array(p, w, z1)
     checks["semigroup"] = float(
         np.max(np.abs(whole - split)) / np.max(np.abs(whole))
     ) <= 1e-12
@@ -239,11 +237,11 @@ def test_acceptance_8_invariant_suite(capsys):
 
     checks["branch_invariance"] = bool(
         np.allclose(manual(mu), manual(-mu), rtol=1e-12, atol=0)
-        and np.allclose(manual(mu), transfer_matrix(p, w).as_array(), rtol=1e-10)
+        and np.allclose(manual(mu), transfer_array(p, w), rtol=1e-10)
     )
 
     # determinant-trace identity: det M == exp(-d L), tr M == 2 e^{-dL/2} cosh(mu L)
-    m = transfer_matrix(p, w).as_array()
+    m = transfer_array(p, w)
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     tr = m[0, 0] + m[1, 1]
     det_ok = abs(det - np.exp(-direct * big_l)) / abs(det) <= 1e-10

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mp4wm
 from mp4wm.cli import SCAN_HEADER, TRACE_HEADER, main
 from mp4wm.config import MAX_SCAN_STEPS, MHZ, Config, parse_config
 from mp4wm.errors import ConfigError
@@ -129,6 +130,14 @@ scan_steps = 9
         keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
         assert keys == [f.name for f in dataclasses.fields(Config)]
 
+    def test_readme_entry_points_are_exported(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Library entry points", 1)[1].split("```python", 1)[1]
+        code = re.sub(r"#.*", "", block.split("```", 1)[0])
+        names = re.findall(r"\w+", code.split("from mp4wm import (", 1)[1].split(")", 1)[0])
+        assert len(names) >= 10
+        assert [name for name in names if not hasattr(mp4wm, name)] == []
+
     def test_scan_steps_bounds(self):
         scan_keys = BASE + "scan_start = 0\nscan_stop = 1\n"
         assert parse_config(scan_keys + f"scan_steps = {MAX_SCAN_STEPS}\n").scan_steps == MAX_SCAN_STEPS
@@ -153,6 +162,7 @@ class TestCli:
         assert main(["derive", "--config", cfg]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["light_shift_mhz"] == pytest.approx(11.025, rel=1e-9)
+        assert out["light_shift_mhz"] == out["delta_r_mhz"]
         assert out["eta0"] == pytest.approx(960.0, rel=1e-9)
         assert out["saturation_rabi_mhz"] == pytest.approx(309.838668, rel=1e-6)
 
@@ -267,9 +277,12 @@ class TestCli:
         assert not (tmp_path / "t.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, BASE + "mystery = 1\n")
-        assert main(["derive", "--config", cfg]) == 2
-        assert "config error" in capsys.readouterr().err
+        for extra in ("mystery = 1\n", "propagation_mode = paper\n"):
+            cfg = write_cfg(tmp_path, BASE + extra)
+            assert main(["derive", "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1
+            assert err.startswith("mp4wm: config error:")
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["derive", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -343,6 +356,26 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert err.splitlines() == ["mp4wm: error: envelope must be finite everywhere"]
+
+    @pytest.mark.filterwarnings("default::mp4wm.params.ModelValidityWarning")
+    def test_each_warning_is_one_line_and_an_error_drops_them(self, tmp_path, capsys):
+        # Delta/2pi = 50 MHz is not far off resonance; derive builds the medium twice
+        near = write_cfg(tmp_path, BASE.replace("delta_raman_mhz = 4000", "delta_raman_mhz = 50"))
+        assert main(["derive", "--config", near]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["eta0"] == pytest.approx(960.0, rel=1e-9)
+        assert err.splitlines() == [
+            "mp4wm: warning: upper-lambda detuning is not far off resonance compared "
+            "with the lower lambda and the linewidth"
+        ]
+        # the same warning, then a non-finite envelope: only the error line
+        far = write_cfg(
+            tmp_path, BASE.replace("delta_raman_mhz = 4000", "delta_raman_mhz = 1e-300"), "far.cfg"
+        )
+        assert main(["run", "--config", far, "--out", str(tmp_path / "t.csv")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "mp4wm: error: envelope must be finite everywhere"
+        ]
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         # pulse too wide for the window -> containment guard -> exit 3

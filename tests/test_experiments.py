@@ -57,7 +57,7 @@ class TestRunSingle:
 class TestScanDelta:
     def test_gain_peaks_at_light_shift(self):
         p = make_params(gamma_c_frac=0.0)
-        shift = derive_coefficients(p).light_shift
+        shift = derive_coefficients(p).delta_r  # the light shift Omega^2/4Delta
         deltas = shift + np.linspace(-1.0, 1.0, 9) * 2.0 * MHZ
         records = scan(p, "delta", deltas, CFG)
         gains = [r.gain_peak for r in records]
@@ -67,7 +67,7 @@ class TestScanDelta:
         p = make_params(gamma_c_frac=0.0)
         d = derive_coefficients(p)
         with pytest.warns(UserWarning, match="dtilde"):
-            scan(p, "delta", [d.light_shift + 5.0 * d.delta_r], CFG)
+            scan(p, "delta", [6.0 * d.delta_r], CFG)  # dtilde = 5 Delta_R
 
 
 class TestScanEngine:
@@ -274,9 +274,7 @@ class TestGainPrediction:
         p = make_params(gamma_c_frac=0.0)
         eta = derive_coefficients(p).eta0
         xi = abs(coefficients_at(p, 0.0).xi)
-        pred = predict_gain(eta, xi, 0.0, p.cell_length)
-        assert pred.loss_ratio == 0.0
-        assert pred.gain == pytest.approx(
+        assert predict_gain(eta, xi, 0.0, p.cell_length) == pytest.approx(
             math.cosh(xi * p.cell_length / C) ** 2, rel=1e-12
         )
 
@@ -285,10 +283,15 @@ class TestGainPrediction:
         eta = derive_coefficients(p).eta0
         xi = abs(coefficients_at(p, 0.0).xi)
         pred = predict_gain(eta, xi, p.gamma_c, p.cell_length)
-        assert pred.loss_ratio == pytest.approx(
-            0.5 * eta * p.gamma_c / xi, rel=1e-12
+        # G = e^{-eta gamma_c z/c} [cosh(xi z/c) - r sinh(xi z/c)]^2, r = eta gamma_c / 2 xi
+        arg = xi * p.cell_length / C
+        loss_ratio = 0.5 * eta * p.gamma_c / xi
+        assert pred == pytest.approx(
+            math.exp(-eta * p.gamma_c * p.cell_length / C)
+            * (math.cosh(arg) - loss_ratio * math.sinh(arg)) ** 2,
+            rel=1e-12,
         )
-        assert pred.gain < math.cosh(xi * p.cell_length / C) ** 2
+        assert pred < math.cosh(arg) ** 2
 
     def test_rejects_loss_exceeding_gain(self):
         with pytest.raises(GuardError):
@@ -301,5 +304,5 @@ class TestGainPrediction:
         cfg = PulseConfig(fwhm=400e-9, window=8192e-9, n_samples=8192)
         res = run_single(p, cfg)
         assert res.probe_metrics.gain_peak == pytest.approx(
-            predict_gain(eta, xi, 0.0, p.cell_length).gain, rel=0.03
+            predict_gain(eta, xi, 0.0, p.cell_length), rel=0.03
         )

@@ -19,9 +19,9 @@ class TestDerivedScalars:
     def test_light_shift_reference_point(self):
         # Omega/2pi = 420 MHz, Delta/2pi = 4 GHz -> 420^2/(4*4000) MHz
         d = derive_coefficients(make_params())
-        assert d.light_shift / MHZ == pytest.approx(11.025, rel=1e-12)
+        assert d.delta_r / MHZ == pytest.approx(11.025, rel=1e-12)
         # within 5% of the quoted 11 MHz
-        assert abs(d.light_shift / MHZ - 11.0) / 11.0 < 0.05
+        assert abs(d.delta_r / MHZ - 11.0) / 11.0 < 0.05
 
     def test_raman_bandwidth_vs_linewidth(self):
         p = make_params()
@@ -42,10 +42,6 @@ class TestDerivedScalars:
         assert d.v_group == pytest.approx(C / 480.0, rel=1e-15)
         assert d.v_group * d.eta0 == pytest.approx(C, rel=1e-15)
 
-    def test_light_shift_delta_r_bit_identical(self):
-        d = derive_coefficients(make_params())
-        assert d.delta_r == d.light_shift  # same object-level value
-
     def test_alpha_product_exact(self):
         d = derive_coefficients(make_params())
         assert d.alpha0 == d.eta0 * d.delta_r
@@ -58,7 +54,6 @@ class TestDerivedScalars:
         assert d1.eta0 == pytest.approx(d0.eta0 * s, rel=1e-12)
         assert d1.alpha0 == pytest.approx(d0.alpha0 * s, rel=1e-12)
         assert d1.delta_r == d0.delta_r
-        assert d1.light_shift == d0.light_shift
         assert d1.saturation_rabi == d0.saturation_rabi
 
 
