@@ -83,6 +83,8 @@ class SampledPulse:
     grid: TimeGrid
     envelope: np.ndarray
     intensity: np.ndarray = field(init=False, repr=False, compare=False)
+    # (length, pulse) of the last _vacuum_reference call
+    _vacuum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         env = np.asarray(self.envelope, dtype=complex)
@@ -122,6 +124,16 @@ class SampledPulse:
     def fit(self) -> "GaussianFit":
         """:func:`fit_gaussian` of the pulse, computed once."""
         return fit_gaussian(self)
+
+    def _vacuum_reference(self, length: float) -> "SampledPulse":
+        """The pulse after `length` of vacuum; the last length's pulse is kept."""
+        cached = self._vacuum  # read once: a caller on another thread may replace it
+        if cached is None or cached[0] != length:
+            vac = np.exp(-1j * self.grid.omegas * length / C_LIGHT)
+            env = from_spectrum(vac * self.spectrum, self.grid)
+            cached = (length, SampledPulse(self.grid, env))
+            object.__setattr__(self, "_vacuum", cached)
+        return cached[1]
 
     def check_containment(self, label: str = "pulse"):
         inten = self.intensity
@@ -257,7 +269,6 @@ def propagate_pulse(
     intensity is directly plottable.
     """
     pulse.check_containment("input pulse")
-    spec0 = pulse.spectrum
     grid = pulse.grid
     probe_env, conj_star_env = _output_envelopes(
         p, pulse, propagation_mode, dispersion_mode
@@ -266,9 +277,9 @@ def propagate_pulse(
     # E_c*(-w) synthesized in time, conjugated back to E_c(t)
     conjugate = SampledPulse(grid, np.conj(conj_star_env))
 
+    # a scan changes no cell length, so its points share one exact reference
     if propagation_mode == "exact":
-        vac = np.exp(-1j * grid.omegas * p.cell_length / C_LIGHT)
-        reference = SampledPulse(grid, from_spectrum(vac * spec0, grid))
+        reference = pulse._vacuum_reference(p.cell_length)
     else:
         reference = pulse
 
@@ -288,9 +299,12 @@ def fit_gaussian(pulse: SampledPulse) -> GaussianFit:
     """Fit a Gaussian to the pulse intensity.
 
     Weighted linear least squares of a parabola on log-intensity over the
-    samples within 1/e^2 of the peak; exact for noiseless Gaussians.
-    Errors out when no unique dominant peak exists, when fewer than
-    8 samples lie above threshold, or when the curvature is not negative.
+    samples within 1/e^2 of the peak, with weight (I / peak)^2; exact for
+    noiseless Gaussians.  The fitted times are mapped onto [-1, 1] and the
+    3x3 normal equations solved directly.  Errors out when no unique
+    dominant peak exists, when fewer than 8 samples lie above threshold,
+    when the samples do not determine a parabola (times that round to
+    too few distinct values), or when the curvature is not negative.
     """
     inten = pulse.intensity
     peak = float(inten.max())
@@ -305,19 +319,24 @@ def fit_gaussian(pulse: SampledPulse) -> GaussianFit:
 
     t = pulse.grid.times[idx]
     t0 = t[np.argmax(inten[idx])]
-    # fit in nanoseconds around the discrete peak to keep the Vandermonde sane
-    x = (t - t0) / 1e-9
-    y = np.log(inten[idx])
-    # polyfit squares the weights: effective weight I^2, scaled by the peak
-    # so that squaring cannot overflow
-    w = inten[idx] / peak
-    a, b, c = np.polyfit(x, y, 2, w=w)
+    x = t - t0  # around the discrete peak, then onto u in [-1, 1]
+    mid, half = 0.5 * (x[-1] + x[0]), 0.5 * (x[-1] - x[0])
+    if not half > 0.0:  # all fitted times rounded to one value
+        raise FitError("fitted samples share one time value: t_step is below its resolution")
+    u = (x - mid) / half
+    # weight (I / peak)^2; dividing by the peak keeps the square finite
+    w = (inten[idx] / peak) ** 2
+    v = np.stack((u * u, u, np.ones_like(u)))
+    wv = v * w
+    try:
+        a, b, c = np.linalg.solve(wv @ v.T, wv @ np.log(inten[idx]))
+    except np.linalg.LinAlgError:
+        raise FitError("fitted sample times do not determine a parabola") from None
     if a >= 0.0:
         raise FitError("non-negative log-intensity curvature: not a pulse")
-    center_ns = -b / (2.0 * a)
     return GaussianFit(
-        center=t0 + center_ns * 1e-9,
-        fwhm=math.sqrt(-_FOUR_LN2 / a) * 1e-9,
+        center=t0 + mid - half * b / (2.0 * a),
+        fwhm=half * math.sqrt(-_FOUR_LN2 / a),
         peak=math.exp(c - b * b / (4.0 * a)),
     )
 

@@ -7,11 +7,17 @@ closed-form solver.  :func:`pulse_oracle` carries the same integration
 through a whole pulse, using plain ``np.fft`` transforms.
 :func:`cosh_sinh_entries` keeps the closed form written with cosh and
 sinh, the reference for the two-exponential form of the package.
+:func:`polyfit_gaussian` is the Gaussian fit done by ``np.polyfit``, the
+reference for the direct normal-equation solve of ``fit_gaussian``.
 """
+import math
+
 import numpy as np
 from scipy.constants import c as C_LIGHT
 
+from mp4wm.errors import FitError
 from mp4wm.params import derive_coefficients, eta_of_omega
+from mp4wm.pulses import GaussianFit
 
 
 def generator(p, omega, dispersion_mode="constant", include_vacuum=True):
@@ -131,3 +137,33 @@ def ivp_transfer(p, omega, z=None, dispersion_mode="constant",
     if not sol.success:
         raise RuntimeError(f"oracle integration failed: {sol.message}")
     return sol.y[:, -1].reshape(2, 2)
+
+
+def polyfit_gaussian(pulse):
+    """:class:`GaussianFit` of the pulse intensity by weighted ``np.polyfit``.
+
+    The same samples, weights and :class:`FitError` rules as
+    ``fit_gaussian``: a parabola in log-intensity over the contiguous
+    samples within 1/e^2 of the peak, weighted by I / peak (which polyfit
+    squares), solved by ``lstsq`` on the scaled Vandermonde matrix.
+    """
+    inten = pulse.intensity
+    peak = float(inten.max())
+    if peak <= 0.0:
+        raise FitError("cannot fit an all-zero pulse")
+    idx = np.flatnonzero(inten >= peak * math.exp(-2.0))
+    if idx.size < 8:
+        raise FitError(f"only {idx.size} samples above the 1/e^2 threshold")
+    if np.any(np.diff(idx) != 1):
+        raise FitError("no unique dominant peak: 1/e^2 region is not contiguous")
+    t = pulse.grid.times[idx]
+    t0 = t[np.argmax(inten[idx])]
+    x = (t - t0) / 1e-9  # nanoseconds around the discrete peak
+    a, b, c = np.polyfit(x, np.log(inten[idx]), 2, w=inten[idx] / peak)
+    if a >= 0.0:
+        raise FitError("non-negative log-intensity curvature: not a pulse")
+    return GaussianFit(
+        center=t0 - b / (2.0 * a) * 1e-9,
+        fwhm=math.sqrt(-4.0 * math.log(2.0) / a) * 1e-9,
+        peak=math.exp(c - b * b / (4.0 * a)),
+    )

@@ -3,7 +3,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -248,6 +251,34 @@ class TestCli:
             for key, val in row.items():
                 if val is not None:
                     assert float(f"{val:.9g}") == val
+
+    def test_scan_bytes_do_not_depend_on_earlier_jobs(self, tmp_path):
+        # the offband benchmark scan on a small grid: exact reference, full eta(w)
+        def config(cell_cm):
+            text = BASE.replace("gamma_c_over_gamma = 0\n", "gamma_c_over_gamma = 0.01\n")
+            text = text.replace("cell_length_cm = 2.5", f"cell_length_cm = {cell_cm}")
+            return write_cfg(tmp_path, text + (
+                "delta_one_mhz = 30\ndispersion_mode = full\npropagation_mode = exact\n"
+                "n_samples = 1024\nscan_start = -40\nscan_stop = 60\nscan_steps = 11\n"
+            ), name=f"z{cell_cm}.cfg")
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        fresh = {}
+        for cell_cm in ("2.5", "1.5"):
+            out = tmp_path / f"fresh{cell_cm}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "mp4wm.cli", "scan-delta",
+                 "--config", config(cell_cm), "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            fresh[cell_cm] = out.read_bytes()
+        assert fresh["2.5"] != fresh["1.5"]
+        for i, cell_cm in enumerate(("2.5", "1.5", "2.5")):
+            out = tmp_path / f"{i}.csv"
+            assert main(["scan-delta", "--config", config(cell_cm), "--out", str(out)]) == 0
+            assert out.read_bytes() == fresh[cell_cm]
 
     def test_failed_scan_points_leave_empty_cells(self, tmp_path):
         cfg = write_cfg(

@@ -95,6 +95,26 @@ class TestScanEngine:
         for arr in (pulse.envelope, pulse.intensity, pulse.spectrum):
             assert not arr.flags.writeable
 
+    def test_exact_reference_built_and_fitted_once(self, monkeypatch):
+        calls = {"from_spectrum": 0, "fit_gaussian": 0}
+
+        def counted(name):
+            fn = getattr(pulses, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(pulses, name, wrapper)
+
+        counted("from_spectrum")
+        counted("fit_gaussian")
+        cfg = PulseConfig(n_samples=1024, propagation_mode="exact")
+        records = scan(make_params(), "density", [0.2, 0.6, 1.0, 1.4], cfg)
+        assert all(r.conj_delay is not None for r in records)
+        # the probe and the conjugate of each point (no band fallback), and
+        # one vacuum reference for the scan's one cell length
+        assert calls == {"from_spectrum": 2 * 4 + 1, "fit_gaussian": 2 * 4 + 1}
+
     def test_each_output_pulse_built_once(self, monkeypatch):
         built = []
         post_init = pulses.SampledPulse.__post_init__

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from mp4wm.pulses import (
     to_spectrum,
 )
 
-from _oracles import pulse_oracle
+from _oracles import polyfit_gaussian, pulse_oracle
 from conftest import C, make_params
 
 RNG = np.random.default_rng(7)
@@ -219,6 +220,22 @@ class TestPropagation:
             peak = np.max(np.abs(expected))
             assert np.max(np.abs(out.envelope - expected)) <= 1e-9 * peak
 
+    def test_exact_reference_follows_the_cell_length(self):
+        grid = TimeGrid.centered(2048e-9, 1024)
+        shared = make_gaussian_pulse(grid, 70e-9)
+        p1 = make_params(delta1_mhz=30.0, gamma_c_frac=0.01)
+        p2 = p1.replace(cell_length=0.015)
+        for p in (p1, p2, p1):
+            res = propagate_pulse(p, shared, "exact", "full")
+            fresh = propagate_pulse(p, make_gaussian_pulse(grid, 70e-9), "exact", "full")
+            for name in ("reference", "probe", "conjugate"):
+                assert np.array_equal(
+                    getattr(res, name).envelope, getattr(fresh, name).envelope
+                )
+        # points at one cell length share the reference and its fit
+        again = propagate_pulse(p1.scaled_density(0.5), shared, "exact", "full")
+        assert again.reference is res.reference
+
     def test_output_containment_guard(self):
         # delayed, strongly broadened output must not wrap the window
         p = make_params(eta0=20000.0, gamma_c_frac=0.0)
@@ -366,6 +383,52 @@ class TestFitRobustness:
         env = np.exp(-2.0 * math.log(2.0) * (grid.times / 300e-9) ** 2)
         with pytest.raises(FitError, match="samples"):
             fit_gaussian(SampledPulse(grid, env.astype(complex)))
+
+    @pytest.mark.parametrize("t_start, message", [
+        (1.0, "share one time value"),
+        # the fitted times round to two values, so u^2 = 1 on every sample
+        (np.nextafter(1.0, 0.0), "do not determine a parabola"),
+    ])
+    def test_times_below_their_resolution_are_a_fit_error(self, t_start, message):
+        grid = TimeGrid(n_samples=256, t_start=t_start, t_step=1e-18)
+        k = np.arange(256)
+        env = np.exp(-(((k - 55) / 10.0) ** 2)).astype(complex)  # samples 45..65
+        with pytest.raises(FitError, match=message):
+            fit_gaussian(SampledPulse(grid, env))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["gaussian", "skewed", "chirped"]),
+        width=st.floats(3.0, 240.0),  # intensity FWHM in samples: 3 to ~460 fitted
+        offset=st.floats(-100.0, 100.0),  # pulse center in samples
+        shape=st.floats(-0.5, 0.5),
+        log_amplitude=st.floats(-100.0, 100.0),
+        origin=st.sampled_from([0.0, 1e-3]),
+    )
+    def test_matches_the_polyfit_oracle(
+        self, kind, width, offset, shape, log_amplitude, origin
+    ):
+        dt = 1e-9
+        grid = TimeGrid(n_samples=1024, t_start=origin - 512 * dt, t_step=dt)
+        tau = (grid.times - origin - offset * dt) / (width * dt)
+        log_i = -4.0 * math.log(2.0) * tau**2
+        if kind == "skewed":
+            log_i = log_i * (1.0 + shape * np.tanh(tau))
+        env = 10.0**log_amplitude * np.exp(0.5 * log_i)
+        if kind == "chirped":  # a temporal chirp, then dispersion reshapes it
+            spec = np.fft.fft(env * np.exp(1j * shape * tau**2))
+            env = np.fft.ifft(spec * np.exp(0.05j * (width * dt * grid.omegas) ** 2))
+        pulse = SampledPulse(grid, env)
+        try:
+            want = polyfit_gaussian(pulse)
+        except FitError as exc:
+            with pytest.raises(FitError, match=re.escape(str(exc))):
+                fit_gaussian(pulse)
+            return
+        fit = fit_gaussian(pulse)
+        assert abs(fit.center - want.center) <= 1e-9 * dt
+        assert fit.fwhm == pytest.approx(want.fwhm, rel=5e-12, abs=0.0)
+        assert fit.peak == pytest.approx(want.peak, rel=5e-12, abs=0.0)
 
 
 class TestMetrics:
