@@ -41,10 +41,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
 
 from .errors import GuardError
-from .params import MediumParams, derive_coefficients, eta_of_omega
+from .params import C_LIGHT, MediumParams, derive_coefficients, eta_of_omega
 
 PROPAGATION_MODES = ("exact", "relative")
 DISPERSION_MODES = ("constant", "full")

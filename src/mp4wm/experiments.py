@@ -11,8 +11,6 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
-from scipy.constants import c as C_LIGHT
-
 from .coupling import (
     DISPERSION_MODES,
     PROPAGATION_MODES,
@@ -20,7 +18,7 @@ from .coupling import (
     renormalized_length,
 )
 from .errors import GuardError
-from .params import MediumParams, derive_coefficients
+from .params import C_LIGHT, MediumParams, derive_coefficients
 from .pulses import (
     PropagationResult,
     PulseMetrics,

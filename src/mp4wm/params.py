@@ -3,6 +3,10 @@
 All frequencies and rates are stored as angular quantities (rad/s).
 Conversion from the ordinary-frequency (MHz) units used in configuration
 files happens exactly once, at the config boundary (see :mod:`mp4wm.config`).
+
+``C_LIGHT`` (m/s) is the one definition of the speed of light.  It is a
+literal, equal to ``scipy.constants.c``: the SI metre fixes it exactly, and
+importing a library for one exact number would slow every process start.
 """
 from __future__ import annotations
 
@@ -10,10 +14,9 @@ import math
 import warnings
 from dataclasses import dataclass, fields, replace
 
-from scipy.constants import c as C_LIGHT
-
 from .errors import ConfigError
 
+C_LIGHT = 299_792_458.0  # m/s, exact
 TWO_PI = 2.0 * math.pi
 
 # "much greater than" threshold for the model-validity warnings

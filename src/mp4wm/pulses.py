@@ -10,11 +10,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
 
 from .coupling import entry_bounds, transfer_entries
 from .errors import AliasingError, ContainmentError, FitError, GuardError
-from .params import MediumParams
+from .params import C_LIGHT, MediumParams
 
 _CONTAINMENT_RATIO = 1e-6   # boundary intensity vs peak
 _ALIASING_RATIO = 1e-6      # edge spectral magnitude vs spectral peak
@@ -197,17 +196,18 @@ def to_spectrum(pulse: SampledPulse, check: bool = True) -> np.ndarray:
 
 
 def from_spectrum(spectrum: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Envelope array of `spectrum`: :func:`to_spectrum` inverted, same phase origin."""
+    """Envelopes of `spectrum` along its last axis: :func:`to_spectrum` inverted."""
     spec = np.asarray(spectrum, dtype=complex)
-    if spec.shape != (grid.n_samples,):
+    if spec.shape[-1:] != (grid.n_samples,):
         raise GuardError("spectrum length must match the grid")
-    return np.fft.ifft(spec) / grid.t_step
+    env = np.fft.ifft(spec)
+    return np.divide(env, grid.t_step, out=env)  # one (..., N) array per call
 
 
 def _output_envelopes(
     p: MediumParams, pulse: SampledPulse, propagation_mode: str, dispersion_mode: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """ifft(m_pp S0) and ifft(m_cp S0) as envelopes, the kernel run on the band.
+) -> np.ndarray:
+    """Rows ifft(m_pp S0) and ifft(m_cp S0) as envelopes, the kernel run on the band.
 
     The bins outside the input's band add at most sum_k B_k |S0_k| / (N dt)
     to any output sample, with B_k from :func:`entry_bounds` (0 when no bin
@@ -220,13 +220,13 @@ def _output_envelopes(
     band = pulse.band
     specs = np.zeros((2, grid.n_samples), dtype=complex)  # m_pp S0 and m_cp S0
 
-    def fill(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def fill(bins: np.ndarray) -> np.ndarray:
         m_pp, _, m_cp, _ = transfer_entries(
             p, grid.omegas[bins], None, propagation_mode, dispersion_mode
         )
         for spec, m in zip(specs, (m_pp, m_cp)):
             spec[bins] = m * pulse.spectrum[bins]
-        return from_spectrum(specs[0], grid), from_spectrum(specs[1], grid)
+        return from_spectrum(specs, grid)
 
     # non-finite entries pass through silently; the output guards report them
     with np.errstate(invalid="ignore", over="ignore"):

@@ -34,6 +34,13 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def fresh_env():
+    """Environment for a fresh interpreter that imports mp4wm from this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestParse:
     def test_units_and_values(self):
         cfg = parse_config(BASE)
@@ -252,6 +259,26 @@ class TestCli:
                 if val is not None:
                     assert float(f"{val:.9g}") == val
 
+    def test_commands_load_no_scipy(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE + (
+            "n_samples = 256\nscan_start = 0.5\nscan_stop = 1.0\nscan_steps = 3\n"
+        ))
+        child = (
+            "import json, sys\n"
+            "from mp4wm.cli import main\n"
+            "cfg, out = sys.argv[1:]\n"
+            "codes = [main(['derive', '--config', cfg]),\n"
+            "         main(['run', '--config', cfg, '--out', out]),\n"
+            "         main(['scan-density', '--config', cfg, '--out', out])]\n"
+            "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "print(json.dumps({'codes': codes, 'scipy': scipy}))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child, cfg, str(tmp_path / "out.csv")],
+            env=fresh_env(), check=True, capture_output=True, text=True, timeout=120,
+        )
+        assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0, 0, 0], "scipy": []}
+
     def test_scan_bytes_do_not_depend_on_earlier_jobs(self, tmp_path):
         # the offband benchmark scan on a small grid: exact reference, full eta(w)
         def config(cell_cm):
@@ -262,9 +289,7 @@ class TestCli:
                 "n_samples = 1024\nscan_start = -40\nscan_stop = 60\nscan_steps = 11\n"
             ), name=f"z{cell_cm}.cfg")
 
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
+        env = fresh_env()
         fresh = {}
         for cell_cm in ("2.5", "1.5"):
             out = tmp_path / f"fresh{cell_cm}.csv"

@@ -111,9 +111,9 @@ class TestScanEngine:
         cfg = PulseConfig(n_samples=1024, propagation_mode="exact")
         records = scan(make_params(), "density", [0.2, 0.6, 1.0, 1.4], cfg)
         assert all(r.conj_delay is not None for r in records)
-        # the probe and the conjugate of each point (no band fallback), and
-        # one vacuum reference for the scan's one cell length
-        assert calls == {"from_spectrum": 2 * 4 + 1, "fit_gaussian": 2 * 4 + 1}
+        # one transform of the probe and the conjugate together per point (no
+        # band fallback), and one vacuum reference for the scan's one cell length
+        assert calls == {"from_spectrum": 4 + 1, "fit_gaussian": 2 * 4 + 1}
 
     def test_each_output_pulse_built_once(self, monkeypatch):
         built = []

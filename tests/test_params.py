@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import constants
 
 from mp4wm.errors import ConfigError
 from mp4wm.params import (
+    C_LIGHT,
     MediumParams,
     ModelValidityWarning,
     derive_coefficients,
@@ -16,6 +18,9 @@ from conftest import C, MHZ, make_params
 
 
 class TestDerivedScalars:
+    def test_speed_of_light_is_the_exact_si_value(self):
+        assert C_LIGHT == constants.c
+
     def test_light_shift_reference_point(self):
         # Omega/2pi = 420 MHz, Delta/2pi = 4 GHz -> 420^2/(4*4000) MHz
         d = derive_coefficients(make_params())

@@ -90,6 +90,19 @@ class TestSpectrum:
         back = from_spectrum(to_spectrum(pulse), GRID)
         assert back == pytest.approx(pulse.envelope, rel=1e-12, abs=1e-12)
 
+    def test_stacked_spectra_match_one_at_a_time(self):
+        pulse = make_gaussian_pulse(GRID, 70e-9, center=40e-9)
+        specs = np.stack([pulse.spectrum, 1j * np.roll(pulse.spectrum, 3)])
+        rows = from_spectrum(specs, GRID)
+        assert rows.shape == (2, GRID.n_samples)
+        for row, spec in zip(rows, specs):
+            assert np.array_equal(row, from_spectrum(spec, GRID))
+
+    @pytest.mark.parametrize("shape", [(GRID.n_samples // 2,), (GRID.n_samples, 2)])
+    def test_wrong_trailing_length_is_guard_error(self, shape):
+        with pytest.raises(GuardError, match="length"):
+            from_spectrum(np.ones(shape, dtype=complex), GRID)
+
     def test_delta_pulse_flat_spectrum(self):
         env = np.zeros(GRID.n_samples, dtype=complex)
         env[GRID.n_samples // 2] = 1.0
