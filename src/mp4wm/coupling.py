@@ -1,7 +1,7 @@
 """Per-frequency coupling coefficients and the 2x2 cell transfer matrix.
 
 The state vector per envelope frequency is (E_p(w), E_c*(-w)).  Writing
-L = z/c, dtilde = delta - Omega^2/4Delta, and
+L = z/c for the cell length z, dtilde = delta - Omega^2/4Delta, and
 
     d(w) = eta(w) * [i (dtilde + w) + gamma_c]        (probe direct term)
     alpha(w) = eta(w) * Delta_R                        (4WM cross term)
@@ -74,15 +74,6 @@ def coefficients_at(
     return CouplingCoefficients(eta=eta, sigma=sigma, alpha=alpha, xi=xi)
 
 
-def _big_l(p: MediumParams, z: float | None) -> float:
-    """Propagation time z / c through the cell, or through `z` when given."""
-    if z is None:
-        z = p.cell_length
-    if z < 0:
-        raise GuardError("propagation distance must be >= 0")
-    return z / C_LIGHT
-
-
 def _generator_terms(p: MediumParams, omega: np.ndarray, dispersion_mode: str):
     """d, alpha and mu^2 = d^2/4 + alpha^2 at each frequency.
 
@@ -99,7 +90,6 @@ def _generator_terms(p: MediumParams, omega: np.ndarray, dispersion_mode: str):
 def transfer_entries(
     p: MediumParams,
     omega,
-    z: float | None = None,
     propagation_mode: str = "relative",
     dispersion_mode: str = "constant",
 ):
@@ -112,7 +102,7 @@ def transfer_entries(
     """
     if propagation_mode not in PROPAGATION_MODES:
         raise GuardError(f"unknown propagation mode {propagation_mode!r}")
-    big_l = _big_l(p, z)
+    big_l = p.cell_length / C_LIGHT
     omega = np.asarray(omega, dtype=float)
     # overflow at extreme gain-length products degrades a point to
     # non-finite entries, which downstream guards turn into absent results
@@ -142,7 +132,6 @@ def transfer_entries(
 def entry_bounds(
     p: MediumParams,
     omega,
-    z: float | None = None,
     dispersion_mode: str = "constant",
 ):
     """Upper bounds on |m_pp| and |m_cp| (= |m_pc|) at each frequency.
@@ -158,7 +147,7 @@ def entry_bounds(
     as sqrt(|mu^2|) and sqrt((|mu^2| + Re mu^2)/2), with no complex sqrt.
     The bounds are non-finite where the entries may overflow.
     """
-    big_l = _big_l(p, z)
+    big_l = p.cell_length / C_LIGHT
     omega = np.asarray(omega, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode)
@@ -181,13 +170,13 @@ class AnalyticDelays:
     peak_gain: float          # intensity gain of the probe at line center
 
 
-def peak_gain_formula(eta: float, xi: float, gamma_c: float, z: float) -> float:
-    """Probe intensity gain at line center for given eta, xi.
+def predict_gain(eta: float, xi: float, gamma_c: float, z: float) -> float:
+    """Probe intensity gain at line center through length `z`, for given eta, xi.
 
     G = exp(-eta gamma_c z/c) [cosh(xi z/c) - (eta gamma_c / 2 xi) sinh(xi z/c)]^2
     """
-    if xi <= 0:
-        raise GuardError("xi must be > 0")
+    if eta <= 0 or xi <= 0 or z < 0 or gamma_c < 0:
+        raise GuardError("predict_gain needs eta, xi > 0 and z, gamma_c >= 0")
     loss_ratio = 0.5 * eta * gamma_c / xi
     if loss_ratio >= 1.0:
         raise GuardError("loss exceeds gain: 2 xi <= eta gamma_c")
@@ -199,14 +188,12 @@ def peak_gain_formula(eta: float, xi: float, gamma_c: float, z: float) -> float:
     return math.exp(-eta * gamma_c * z / C_LIGHT) * amp * amp
 
 
-def analytic_delays(p: MediumParams, z: float | None = None) -> AnalyticDelays:
+def analytic_delays(p: MediumParams) -> AnalyticDelays:
     """Analytic delay/gain summary, constant-eta form at dtilde=0, w=0.
 
     Raises :class:`GuardError` when 2 xi <= eta gamma_c (the locked
     differential delay is undefined outside gamma_c << 2 Delta_R).
     """
-    if z is None:
-        z = p.cell_length
     d = derive_coefficients(p)
     eta = d.eta0
     # sigma = i eta gamma_c / 2 at line center, so xi^2 = alpha^2 + (eta gamma_c/2)^2
@@ -214,10 +201,10 @@ def analytic_delays(p: MediumParams, z: float | None = None) -> AnalyticDelays:
     if 2.0 * xi <= eta * p.gamma_c:
         raise GuardError("locked delay undefined: 2 xi <= eta gamma_c")
     return AnalyticDelays(
-        tau=eta * z / (2.0 * C_LIGHT),
+        tau=eta * p.cell_length / (2.0 * C_LIGHT),
         dtau_locked=eta / (2.0 * xi - eta * p.gamma_c),
         linear_gain_coeff=(xi - 0.5 * eta * p.gamma_c) / C_LIGHT,
-        peak_gain=peak_gain_formula(eta, xi, p.gamma_c, z),
+        peak_gain=predict_gain(eta, xi, p.gamma_c, p.cell_length),
     )
 
 

@@ -14,7 +14,7 @@ from functools import cached_property
 from .coupling import (
     DISPERSION_MODES,
     PROPAGATION_MODES,
-    peak_gain_formula,
+    predict_gain,
     renormalized_length,
 )
 from .errors import GuardError
@@ -116,14 +116,6 @@ def infer_eta_xi(
     eta = 2.0 * C_LIGHT * conj_delay / z
     xi = 0.5 * eta * (1.0 / differential_delay + gamma_c)
     return eta, xi
-
-
-def predict_gain(eta: float, xi: float, gamma_c: float, z: float) -> float:
-    """Line-center probe gain predicted from inferred eta and xi."""
-    if eta <= 0 or xi <= 0 or z < 0 or gamma_c < 0:
-        raise GuardError("predict_gain needs eta, xi > 0 and z, gamma_c >= 0")
-    # peak_gain_formula raises GuardError when the loss exceeds the gain
-    return peak_gain_formula(eta, xi, gamma_c, z)
 
 
 def _record_for(p: MediumParams, var: float, pulse_cfg: PulseConfig) -> ScanRecord:

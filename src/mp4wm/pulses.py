@@ -46,10 +46,6 @@ class TimeGrid:
         if not (self.t_step > 0 and math.isfinite(self.t_step)):
             raise GuardError("t_step must be positive and finite")
 
-    @property
-    def span(self) -> float:
-        return self.n_samples * self.t_step
-
     @cached_property
     def times(self) -> np.ndarray:
         return _read_only(self.t_start + self.t_step * np.arange(self.n_samples))
@@ -86,7 +82,7 @@ class SampledPulse:
     _vacuum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        env = np.asarray(self.envelope, dtype=complex)
+        env = np.array(self.envelope, dtype=complex)  # a copy the caller cannot change
         if env.shape != (self.grid.n_samples,):
             raise GuardError("envelope length must match the grid")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -95,7 +91,7 @@ class SampledPulse:
             if not np.all(np.isfinite(env)):
                 raise GuardError("envelope must be finite everywhere")
             raise GuardError("intensity overflows double precision; the gain is too large")
-        object.__setattr__(self, "envelope", _read_only(env.copy()))
+        object.__setattr__(self, "envelope", _read_only(env))
         object.__setattr__(self, "intensity", _read_only(inten))
 
     @cached_property
@@ -134,7 +130,7 @@ class SampledPulse:
             object.__setattr__(self, "_vacuum", cached)
         return cached[1]
 
-    def check_containment(self, label: str = "pulse"):
+    def check_containment(self, label: str):
         inten = self.intensity
         peak = float(inten.max())
         if peak == 0.0:
@@ -148,18 +144,15 @@ class SampledPulse:
 
 
 def make_gaussian_pulse(
-    grid: TimeGrid, fwhm_intensity: float, center: float = 0.0,
-    peak_amplitude: float = 1.0,
+    grid: TimeGrid, fwhm_intensity: float, center: float = 0.0
 ) -> SampledPulse:
     """Gaussian pulse whose *intensity* FWHM is `fwhm_intensity`."""
     if fwhm_intensity <= 0:
         raise GuardError("fwhm must be > 0")
     t = grid.times
     with np.errstate(over="ignore"):  # far wings square to inf and exp to 0
-        env = peak_amplitude * np.exp(
-            -2.0 * math.log(2.0) * ((t - center) / fwhm_intensity) ** 2
-        )
-    pulse = SampledPulse(grid=grid, envelope=env.astype(complex))
+        env = np.exp(-2.0 * math.log(2.0) * ((t - center) / fwhm_intensity) ** 2)
+    pulse = SampledPulse(grid=grid, envelope=env)
     try:
         pulse.check_containment("input pulse")
     except ContainmentError:
@@ -172,26 +165,25 @@ def make_gaussian_pulse(
     return pulse
 
 
-def to_spectrum(pulse: SampledPulse, check: bool = True) -> np.ndarray:
+def to_spectrum(pulse: SampledPulse) -> np.ndarray:
     """Spectrum on the grid's FFT-ordered frequency bins.
 
     Continuous normalization, phase origin at the grid's first sample:
-    S(w) = sum E(t) e^{-i w (t - t_start)} dt.  With `check`, errors out
-    if spectral magnitude at the edge bins exceeds 1e-6 of the spectral
-    peak (aliasing guard).
+    S(w) = sum E(t) e^{-i w (t - t_start)} dt.  Errors out if spectral
+    magnitude at the edge bins exceeds 1e-6 of the spectral peak
+    (aliasing guard).
     """
     g = pulse.grid
     spec = np.fft.fft(pulse.envelope) * g.t_step
-    if check:
-        peak = float(np.abs(spec).max())
-        if peak > 0.0:
-            n = g.n_samples
-            edge = float(np.abs(spec[n // 2 - 1: n // 2 + 2]).max())
-            if edge >= _ALIASING_RATIO * peak:
-                raise AliasingError(
-                    f"spectral magnitude at the grid edge is {edge / peak:.2e} "
-                    f"of the peak (limit {_ALIASING_RATIO:g}); refine t_step"
-                )
+    peak = float(np.abs(spec).max())
+    if peak > 0.0:
+        n = g.n_samples
+        edge = float(np.abs(spec[n // 2 - 1: n // 2 + 2]).max())
+        if edge >= _ALIASING_RATIO * peak:
+            raise AliasingError(
+                f"spectral magnitude at the grid edge is {edge / peak:.2e} "
+                f"of the peak (limit {_ALIASING_RATIO:g}); refine t_step"
+            )
     return spec
 
 
@@ -222,7 +214,7 @@ def _output_envelopes(
 
     def fill(bins: np.ndarray) -> np.ndarray:
         m_pp, _, m_cp, _ = transfer_entries(
-            p, grid.omegas[bins], None, propagation_mode, dispersion_mode
+            p, grid.omegas[bins], propagation_mode, dispersion_mode
         )
         for spec, m in zip(specs, (m_pp, m_cp)):
             spec[bins] = m * pulse.spectrum[bins]
@@ -231,7 +223,7 @@ def _output_envelopes(
     # non-finite entries pass through silently; the output guards report them
     with np.errstate(invalid="ignore", over="ignore"):
         outputs = fill(band.inside)
-        bounds = entry_bounds(p, grid.omegas[band.outside], None, dispersion_mode)
+        bounds = entry_bounds(p, grid.omegas[band.outside], dispersion_mode)
         scale = 1.0 / (grid.n_samples * grid.t_step)
         if all(
             _within_tolerance(float(np.dot(b, band.outside_abs)) * scale, env)
@@ -304,7 +296,8 @@ def fit_gaussian(pulse: SampledPulse) -> GaussianFit:
     3x3 normal equations solved directly.  Errors out when no unique
     dominant peak exists, when fewer than 8 samples lie above threshold,
     when the samples do not determine a parabola (times that round to
-    too few distinct values), or when the curvature is not negative.
+    too few distinct values), when the curvature is not negative, or
+    when the fitted peak intensity overflows.
     """
     inten = pulse.intensity
     peak = float(inten.max())
@@ -334,10 +327,14 @@ def fit_gaussian(pulse: SampledPulse) -> GaussianFit:
         raise FitError("fitted sample times do not determine a parabola") from None
     if a >= 0.0:
         raise FitError("non-negative log-intensity curvature: not a pulse")
+    try:
+        fitted_peak = math.exp(c - b * b / (4.0 * a))
+    except OverflowError:  # the vertex can lie above every finite sample
+        raise FitError("fitted peak intensity overflows double precision") from None
     return GaussianFit(
         center=t0 + mid - half * b / (2.0 * a),
         fwhm=half * math.sqrt(-_FOUR_LN2 / a),
-        peak=math.exp(c - b * b / (4.0 * a)),
+        peak=fitted_peak,
     )
 
 

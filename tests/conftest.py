@@ -39,6 +39,11 @@ def make_params(
     )
 
 
-def transfer_array(p, omega, *args, **kwargs):
-    """:func:`transfer_entries` at one frequency as [[m_pp, m_pc], [m_cp, m_cc]]."""
-    return np.array(transfer_entries(p, omega, *args, **kwargs)).reshape(2, 2)
+def transfer_array(p, omega, z=None, **kwargs):
+    """:func:`transfer_entries` at one frequency as [[m_pp, m_pc], [m_cp, m_cc]].
+
+    `z`, when given, replaces the cell length of `p`.
+    """
+    if z is not None:
+        p = p.replace(cell_length=z)
+    return np.array(transfer_entries(p, omega, **kwargs)).reshape(2, 2)

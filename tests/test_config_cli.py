@@ -197,6 +197,19 @@ class TestCli:
         header = out_csv.read_text().splitlines()[0]
         assert header == TRACE_HEADER
 
+    def test_run_trace_cells_are_nine_digits(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE + "n_samples = 1024\n")
+        out_csv = tmp_path / "trace.csv"
+        assert main(["run", "--config", cfg, "--out", str(out_csv)]) == 0
+        capsys.readouterr()
+        config = parse_config(BASE + "n_samples = 1024\n")
+        tr = mp4wm.run_single(config.to_medium_params(), config.to_pulse_config()).traces
+        norm = tr.reference.intensity.max()
+        columns = (tr.reference.grid.times * 1e9, tr.reference.intensity / norm,
+                   tr.probe.intensity / norm, tr.conjugate.intensity / norm)
+        rows = [",".join(f"{x:.9g}" for x in row) for row in zip(*columns)]
+        assert out_csv.read_bytes() == "\n".join([TRACE_HEADER, *rows, ""]).encode()
+
     def test_scan_outputs_are_deterministic(self, tmp_path):
         cfg = write_cfg(
             tmp_path,

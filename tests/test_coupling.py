@@ -10,7 +10,7 @@ from mp4wm.coupling import (
     analytic_delays,
     coefficients_at,
     entry_bounds,
-    peak_gain_formula,
+    predict_gain,
     renormalized_length,
     transfer_entries,
 )
@@ -181,8 +181,6 @@ class TestTransferMatrix:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(GuardError):
-            transfer_entries(make_params(), 0.0, z=-1.0)
-        with pytest.raises(GuardError):
             transfer_entries(make_params(), 0.0, propagation_mode="warp")
 
 
@@ -210,7 +208,9 @@ class TestTwoExponentialForm:
             )
             for w in rng.uniform(-6e9, 6e9, size=6):
                 z = mu_l * C / _abs_mu(p, w, dispersion_mode)
-                got = transfer_entries(p, w, z, propagation_mode, dispersion_mode)
+                got = transfer_entries(
+                    p.replace(cell_length=z), w, propagation_mode, dispersion_mode
+                )
                 want = np.array(
                     cosh_sinh_entries(p, w, z, propagation_mode, dispersion_mode)
                 )
@@ -241,22 +241,18 @@ class TestEntryBounds:
                 delta2_mhz=float(RNG.uniform(-3000.0, 3000.0)),
                 delta1_mhz=30.0,
             )
-            z = float(RNG.uniform(0.0, 0.03))
-            m_pp, m_pc, m_cp, _ = transfer_entries(p, w, z, "exact", dispersion_mode)
-            b_pp, b_cp = entry_bounds(p, w, z, dispersion_mode)
+            p = p.replace(cell_length=float(RNG.uniform(0.0, 0.03)))
+            m_pp, m_pc, m_cp, _ = transfer_entries(p, w, "exact", dispersion_mode)
+            b_pp, b_cp = entry_bounds(p, w, dispersion_mode)
             finite = np.isfinite(m_pp) & np.isfinite(m_cp)
             assert np.all(np.abs(m_pp[finite]) <= b_pp[finite])
             assert np.all(np.abs(m_cp[finite]) <= b_cp[finite])
             assert not np.any(np.isfinite(b_pp[~finite]))
 
     def test_zero_length_bounds_are_exact(self):
-        b_pp, b_cp = entry_bounds(make_params(), np.array([0.0, 1e9]), z=0.0)
+        b_pp, b_cp = entry_bounds(make_params(z=0.0), np.array([0.0, 1e9]))
         assert np.array_equal(b_pp, [1.0, 1.0])
         assert np.array_equal(b_cp, [0.0, 0.0])
-
-    def test_rejects_negative_length(self):
-        with pytest.raises(GuardError):
-            entry_bounds(make_params(), 0.0, z=-1.0)
 
 
 class TestPhaseToDelay:
@@ -315,7 +311,7 @@ class TestAnalyticDelays:
 
     def test_loss_dominated_rejected(self):
         with pytest.raises(GuardError):
-            peak_gain_formula(eta=960.0, xi=1.0, gamma_c=1e7, z=0.025)
+            predict_gain(eta=960.0, xi=1.0, gamma_c=1e7, z=0.025)
 
 
 class TestRenormalizedLength:

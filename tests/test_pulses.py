@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -53,10 +54,19 @@ class TestGrid:
         with np.errstate(all="raise"), pytest.raises(GuardError, match=message):
             SampledPulse(grid=GRID, envelope=env)
 
+    def test_pulse_keeps_its_own_copy_of_the_envelope(self):
+        env = make_gaussian_pulse(GRID, 70e-9).envelope.copy()
+        pulse = SampledPulse(GRID, env)
+        envelope, intensity = pulse.envelope.copy(), pulse.intensity.copy()
+        env[:] = 5.0
+        assert np.array_equal(pulse.envelope, envelope)
+        assert np.array_equal(pulse.intensity, intensity)
+        assert not pulse.envelope.flags.writeable
+
     def test_frequency_spacing(self):
         g = GRID
         dw = g.omegas[1] - g.omegas[0]
-        assert dw == pytest.approx(2.0 * math.pi / g.span, rel=1e-12)
+        assert dw == pytest.approx(2.0 * math.pi / (g.n_samples * g.t_step), rel=1e-12)
 
 
 class TestGaussianSynthesis:
@@ -75,7 +85,7 @@ class TestGaussianSynthesis:
         assert fit.fwhm == pytest.approx(120e-9, rel=1e-3)
 
     def test_zero_amplitude_cannot_be_fit(self):
-        pulse = make_gaussian_pulse(GRID, 70e-9, peak_amplitude=0.0)
+        pulse = SampledPulse(GRID, np.zeros(GRID.n_samples))
         with pytest.raises(FitError):
             fit_gaussian(pulse)
 
@@ -103,11 +113,14 @@ class TestSpectrum:
         with pytest.raises(GuardError, match="length"):
             from_spectrum(np.ones(shape, dtype=complex), GRID)
 
-    def test_delta_pulse_flat_spectrum(self):
+    def test_delta_pulse_flat_spectrum(self, monkeypatch):
         env = np.zeros(GRID.n_samples, dtype=complex)
         env[GRID.n_samples // 2] = 1.0
-        spec = to_spectrum(SampledPulse(GRID, env), check=False)
-        mags = np.abs(spec)
+        delta = SampledPulse(GRID, env)
+        with pytest.raises(AliasingError):
+            to_spectrum(delta)
+        monkeypatch.setattr(pulses, "_ALIASING_RATIO", math.inf)  # guard off
+        mags = np.abs(to_spectrum(delta))
         assert mags == pytest.approx(np.full_like(mags, mags[0]), rel=1e-12)
 
     def test_time_bandwidth_product(self):
@@ -134,7 +147,7 @@ class TestSpectrum:
         pulse = make_gaussian_pulse(GRID, 70e-9)
         spec = to_spectrum(pulse)
         e_time = pulse.energy
-        dw = 2.0 * math.pi / GRID.span
+        dw = 2.0 * math.pi / (GRID.n_samples * GRID.t_step)
         e_freq = np.sum(np.abs(spec) ** 2) * dw / (2.0 * math.pi)
         assert e_freq == pytest.approx(e_time, rel=1e-12)
 
@@ -261,7 +274,7 @@ class TestPropagation:
 def _full_grid_outputs(p, pulse, propagation_mode, dispersion_mode):
     """ifft(m_pp fft(E)) and ifft(m_cp fft(E)) with the kernel on every bin."""
     m_pp, _, m_cp, _ = transfer_entries(
-        p, pulse.grid.omegas, None, propagation_mode, dispersion_mode
+        p, pulse.grid.omegas, propagation_mode, dispersion_mode
     )
     spec = np.fft.fft(pulse.envelope)
     return (m_pp, m_cp), (np.fft.ifft(m_pp * spec), np.fft.ifft(m_cp * spec))
@@ -301,7 +314,7 @@ class TestBandLimitedKernel:
             assert np.array_equal(res.probe.envelope, outputs[0])
             assert np.array_equal(res.conjugate.envelope, np.conj(outputs[1]))
         outside = pulse.band.outside
-        bounds = entry_bounds(p, self.GRID_1K.omegas[outside], None, dispersion_mode)
+        bounds = entry_bounds(p, self.GRID_1K.omegas[outside], dispersion_mode)
         for m, bound in zip(entries, bounds):
             size = np.abs(m[outside])
             finite = np.isfinite(size)
@@ -335,7 +348,7 @@ class TestBandLimitedKernel:
         monkeypatch.setattr(pulses, "transfer_entries", counted)
         res = propagate_pulse(p, pulse, "exact", "full")
         assert sizes == [pulse.band.inside.size, pulse.band.outside.size]
-        m_pp, _, m_cp, _ = transfer_entries(p, GRID.omegas, None, "exact", "full")
+        m_pp, _, m_cp, _ = transfer_entries(p, GRID.omegas, "exact", "full")
         probe = from_spectrum(m_pp * pulse.spectrum, GRID)
         conj_star = from_spectrum(m_cp * pulse.spectrum, GRID)
         assert np.array_equal(res.probe.envelope, probe)
@@ -383,13 +396,27 @@ class TestFitRobustness:
 
     def test_huge_intensity_fits_like_the_unit_pulse(self):
         unit = fit_gaussian(make_gaussian_pulse(GRID, 120e-9, center=13e-9))
-        huge = make_gaussian_pulse(GRID, 120e-9, center=13e-9, peak_amplitude=1e100)
+        unit_env = make_gaussian_pulse(GRID, 120e-9, center=13e-9).envelope
+        huge = SampledPulse(GRID, 1e100 * unit_env)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflow inside polyfit would raise
             fit = fit_gaussian(huge)
         assert fit.center == pytest.approx(unit.center, rel=1e-12)
         assert fit.fwhm == pytest.approx(unit.fwhm, rel=1e-12)
         assert fit.peak == pytest.approx(1e200 * unit.peak, rel=1e-12)
+
+    def test_fitted_peak_above_the_double_range_is_a_fit_error(self):
+        # every sample is finite, but the vertex lies half a sample past the
+        # largest one, which is already within 1e-10 of the double range
+        grid = TimeGrid.centered(2e-6, 4096)
+        amp = math.sqrt(sys.float_info.max) * (1.0 + 1e-10)
+        env = amp * np.exp(
+            -2.0 * math.log(2.0) * ((grid.times - 0.5 * grid.t_step) / 70e-9) ** 2
+        )
+        pulse = SampledPulse(grid, env)
+        assert np.all(np.isfinite(pulse.intensity))
+        with pytest.raises(FitError, match="overflows"):
+            fit_gaussian(pulse)
 
     def test_too_few_samples(self):
         grid = TimeGrid.centered(65536e-9, 256)  # dt = 256 ns
