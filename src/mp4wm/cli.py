@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 
@@ -94,6 +95,9 @@ def _cmd_derive(cfg: Config, args) -> int:
         "v_group_m_s": _round9(d.v_group),
         "saturation_rabi_mhz": _round9(d.saturation_rabi / MHZ),
     }
+    for key, value in out.items():  # JSON has no non-finite numbers
+        if not math.isfinite(value):
+            raise GuardError(f"derived {key} is not finite: {value!r}")
     print(json.dumps(out, indent=2))
     return 0
 

@@ -15,9 +15,11 @@ mu = sqrt(d^2/4 + alpha^2), gives the closed form
 
     exp(N L) = exp(-d L / 2) [cosh(mu L) I + sinh(mu L)/mu * D].
 
+The vacuum transit e^{-i w L} multiplies every entry alike; the entries
+below leave it out, and :mod:`mp4wm.pulses` applies it to the input.
+
 :func:`transfer_entries` forms all four entries from two exponentials,
-e_pm = e^{(-d/2 +/- mu) L} = P e^{+/- mu L} with P = e^{-d L/2} (times the
-vacuum phase e^{-i w L} in exact mode):
+e_pm = e^{(-d/2 +/- mu) L} = P e^{+/- mu L} with P = e^{-d L/2}:
 
     m_pp, m_cc = (e_+ + e_-)/2 -/+ (d/2) (e_+ - e_-)/(2 mu),
     m_cp = -m_pc = -i alpha (e_+ - e_-)/(2 mu).
@@ -44,9 +46,6 @@ import numpy as np
 
 from .errors import GuardError
 from .params import C_LIGHT, MediumParams, derive_coefficients, eta_of_omega
-
-PROPAGATION_MODES = ("exact", "relative")
-DISPERSION_MODES = ("constant", "full")
 
 # below this |mu L| the sinh(mu L)/mu factor switches to its series
 _SINHC_THRESHOLD = 1e-6
@@ -87,21 +86,13 @@ def _generator_terms(p: MediumParams, omega: np.ndarray, dispersion_mode: str):
     return direct, alpha, 0.25 * direct * direct + alpha * alpha
 
 
-def transfer_entries(
-    p: MediumParams,
-    omega,
-    propagation_mode: str = "relative",
-    dispersion_mode: str = "constant",
-):
-    """Vectorized transfer-matrix entries (m_pp, m_pc, m_cp, m_cc).
+def transfer_entries(p: MediumParams, omega, dispersion_mode: str = "constant"):
+    """Vectorized transfer-matrix entries (m_pp, m_pc, m_cp, m_cc) of exp(N L).
 
-    `omega` may be a scalar or ndarray; entries broadcast with it.
-    `propagation_mode="exact"` keeps the vacuum factor e^{-i w z/c};
-    `"relative"` drops it, so delays are measured against the vacuum
-    reference pulse, as in the experiment.
+    `omega` may be a scalar or ndarray; entries broadcast with it.  The
+    vacuum factor e^{-i w L} is left out, so delays are measured against
+    the vacuum reference pulse, as in the experiment.
     """
-    if propagation_mode not in PROPAGATION_MODES:
-        raise GuardError(f"unknown propagation mode {propagation_mode!r}")
     big_l = p.cell_length / C_LIGHT
     omega = np.asarray(omega, dtype=float)
     # overflow at extreme gain-length products degrades a point to
@@ -111,10 +102,6 @@ def transfer_entries(
         mu = np.sqrt(mu_sq)
         x = mu * big_l
         pref = np.exp(-0.5 * direct * big_l)
-        if propagation_mode == "exact":
-            # a factor of its own: folded into the exponent, the phase would
-            # round at the ulp of |d L/2|, ~6e-14 relative at |mu L| ~ 700
-            pref = pref * np.exp(-1j * omega * big_l)
         grow_m1 = np.expm1(x)             # e^{mu L} - 1
         shrink = 1.0 / (1.0 + grow_m1)    # e^{-mu L}
         e_plus = pref * (1.0 + grow_m1)
@@ -141,10 +128,9 @@ def entry_bounds(
         |m_pp| <= g (1 + |d|/2 r),    |m_cp| <= g |alpha| r,
 
     because |cosh mu L| and |sinh mu L| are at most e^{|Re mu| L} and
-    sinh(mu L)/mu is the integral of cosh(mu s) over [0, L].  The
-    exact-mode vacuum factor has modulus 1, so the bounds hold in every
-    propagation mode.  |mu| and Re mu of the principal root come from mu^2
-    as sqrt(|mu^2|) and sqrt((|mu^2| + Re mu^2)/2), with no complex sqrt.
+    sinh(mu L)/mu is the integral of cosh(mu s) over [0, L].  |mu| and
+    Re mu of the principal root come from mu^2 as sqrt(|mu^2|) and
+    sqrt((|mu^2| + Re mu^2)/2), with no complex sqrt.
     The bounds are non-finite where the entries may overflow.
     """
     big_l = p.cell_length / C_LIGHT
@@ -165,9 +151,8 @@ class AnalyticDelays:
     # common delay eta z / 2c (s); also the differential delay in the
     # low-gain limit, where (eta / 2 xi) tanh(xi z / c) -> eta z / 2c
     tau: float
-    dtau_locked: float        # differential delay plateau (s)
-    linear_gain_coeff: float  # (xi - eta gamma_c / 2) / c (1/m)
-    peak_gain: float          # intensity gain of the probe at line center
+    dtau_locked: float  # differential delay plateau (s)
+    peak_gain: float    # intensity gain of the probe at line center
 
 
 def predict_gain(eta: float, xi: float, gamma_c: float, z: float) -> float:
@@ -203,7 +188,6 @@ def analytic_delays(p: MediumParams) -> AnalyticDelays:
     return AnalyticDelays(
         tau=eta * p.cell_length / (2.0 * C_LIGHT),
         dtau_locked=eta / (2.0 * xi - eta * p.gamma_c),
-        linear_gain_coeff=(xi - 0.5 * eta * p.gamma_c) / C_LIGHT,
         peak_gain=predict_gain(eta, xi, p.gamma_c, p.cell_length),
     )
 

@@ -11,15 +11,11 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coupling import (
-    DISPERSION_MODES,
-    PROPAGATION_MODES,
-    predict_gain,
-    renormalized_length,
-)
+from .coupling import predict_gain, renormalized_length
 from .errors import GuardError
-from .params import C_LIGHT, MediumParams, derive_coefficients
+from .params import C_LIGHT, DISPERSION_MODES, MediumParams, derive_coefficients
 from .pulses import (
+    PROPAGATION_MODES,
     PropagationResult,
     PulseMetrics,
     SampledPulse,

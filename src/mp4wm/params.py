@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, GuardError
 
 C_LIGHT = 299_792_458.0  # m/s, exact
 TWO_PI = 2.0 * math.pi
@@ -143,13 +143,17 @@ def derive_coefficients(p: MediumParams) -> DerivedCoefficients:
     )
 
 
+DISPERSION_MODES = ("constant", "full")
+
+
 def eta_of_omega(p: MediumParams, omega, mode: str = "constant"):
     """Slow-down factor at envelope frequency `omega`.
 
     `mode="full"` evaluates the dispersive form
     g^2 N / [Omega^2/4 + Delta_1 (delta + omega + i gamma_c)];
     `mode="constant"` returns the flat approximation 4 g^2 N / Omega^2.
-    Accepts scalar or ndarray `omega`; returns complex values.
+    Accepts scalar or ndarray `omega`; returns complex values.  Any other
+    mode raises :class:`GuardError`.
     """
     if mode == "constant":
         return (4.0 * p.coupling_g2n / p.omega_rabi**2) + 0j * omega
@@ -158,4 +162,4 @@ def eta_of_omega(p: MediumParams, omega, mode: str = "constant"):
             p.delta_two_photon + omega + 1j * p.gamma_c
         )
         return p.coupling_g2n / denom
-    raise ConfigError(f"unknown dispersion mode {mode!r}")
+    raise GuardError(f"unknown dispersion mode {mode!r}")

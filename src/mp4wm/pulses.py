@@ -15,6 +15,8 @@ from .coupling import entry_bounds, transfer_entries
 from .errors import AliasingError, ContainmentError, FitError, GuardError
 from .params import C_LIGHT, MediumParams
 
+PROPAGATION_MODES = ("exact", "relative")
+
 _CONTAINMENT_RATIO = 1e-6   # boundary intensity vs peak
 _ALIASING_RATIO = 1e-6      # edge spectral magnitude vs spectral peak
 _BAND_RATIO = 1e-16         # spectral magnitude vs peak that the kernel evaluates
@@ -78,7 +80,7 @@ class SampledPulse:
     grid: TimeGrid
     envelope: np.ndarray
     intensity: np.ndarray = field(init=False, repr=False, compare=False)
-    # (length, pulse) of the last _vacuum_reference call
+    # (length, spectrum, pulse) after the last exact propagation's vacuum transit
     _vacuum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,16 +121,6 @@ class SampledPulse:
     def fit(self) -> "GaussianFit":
         """:func:`fit_gaussian` of the pulse, computed once."""
         return fit_gaussian(self)
-
-    def _vacuum_reference(self, length: float) -> "SampledPulse":
-        """The pulse after `length` of vacuum; the last length's pulse is kept."""
-        cached = self._vacuum  # read once: a caller on another thread may replace it
-        if cached is None or cached[0] != length:
-            vac = np.exp(-1j * self.grid.omegas * length / C_LIGHT)
-            env = from_spectrum(vac * self.spectrum, self.grid)
-            cached = (length, SampledPulse(self.grid, env))
-            object.__setattr__(self, "_vacuum", cached)
-        return cached[1]
 
     def check_containment(self, label: str):
         inten = self.intensity
@@ -197,11 +189,13 @@ def from_spectrum(spectrum: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
 
 def _output_envelopes(
-    p: MediumParams, pulse: SampledPulse, propagation_mode: str, dispersion_mode: str
+    p: MediumParams, pulse: SampledPulse, spectrum: np.ndarray, dispersion_mode: str
 ) -> np.ndarray:
-    """Rows ifft(m_pp S0) and ifft(m_cp S0) as envelopes, the kernel run on the band.
+    """Rows ifft(m_pp S) and ifft(m_cp S) as envelopes, the kernel run on the band.
 
-    The bins outside the input's band add at most sum_k B_k |S0_k| / (N dt)
+    `spectrum` is S0 = the input's :attr:`~SampledPulse.spectrum`, or phi S0
+    for a phase factor |phi| = 1, so the input's band and its bound serve
+    for both.  The bins outside the band add at most sum_k B_k |S0_k| / (N dt)
     to any output sample, with B_k from :func:`entry_bounds` (0 when no bin
     is outside).  Unless that is finite and within `_BAND_TOLERANCE` of the
     peak amplitude of each output, the kernel also fills the outside bins
@@ -210,14 +204,12 @@ def _output_envelopes(
     """
     grid = pulse.grid
     band = pulse.band
-    specs = np.zeros((2, grid.n_samples), dtype=complex)  # m_pp S0 and m_cp S0
+    specs = np.zeros((2, grid.n_samples), dtype=complex)  # m_pp S and m_cp S
 
     def fill(bins: np.ndarray) -> np.ndarray:
-        m_pp, _, m_cp, _ = transfer_entries(
-            p, grid.omegas[bins], propagation_mode, dispersion_mode
-        )
+        m_pp, _, m_cp, _ = transfer_entries(p, grid.omegas[bins], dispersion_mode)
         for spec, m in zip(specs, (m_pp, m_cp)):
-            spec[bins] = m * pulse.spectrum[bins]
+            spec[bins] = m * spectrum[bins]
         return from_spectrum(specs, grid)
 
     # non-finite entries pass through silently; the output guards report them
@@ -258,22 +250,33 @@ def propagate_pulse(
     Returns the vacuum reference, the amplified probe and the generated
     conjugate, all on the input grid.  The conjugate is returned as
     E_c(t), conjugated back from the E_c*(-w) solution so that its
-    intensity is directly plottable.
+    intensity is directly plottable.  The reference is the input in
+    `"relative"` mode, and in `"exact"` mode the input delayed by the vacuum
+    transit e^{-i w z/c}, which is then what the cell propagates.
     """
+    if propagation_mode not in PROPAGATION_MODES:
+        raise GuardError(f"unknown propagation mode {propagation_mode!r}")
     pulse.check_containment("input pulse")
     grid = pulse.grid
-    probe_env, conj_star_env = _output_envelopes(
-        p, pulse, propagation_mode, dispersion_mode
-    )
+    # a scan changes no cell length, so its points share one vacuum-delayed
+    # input; read once, as a caller on another thread may replace it
+    vacuum = pulse._vacuum
+    if propagation_mode == "relative":
+        spectrum, reference = pulse.spectrum, pulse
+    elif vacuum is not None and vacuum[0] == p.cell_length:
+        _, spectrum, reference = vacuum
+    else:
+        vac = np.exp(-1j * grid.omegas * p.cell_length / C_LIGHT)
+        spectrum, reference = _read_only(vac * pulse.spectrum), None
+    probe_env, conj_star_env = _output_envelopes(p, pulse, spectrum, dispersion_mode)
     probe = SampledPulse(grid, probe_env)
     # E_c*(-w) synthesized in time, conjugated back to E_c(t)
     conjugate = SampledPulse(grid, np.conj(conj_star_env))
-
-    # a scan changes no cell length, so its points share one exact reference
-    if propagation_mode == "exact":
-        reference = pulse._vacuum_reference(p.cell_length)
-    else:
-        reference = pulse
+    if reference is None:
+        # built after the outputs: below the point's work arrays on the heap,
+        # it would leave them on top, where glibc trims and refaults them per point
+        reference = SampledPulse(grid, from_spectrum(spectrum, grid))
+        object.__setattr__(pulse, "_vacuum", (p.cell_length, spectrum, reference))
 
     probe.check_containment("propagated probe")
     conjugate.check_containment("generated conjugate")

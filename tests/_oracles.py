@@ -32,8 +32,7 @@ def generator(p, omega, dispersion_mode="constant", include_vacuum=True):
     return a / C_LIGHT
 
 
-def cosh_sinh_entries(p, omega, z, propagation_mode="relative",
-                      dispersion_mode="constant"):
+def cosh_sinh_entries(p, omega, z, dispersion_mode="constant"):
     """(m_pp, m_pc, m_cp, m_cc) as exp(-d L/2) [cosh(mu L) I + sinh(mu L)/mu D].
 
     Below |mu L| = 1e-6 sinh(mu L)/mu is the series L (1 + (mu L)^2 / 6).
@@ -51,8 +50,6 @@ def cosh_sinh_entries(p, omega, z, propagation_mode="relative",
         shc = np.where(small, big_l * (1.0 + x * x / 6.0),
                        np.sinh(x) / np.where(small, 1.0, mu))
     pref = np.exp(-0.5 * direct * big_l)
-    if propagation_mode == "exact":
-        pref = pref * np.exp(-1j * omega * big_l)
     ch = np.cosh(x)
     return (pref * (ch - 0.5 * direct * shc), pref * (1j * alpha * shc),
             pref * (-1j * alpha * shc), pref * (ch + 0.5 * direct * shc))

@@ -176,6 +176,25 @@ class TestCli:
         assert out["eta0"] == pytest.approx(960.0, rel=1e-9)
         assert out["saturation_rabi_mhz"] == pytest.approx(309.838668, rel=1e-6)
 
+    @pytest.mark.parametrize("key, value, quantity", [
+        ("gamma_mhz", "1e300", "saturation_rabi_mhz"),
+        ("delta_raman_mhz", "1e300", "saturation_rabi_mhz"),
+        ("eta0", "1e-300", "v_group_m_s"),
+    ])
+    def test_derive_rejects_non_finite_values(self, tmp_path, capsys, key, value, quantity):
+        def strict(text):
+            def reject(constant):
+                raise ValueError(f"{constant} is not JSON")
+            return json.loads(text, parse_constant=reject)
+
+        text = re.sub(rf"(?m)^{key} = .*$", "", BASE) + f"{key} = {value}\n"
+        code = main(["derive", "--config", write_cfg(tmp_path, text)])
+        out, err = capsys.readouterr()
+        if code == 0:
+            strict(out)  # stdout must be JSON that any parser reads
+        assert code == 3
+        assert err.splitlines() == [f"mp4wm: error: derived {quantity} is not finite: inf"]
+
     def test_run_zero_length_identity(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE.replace("cell_length_cm = 2.5", "cell_length_cm = 0"))
         out_csv = tmp_path / "trace.csv"

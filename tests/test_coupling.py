@@ -127,8 +127,8 @@ class TestTransferMatrix:
             # float64 cancellation for any formulation
             xi = abs(coefficients_at(p, w).xi)
             z = float(RNG.uniform(0.0, 5.0)) * C / max(xi, 1.0)
-            m = transfer_array(p, w, z=z, propagation_mode="exact")
-            a = generator(p, w, include_vacuum=True)
+            m = transfer_array(p, w, z=z)
+            a = generator(p, w, include_vacuum=False)
             expected = cmath.exp(np.trace(a) * z)
             assert np.linalg.det(m) == pytest.approx(expected, rel=1e-12)
 
@@ -171,17 +171,13 @@ class TestTransferMatrix:
                 inv = abs(v[0]) ** 2 - abs(v[1]) ** 2
                 assert inv == pytest.approx(inv0, rel=1e-10, abs=1e-10)
 
-    def test_modes_differ_only_by_vacuum_phase(self):
-        p = make_params()
-        w = 1.5e8
-        rel = transfer_array(p, w, propagation_mode="relative")
-        exact = transfer_array(p, w, propagation_mode="exact")
-        vac = cmath.exp(-1j * w * p.cell_length / C)
-        assert exact == pytest.approx(rel * vac, rel=1e-12)
-
     def test_rejects_bad_inputs(self):
-        with pytest.raises(GuardError):
-            transfer_entries(make_params(), 0.0, propagation_mode="warp")
+        p = make_params()
+        # the kernel has no propagation mode: a stale call names a dispersion mode
+        with pytest.raises(GuardError, match="unknown dispersion mode 'exact'"):
+            transfer_entries(p, 0.0, "exact")
+        with pytest.raises(GuardError, match="unknown dispersion mode 'bogus'"):
+            coefficients_at(p, 0.0, "bogus")
 
 
 def _abs_mu(p, omega, dispersion_mode):
@@ -194,8 +190,7 @@ def _abs_mu(p, omega, dispersion_mode):
 
 class TestTwoExponentialForm:
     @pytest.mark.parametrize("dispersion_mode", ["constant", "full"])
-    @pytest.mark.parametrize("propagation_mode", ["relative", "exact"])
-    def test_matches_the_cosh_sinh_form(self, propagation_mode, dispersion_mode):
+    def test_matches_the_cosh_sinh_form(self, dispersion_mode):
         rng = np.random.default_rng(20261018)
         mu_ls = np.logspace(-8.0, math.log10(700.0), 31)
         assert mu_ls[0] < _SINHC_THRESHOLD < mu_ls[-1]
@@ -208,12 +203,8 @@ class TestTwoExponentialForm:
             )
             for w in rng.uniform(-6e9, 6e9, size=6):
                 z = mu_l * C / _abs_mu(p, w, dispersion_mode)
-                got = transfer_entries(
-                    p.replace(cell_length=z), w, propagation_mode, dispersion_mode
-                )
-                want = np.array(
-                    cosh_sinh_entries(p, w, z, propagation_mode, dispersion_mode)
-                )
+                got = transfer_entries(p.replace(cell_length=z), w, dispersion_mode)
+                want = np.array(cosh_sinh_entries(p, w, z, dispersion_mode))
                 # m_pp and m_cc cancel by design, so they are held to the matrix
                 # scale; m_cp does not, so it is held to its own size
                 assert np.max(np.abs(np.array(got) - want)) <= 1e-14 * np.max(np.abs(want))
@@ -242,7 +233,7 @@ class TestEntryBounds:
                 delta1_mhz=30.0,
             )
             p = p.replace(cell_length=float(RNG.uniform(0.0, 0.03)))
-            m_pp, m_pc, m_cp, _ = transfer_entries(p, w, "exact", dispersion_mode)
+            m_pp, m_pc, m_cp, _ = transfer_entries(p, w, dispersion_mode)
             b_pp, b_cp = entry_bounds(p, w, dispersion_mode)
             finite = np.isfinite(m_pp) & np.isfinite(m_cp)
             assert np.all(np.abs(m_pp[finite]) <= b_pp[finite])
@@ -291,15 +282,6 @@ class TestAnalyticDelays:
             2.0 * p.delta_raman / p.omega_rabi**2, rel=1e-12
         )
         assert ad.dtau_locked == pytest.approx(7.22e-9, rel=1e-3)
-
-    def test_linear_gain_coefficient(self):
-        p = make_params(gamma_c_frac=0.5)
-        ad = analytic_delays(p)
-        d = derive_coefficients(p)
-        xi = math.hypot(d.alpha0, 0.5 * d.eta0 * p.gamma_c)
-        assert ad.linear_gain_coeff == pytest.approx(
-            (xi - 0.5 * d.eta0 * p.gamma_c) / C, rel=1e-12
-        )
 
     def test_peak_gain_lossless(self):
         p = make_params(gamma_c_frac=0.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import constants
 
-from mp4wm.errors import ConfigError
+from mp4wm.errors import ConfigError, GuardError
 from mp4wm.params import (
     C_LIGHT,
     MediumParams,
@@ -98,7 +98,7 @@ class TestEtaOfOmega:
         assert np.max(np.abs(full - const) / np.abs(const)) < 1e-6
 
     def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(GuardError, match="unknown dispersion mode 'bogus'"):
             eta_of_omega(make_params(), 0.0, "bogus")
 
 

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -262,6 +263,55 @@ class TestPropagation:
         again = propagate_pulse(p1.scaled_density(0.5), shared, "exact", "full")
         assert again.reference is res.reference
 
+    def test_modes_differ_only_by_vacuum_phase(self):
+        p = make_params(delta1_mhz=30.0, gamma_c_frac=0.01)
+        grid = TimeGrid.centered(2048e-9, 1024)
+        pulse = make_gaussian_pulse(grid, 70e-9)
+        rel = propagate_pulse(p, pulse, "relative", "full")
+        exact = propagate_pulse(p, pulse, "exact", "full")
+        assert rel.reference is pulse
+        vac = np.exp(-1j * grid.omegas * p.cell_length / C)
+        for name in ("reference", "probe"):
+            got = np.fft.fft(getattr(exact, name).envelope)
+            want = vac * np.fft.fft(getattr(rel, name).envelope)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the kernel's conjugate row E_c*(-w) is the spectrum of conj(E_c(t))
+        got = np.fft.fft(np.conj(exact.conjugate.envelope))
+        want = vac * np.fft.fft(np.conj(rel.conjugate.envelope))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_rejects_unknown_modes(self):
+        p = make_params()
+        pulse = make_gaussian_pulse(TimeGrid.centered(2048e-9, 1024), 70e-9)
+        with pytest.raises(GuardError, match="unknown propagation mode 'warp'"):
+            propagate_pulse(p, pulse, "warp")
+        with pytest.raises(GuardError, match="unknown dispersion mode 'bogus'"):
+            propagate_pulse(p, pulse, "relative", "bogus")
+
+    def test_shared_input_across_threads(self):
+        # each thread's cell length evicts the other's vacuum-delayed input
+        grid = TimeGrid.centered(2048e-9, 1024)
+        shared = make_gaussian_pulse(grid, 70e-9)
+        media = [make_params(delta1_mhz=30.0, gamma_c_frac=0.01, z=z) for z in (0.025, 0.015)]
+        serial = [propagate_pulse(p, make_gaussian_pulse(grid, 70e-9), "exact", "full")
+                  for p in media]
+        mismatches = []
+
+        def work(p, want):
+            for _ in range(200):
+                res = propagate_pulse(p, shared, "exact", "full")
+                for name in ("reference", "probe", "conjugate"):
+                    if not np.array_equal(getattr(res, name).envelope,
+                                          getattr(want, name).envelope):
+                        mismatches.append((p.cell_length, name))
+
+        threads = [threading.Thread(target=work, args=pair) for pair in zip(media, serial)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert mismatches == []
+
     def test_output_containment_guard(self):
         # delayed, strongly broadened output must not wrap the window
         p = make_params(eta0=20000.0, gamma_c_frac=0.0)
@@ -272,10 +322,15 @@ class TestPropagation:
 
 
 def _full_grid_outputs(p, pulse, propagation_mode, dispersion_mode):
-    """ifft(m_pp fft(E)) and ifft(m_cp fft(E)) with the kernel on every bin."""
-    m_pp, _, m_cp, _ = transfer_entries(
-        p, pulse.grid.omegas, propagation_mode, dispersion_mode
-    )
+    """ifft(m_pp fft(E)) and ifft(m_cp fft(E)) with the kernel on every bin.
+
+    The exact kernel is the relative one times the vacuum transit e^{-i w L}.
+    """
+    omegas = pulse.grid.omegas
+    m_pp, _, m_cp, _ = transfer_entries(p, omegas, dispersion_mode)
+    if propagation_mode == "exact":
+        vac = np.exp(-1j * omegas * p.cell_length / C)
+        m_pp, m_cp = m_pp * vac, m_cp * vac
     spec = np.fft.fft(pulse.envelope)
     return (m_pp, m_cp), (np.fft.ifft(m_pp * spec), np.fft.ifft(m_cp * spec))
 
@@ -298,7 +353,10 @@ class TestBandLimitedKernel:
             delta1_mhz=30.0, gamma_c_frac=gamma_c_frac, delta2_mhz=delta2_mhz
         ).scaled_density(density)
         pulse = make_gaussian_pulse(self.GRID_1K, 70e-9)
-        outputs = pulses._output_envelopes(p, pulse, propagation_mode, dispersion_mode)
+        spectrum = pulse.spectrum
+        if propagation_mode == "exact":
+            spectrum = np.exp(-1j * self.GRID_1K.omegas * p.cell_length / C) * spectrum
+        outputs = pulses._output_envelopes(p, pulse, spectrum, dispersion_mode)
         entries, expected = _full_grid_outputs(p, pulse, propagation_mode, dispersion_mode)
         for out, want in zip(outputs, expected):
             # near the pole of the full eta(w) the kernel overflows on some
@@ -348,9 +406,12 @@ class TestBandLimitedKernel:
         monkeypatch.setattr(pulses, "transfer_entries", counted)
         res = propagate_pulse(p, pulse, "exact", "full")
         assert sizes == [pulse.band.inside.size, pulse.band.outside.size]
-        m_pp, _, m_cp, _ = transfer_entries(p, GRID.omegas, "exact", "full")
-        probe = from_spectrum(m_pp * pulse.spectrum, GRID)
-        conj_star = from_spectrum(m_cp * pulse.spectrum, GRID)
+        m_pp, _, m_cp, _ = transfer_entries(p, GRID.omegas, "full")
+        # exact mode is relative mode on the vacuum-delayed input
+        delayed = np.exp(-1j * GRID.omegas * p.cell_length / C) * pulse.spectrum
+        assert np.array_equal(res.reference.envelope, from_spectrum(delayed, GRID))
+        probe = from_spectrum(m_pp * delayed, GRID)
+        conj_star = from_spectrum(m_cp * delayed, GRID)
         assert np.array_equal(res.probe.envelope, probe)
         assert np.array_equal(res.conjugate.envelope, np.conj(conj_star))
 
