@@ -73,10 +73,13 @@ def _write(path: str, content: str):
 
 def _metrics_dict(m, pulse) -> dict:
     inten = pulse.intensity  # fitted, so its sum is > 0
-    centroid = float((pulse.grid.times * inten).sum() / float(inten.sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centroid = float((pulse.grid.times * inten).sum() / float(inten.sum()))
+    if not math.isfinite(centroid):
+        raise GuardError("centroid overflows double precision; the gain is too large")
     return {
-        "peak_time_ns": _round9(m.peak_time * 1e9),
-        "fwhm_ns": _round9(m.fwhm_intensity * 1e9),
+        "peak_time_ns": _round9(pulse.fit.center * 1e9),
+        "fwhm_ns": _round9(pulse.fit.fwhm * 1e9),
         "gain_peak": _round9(m.gain_peak),
         "gain_energy": _round9(m.gain_energy),
         "delay_ns": _round9(m.delay_vs_reference * 1e9),

@@ -97,9 +97,9 @@ def _parse_number(key: str, raw: str, line: int):
             return int(raw)
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"malformed number for {key}: {raw!r}", line)
+        raise ConfigError(f"line {line}: malformed number for {key}: {raw!r}")
     if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {raw!r}", line)
+        raise ConfigError(f"line {line}: {key} must be finite, got {raw!r}")
     return value
 
 
@@ -112,14 +112,16 @@ def parse_config(text: str) -> Config:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {rawline.strip()!r}", lineno)
+            raise ConfigError(
+                f"line {lineno}: expected 'key = value', got {rawline.strip()!r}"
+            )
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
         if key not in keys:
-            raise ConfigError(f"unknown key {key!r}", lineno)
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"duplicate key {key!r}", lineno)
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if key in _STR_KEYS:
             values[key] = raw
         else:

@@ -162,33 +162,36 @@ def predict_gain(eta: float, xi: float, gamma_c: float, z: float) -> float:
     """
     if eta <= 0 or xi <= 0 or z < 0 or gamma_c < 0:
         raise GuardError("predict_gain needs eta, xi > 0 and z, gamma_c >= 0")
-    loss_ratio = 0.5 * eta * gamma_c / xi
-    if loss_ratio >= 1.0:
+    if 2.0 * xi <= eta * gamma_c:
         raise GuardError("loss exceeds gain: 2 xi <= eta gamma_c")
+    loss_ratio = 0.5 * eta * gamma_c / xi
     big_l = xi * z / C_LIGHT
     try:
-        amp = math.cosh(big_l) - loss_ratio * math.sinh(big_l)
+        # a Python float, so amp * amp overflows to inf without a numpy warning
+        amp = float(math.cosh(big_l) - loss_ratio * math.sinh(big_l))
     except OverflowError:
-        raise GuardError(f"gain overflows double precision: xi z / c = {big_l:g}") from None
-    return math.exp(-eta * gamma_c * z / C_LIGHT) * amp * amp
+        amp = math.inf
+    gain = math.exp(-eta * gamma_c * z / C_LIGHT) * amp * amp
+    if not math.isfinite(gain):
+        raise GuardError(f"gain overflows double precision: xi z / c = {big_l:g}")
+    return gain
 
 
 def analytic_delays(p: MediumParams) -> AnalyticDelays:
     """Analytic delay/gain summary, constant-eta form at dtilde=0, w=0.
 
-    Raises :class:`GuardError` when 2 xi <= eta gamma_c (the locked
-    differential delay is undefined outside gamma_c << 2 Delta_R).
+    Raises :class:`GuardError` from :func:`predict_gain`, which also covers
+    2 xi <= eta gamma_c, where the locked differential delay is undefined.
     """
     d = derive_coefficients(p)
     eta = d.eta0
     # sigma = i eta gamma_c / 2 at line center, so xi^2 = alpha^2 + (eta gamma_c/2)^2
     xi = math.hypot(d.alpha0, 0.5 * eta * p.gamma_c)
-    if 2.0 * xi <= eta * p.gamma_c:
-        raise GuardError("locked delay undefined: 2 xi <= eta gamma_c")
+    peak_gain = predict_gain(eta, xi, p.gamma_c, p.cell_length)
     return AnalyticDelays(
         tau=eta * p.cell_length / (2.0 * C_LIGHT),
         dtau_locked=eta / (2.0 * xi - eta * p.gamma_c),
-        peak_gain=predict_gain(eta, xi, p.gamma_c, p.cell_length),
+        peak_gain=peak_gain,
     )
 
 

@@ -12,12 +12,6 @@ class Mp4wmError(Exception):
 class ConfigError(Mp4wmError):
     """Invalid configuration text or parameter combination."""
 
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
 
 class GuardError(Mp4wmError):
     """A numerical pre/post-condition guard failed."""

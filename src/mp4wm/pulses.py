@@ -115,7 +115,11 @@ class SampledPulse:
 
     @cached_property
     def energy(self) -> float:
-        return float(np.sum(self.intensity) * self.grid.t_step)
+        with np.errstate(over="ignore"):
+            energy = float(np.sum(self.intensity) * self.grid.t_step)
+        if not math.isfinite(energy):
+            raise GuardError("energy overflows double precision; the gain is too large")
+        return energy
 
     @cached_property
     def fit(self) -> "GaussianFit":
@@ -343,10 +347,8 @@ def fit_gaussian(pulse: SampledPulse) -> GaussianFit:
 
 @dataclass(frozen=True)
 class PulseMetrics:
-    """Experiment-style figures of one output pulse vs the reference."""
+    """Figures of one output pulse vs the reference; its own are ``out.fit``."""
 
-    peak_time: float
-    fwhm_intensity: float
     gain_peak: float
     gain_energy: float
     delay_vs_reference: float
@@ -360,8 +362,6 @@ def pulse_metrics(reference: SampledPulse, out: SampledPulse) -> PulseMetrics:
     fit = out.fit
     delay = fit.center - ref_fit.center
     return PulseMetrics(
-        peak_time=fit.center,
-        fwhm_intensity=fit.fwhm,
         gain_peak=fit.peak / ref_fit.peak,
         gain_energy=out.energy / reference.energy,
         delay_vs_reference=delay,

@@ -34,6 +34,13 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def strict_json(text):
+    """`json.loads` that rejects the non-standard NaN, Infinity and -Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def fresh_env():
     """Environment for a fresh interpreter that imports mp4wm from this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -182,16 +189,11 @@ class TestCli:
         ("eta0", "1e-300", "v_group_m_s"),
     ])
     def test_derive_rejects_non_finite_values(self, tmp_path, capsys, key, value, quantity):
-        def strict(text):
-            def reject(constant):
-                raise ValueError(f"{constant} is not JSON")
-            return json.loads(text, parse_constant=reject)
-
         text = re.sub(rf"(?m)^{key} = .*$", "", BASE) + f"{key} = {value}\n"
         code = main(["derive", "--config", write_cfg(tmp_path, text)])
         out, err = capsys.readouterr()
         if code == 0:
-            strict(out)  # stdout must be JSON that any parser reads
+            strict_json(out)  # stdout must be JSON that any parser reads
         assert code == 3
         assert err.splitlines() == [f"mp4wm: error: derived {quantity} is not finite: inf"]
 
@@ -437,6 +439,25 @@ class TestCli:
         assert "overflow" in err
         assert "RuntimeWarning" not in err and "nan" not in err
 
+    @pytest.mark.parametrize("eta0, center_ns, quantity", [
+        ("62400", "-4000", "energy"),   # finite intensities, infinite sum
+        ("61440", "1e12", "centroid"),  # finite energy, infinite sum of t I
+    ])
+    def test_pulse_sum_overflow_is_one_line_guard_error(
+        self, tmp_path, capsys, eta0, center_ns, quantity
+    ):
+        text = BASE.replace("eta0 = 960", f"eta0 = {eta0}").replace(
+            "delta_two_photon_mhz = 11.025\n", ""
+        ) + f"window_ns = 16000\npulse_center_ns = {center_ns}\nn_samples = 8192\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would raise here
+            code = main(["run", "--config", write_cfg(tmp_path, text), "--out",
+                         str(tmp_path / "t.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"mp4wm: error: {quantity} overflows double precision; the gain is too large"
+        ]
+
     def test_kernel_overflow_is_one_line_guard_error(self, tmp_path, capsys):
         # e^{mu z/c} itself overflows: the entries, and so the envelope, are not finite
         cfg = write_cfg(tmp_path, BASE.replace("eta0 = 960", "eta0 = 1e9"))
@@ -505,6 +526,7 @@ def test_sweep_ordinary_values_cover_every_key():
 @example(command="run", overrides=[("n_samples", "0")])
 @example(command="run", overrides=[("delta_raman_mhz", "1"), ("delta_two_photon_mhz", "1e9")])
 @example(command="run", overrides=[("pulse_center_ns", "1e9")])
+@example(command="run", overrides=[("delta_raman_mhz", "60"), ("gamma_mhz", "30")])
 def test_every_input_exits_0_2_or_3_with_one_line(tmp_path_factory, command, overrides):
     values = dict(line.split(" = ") for line in SWEEP_BASE.splitlines())
     values.update(overrides)
@@ -513,10 +535,17 @@ def test_every_input_exits_0_2_or_3_with_one_line(tmp_path_factory, command, ove
     argv = [command, "--config", cfg]
     if command != "derive":
         argv += ["--out", str(tmp / "out.csv")]
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         code = main(argv)  # an escaping exception fails the test
     assert code in (0, 2, 3)
     stderr = err.getvalue()
     assert "Traceback" not in stderr
     assert sum(line.startswith("mp4wm:") for line in stderr.splitlines()) <= 1
+    if code == 0:
+        if out.getvalue():
+            strict_json(out.getvalue())
+        if command != "derive":
+            rows = (tmp / "out.csv").read_text().splitlines()[1:]  # below the header
+            cells = [c for row in rows for c in row.split(",") if c]
+            assert all(math.isfinite(float(c)) for c in cells)

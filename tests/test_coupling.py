@@ -295,6 +295,11 @@ class TestAnalyticDelays:
         with pytest.raises(GuardError):
             predict_gain(eta=960.0, xi=1.0, gamma_c=1e7, z=0.025)
 
+    def test_overflowing_gain_rejected(self):
+        # alpha0 z/c ~ 404: the locked delay is finite, the gain is not
+        with pytest.raises(GuardError, match="gain overflows"):
+            analytic_delays(make_params(eta0=70000.0))
+
 
 class TestRenormalizedLength:
     def test_unit_gain(self):

@@ -317,6 +317,14 @@ class TestGainPrediction:
         with pytest.raises(GuardError):
             predict_gain(1000.0, 1.0, 1.0, 0.025)
 
+    @pytest.mark.parametrize("eta", [1000.0, np.float64(1000.0)], ids=["float", "numpy"])
+    def test_rejects_overflowing_gain(self, eta):
+        # xi z/c = 400: cosh is finite and its square is not; a scan's
+        # inferred eta is a numpy scalar, whose overflow would also warn
+        assert math.isfinite(math.cosh(400.0))
+        with pytest.raises(GuardError, match="gain overflows"):
+            predict_gain(eta, 400.0 * C / 0.025, 0.0, 0.025)
+
     def test_matches_pipeline_narrowband(self):
         p = make_params(gamma_c_frac=0.0).scaled_density(0.3)
         eta = derive_coefficients(p).eta0

@@ -55,6 +55,12 @@ class TestGrid:
         with np.errstate(all="raise"), pytest.raises(GuardError, match=message):
             SampledPulse(grid=GRID, envelope=env)
 
+    def test_energy_overflow_is_a_guard_error(self):
+        # each intensity (1e308) is finite; their sum is not
+        pulse = SampledPulse(GRID, np.full(GRID.n_samples, 1e154))
+        with np.errstate(all="raise"), pytest.raises(GuardError, match="energy overflows"):
+            pulse.energy
+
     def test_pulse_keeps_its_own_copy_of_the_envelope(self):
         env = make_gaussian_pulse(GRID, 70e-9).envelope.copy()
         pulse = SampledPulse(GRID, env)
@@ -190,8 +196,7 @@ class TestPropagation:
         p = make_params(gamma_c_frac=0.5)
         pulse = make_gaussian_pulse(GRID, 70e-9)
         res = propagate_pulse(p, pulse)
-        pm, cm = _metrics(res)
-        assert cm.peak_time < pm.peak_time
+        assert res.conjugate.fit.center < res.probe.fit.center
 
     def test_linearity(self):
         p = make_params(gamma_c_frac=0.5)
@@ -214,8 +219,9 @@ class TestPropagation:
         res2 = propagate_pulse(p, make_gaussian_pulse(GRID, 70e-9, center=shift))
         m1, m2 = _metrics(res1), _metrics(res2)
         dt = GRID.t_step
+        for out1, out2 in ((res1.probe, res2.probe), (res1.conjugate, res2.conjugate)):
+            assert abs((out2.fit.center - out1.fit.center) - shift) < dt
         for a, b in zip(m1, m2):
-            assert abs((b.peak_time - a.peak_time) - shift) < dt
             assert b.delay_vs_reference == pytest.approx(
                 a.delay_vs_reference, abs=1e-3 * dt
             )
@@ -227,7 +233,7 @@ class TestPropagation:
             grid = TimeGrid.centered(2048e-9, n)
             res = propagate_pulse(p, make_gaussian_pulse(grid, 70e-9))
             pm, cm = _metrics(res)
-            vals.append((pm.gain_peak, pm.delay_vs_reference, pm.fwhm_intensity,
+            vals.append((pm.gain_peak, pm.delay_vs_reference, res.probe.fit.fwhm,
                          cm.gain_peak, cm.delay_vs_reference))
         for a, b in zip(*vals):
             assert b == pytest.approx(a, rel=1e-5)
@@ -550,10 +556,10 @@ class TestMetrics:
         res = propagate_pulse(p, make_gaussian_pulse(GRID, 70e-9))
         pm, cm = _metrics(res)
         ref_fit = fit_gaussian(res.reference)
-        for m in (pm, cm):
-            assert m.fwhm_intensity > 0
+        for m, out in ((pm, res.probe), (cm, res.conjugate)):
+            assert out.fit.fwhm > 0
             assert m.broadening_fraction == pytest.approx(
-                m.fwhm_intensity / ref_fit.fwhm - 1.0, rel=1e-12
+                out.fit.fwhm / ref_fit.fwhm - 1.0, rel=1e-12
             )
             assert m.fractional_delay == pytest.approx(
                 m.delay_vs_reference / ref_fit.fwhm, rel=1e-12
