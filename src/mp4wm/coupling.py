@@ -128,20 +128,78 @@ def entry_bounds(
         |m_pp| <= g (1 + |d|/2 r),    |m_cp| <= g |alpha| r,
 
     because |cosh mu L| and |sinh mu L| are at most e^{|Re mu| L} and
-    sinh(mu L)/mu is the integral of cosh(mu s) over [0, L].  |mu| and
-    Re mu of the principal root come from mu^2 as sqrt(|mu^2|) and
-    sqrt((|mu^2| + Re mu^2)/2), with no complex sqrt.
+    sinh(mu L)/mu is the integral of cosh(mu s) over [0, L].
     The bounds are non-finite where the entries may overflow.
+
+    Re mu and |mu| come from the real and imaginary parts of mu^2, with no
+    complex sqrt and no cancellation (see :func:`_growth_and_reach`).  In
+    constant mode eta, Re d and alpha are scalars and only Im d =
+    eta (dtilde + w) is an array, so mu^2 is formed in real arithmetic, in
+    place; Im d is formed twice rather than kept.
     """
+    if np.ndim(omega) == 0:  # one frequency: a length-1 array, worked in place
+        return tuple(b[0] for b in entry_bounds(p, np.reshape(omega, 1), dispersion_mode))
     big_l = p.cell_length / C_LIGHT
-    omega = np.asarray(omega, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode)
-        abs_mu_sq = np.abs(mu_sq)
-        re_mu = np.sqrt(0.5 * (abs_mu_sq + mu_sq.real))
-        g = np.exp((re_mu - 0.5 * direct.real) * big_l)
-        r = np.minimum(big_l, 1.0 / np.sqrt(abs_mu_sq))
-        return g * (1.0 + 0.5 * np.abs(direct) * r), g * np.abs(alpha) * r
+        if dispersion_mode != "constant":
+            direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode)
+            abs_d, abs_alpha = np.abs(direct), np.abs(alpha)
+            g, r = _growth_and_reach(mu_sq, 0.5 * direct.real, big_l)
+        else:
+            c = derive_coefficients(p)
+            re_d, abs_alpha = c.eta0 * p.gamma_c, c.alpha0
+            im_d = np.array(omega, dtype=float)
+            im_d += c.delta_tilde
+            im_d *= c.eta0
+            mu_sq = np.empty(im_d.shape, dtype=complex)  # d^2/4 + alpha^2
+            np.multiply(im_d, 0.5 * re_d, out=mu_sq.imag)
+            re_mu_sq = np.square(im_d, out=mu_sq.real)
+            np.subtract(re_d * re_d, re_mu_sq, out=re_mu_sq)
+            re_mu_sq *= 0.25
+            re_mu_sq += abs_alpha * abs_alpha
+            g, r = _growth_and_reach(mu_sq, 0.5 * re_d, big_l, out=im_d)
+            # |d| = sqrt(Re d^2 + Im d^2); Im d^2 overflows only where mu^2 does
+            abs_d = np.add(omega, c.delta_tilde, out=mu_sq.imag)
+            abs_d *= c.eta0
+            np.square(abs_d, out=abs_d)
+            abs_d += re_d * re_d
+            np.sqrt(abs_d, out=abs_d)
+        # g (1 + |d|/2 r) and (g |alpha|) r
+        abs_d *= 0.5
+        abs_d *= r
+        abs_d += 1.0
+        abs_d *= g
+        g *= abs_alpha
+        r *= g
+        return abs_d, r
+
+
+def _growth_and_reach(mu_sq: np.ndarray, half_re_d, big_l: float, out=None):
+    """g = e^{(Re mu - Re d/2) L} and r = min(L, 1/|mu|) from the complex mu^2.
+
+    The principal root has 2 (Re mu)^2 = |mu^2| + Re mu^2, a sum that
+    cancels where Re mu^2 < 0.  Since |mu^2|^2 = (Re mu^2)^2 + (Im mu^2)^2,
+    it equals (Im mu^2)^2 / (|mu^2| + |Re mu^2|) + Re mu^2 + |Re mu^2|, a
+    sum of terms >= 0 that is nan where Re mu^2 = -inf.  `mu_sq`'s
+    imaginary part is overwritten; r goes to `out` when given.
+    """
+    re_mu_sq = mu_sq.real
+    abs_mu_sq = np.abs(mu_sq, out=out)
+    total = np.abs(re_mu_sq)
+    g = np.add(re_mu_sq, total)
+    total += abs_mu_sq
+    im_part = np.square(mu_sq.imag, out=mu_sq.imag)
+    im_part /= total
+    g += im_part
+    g *= 0.5
+    np.sqrt(g, out=g)  # Re mu
+    g -= half_re_d
+    g *= big_l
+    np.exp(g, out=g)
+    r = np.sqrt(abs_mu_sq, out=abs_mu_sq)
+    np.divide(1.0, r, out=r)
+    np.minimum(r, big_l, out=r)
+    return g, r
 
 
 @dataclass(frozen=True)

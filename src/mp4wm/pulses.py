@@ -6,6 +6,7 @@ Spectra use the NumPy FFT convention (forward kernel e^{-i w t}); see
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -71,6 +72,7 @@ class SpectralBand:
     inside: np.ndarray     # indices where |S| > _BAND_RATIO * max |S|
     outside: np.ndarray    # the other indices
     outside_abs: np.ndarray  # |S| on `outside`
+    outside_omegas: np.ndarray  # the grid's angular frequencies on `outside`
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,10 @@ class SampledPulse:
     intensity: np.ndarray = field(init=False, repr=False, compare=False)
     # (length, spectrum, pulse) after the last exact propagation's vacuum transit
     _vacuum: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # per thread: the (2, N) spectra and envelopes that propagating this pulse reuses
+    _work: threading.local = field(
+        default_factory=threading.local, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         env = np.array(self.envelope, dtype=complex)  # a copy the caller cannot change
@@ -111,7 +117,16 @@ class SampledPulse:
             inside=_read_only(np.flatnonzero(kept)),
             outside=_read_only(outside),
             outside_abs=_read_only(mag[outside]),
+            outside_omegas=_read_only(self.grid.omegas[outside]),
         )
+
+    def _workspace(self) -> tuple[np.ndarray, np.ndarray]:
+        """This thread's (2, N) complex spectra and envelopes, made once and reused."""
+        work = self._work
+        if not hasattr(work, "arrays"):
+            shape = (2, self.grid.n_samples)
+            work.arrays = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+        return work.arrays
 
     @cached_property
     def energy(self) -> float:
@@ -183,13 +198,25 @@ def to_spectrum(pulse: SampledPulse) -> np.ndarray:
     return spec
 
 
-def from_spectrum(spectrum: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Envelopes of `spectrum` along its last axis: :func:`to_spectrum` inverted."""
+def from_spectrum(
+    spectrum: np.ndarray, grid: TimeGrid, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Envelopes of `spectrum` along its last axis: :func:`to_spectrum` inverted.
+
+    The envelopes are written to `out` when given (a complex array of the
+    spectrum's shape), else to one new array.
+    """
     spec = np.asarray(spectrum, dtype=complex)
-    if spec.shape[-1:] != (grid.n_samples,):
+    n = grid.n_samples
+    if spec.shape[-1:] != (n,):
         raise GuardError("spectrum length must match the grid")
-    env = np.fft.ifft(spec)
-    return np.divide(env, grid.t_step, out=env)  # one (..., N) array per call
+    env = np.empty(spec.shape, dtype=complex) if out is None else out
+    # row by row: on a stack, numpy's pocketfft vectorizes across rows with
+    # per-call scratch buffers that glibc can return to the OS and fault in
+    # again at every call (~40 pages per call at 4096 samples)
+    for row, env_row in zip(spec.reshape(-1, n), env.reshape(-1, n)):
+        np.fft.ifft(row, out=env_row)
+    return np.divide(env, grid.t_step, out=env)
 
 
 def _output_envelopes(
@@ -204,29 +231,31 @@ def _output_envelopes(
     is outside).  Unless that is finite and within `_BAND_TOLERANCE` of the
     peak amplitude of each output, the kernel also fills the outside bins
     and both outputs are transformed again, which makes them the full-grid
-    outputs.
+    outputs.  The rows are this thread's workspace of `pulse`, which its
+    next propagation on the thread overwrites.
     """
     grid = pulse.grid
     band = pulse.band
-    specs = np.zeros((2, grid.n_samples), dtype=complex)  # m_pp S and m_cp S
+    specs, envs = pulse._workspace()  # m_pp S and m_cp S, then their envelopes
+    specs.fill(0.0)
 
-    def fill(bins: np.ndarray) -> np.ndarray:
-        m_pp, _, m_cp, _ = transfer_entries(p, grid.omegas[bins], dispersion_mode)
+    def fill(bins: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+        m_pp, _, m_cp, _ = transfer_entries(p, omegas, dispersion_mode)
         for spec, m in zip(specs, (m_pp, m_cp)):
             spec[bins] = m * spectrum[bins]
-        return from_spectrum(specs, grid)
+        return from_spectrum(specs, grid, out=envs)
 
     # non-finite entries pass through silently; the output guards report them
     with np.errstate(invalid="ignore", over="ignore"):
-        outputs = fill(band.inside)
-        bounds = entry_bounds(p, grid.omegas[band.outside], dispersion_mode)
+        outputs = fill(band.inside, grid.omegas[band.inside])
+        bounds = entry_bounds(p, band.outside_omegas, dispersion_mode)
         scale = 1.0 / (grid.n_samples * grid.t_step)
         if all(
             _within_tolerance(float(np.dot(b, band.outside_abs)) * scale, env)
             for b, env in zip(bounds, outputs)
         ):
             return outputs
-        return fill(band.outside)
+        return fill(band.outside, band.outside_omegas)
 
 
 def _within_tolerance(error_bound: float, envelope: np.ndarray) -> bool:
@@ -271,16 +300,14 @@ def propagate_pulse(
         _, spectrum, reference = vacuum
     else:
         vac = np.exp(-1j * grid.omegas * p.cell_length / C_LIGHT)
-        spectrum, reference = _read_only(vac * pulse.spectrum), None
-    probe_env, conj_star_env = _output_envelopes(p, pulse, spectrum, dispersion_mode)
-    probe = SampledPulse(grid, probe_env)
-    # E_c*(-w) synthesized in time, conjugated back to E_c(t)
-    conjugate = SampledPulse(grid, np.conj(conj_star_env))
-    if reference is None:
-        # built after the outputs: below the point's work arrays on the heap,
-        # it would leave them on top, where glibc trims and refaults them per point
+        spectrum = _read_only(vac * pulse.spectrum)
         reference = SampledPulse(grid, from_spectrum(spectrum, grid))
         object.__setattr__(pulse, "_vacuum", (p.cell_length, spectrum, reference))
+    probe_env, conj_star_env = _output_envelopes(p, pulse, spectrum, dispersion_mode)
+    # each pulse copies its envelope out of the workspace
+    probe = SampledPulse(grid, probe_env)
+    # E_c*(-w) synthesized in time, conjugated back to E_c(t)
+    conjugate = SampledPulse(grid, np.conj(conj_star_env, out=conj_star_env))
 
     probe.check_containment("propagated probe")
     conjugate.check_containment("generated conjugate")

@@ -7,6 +7,8 @@ closed-form solver.  :func:`pulse_oracle` carries the same integration
 through a whole pulse, using plain ``np.fft`` transforms.
 :func:`cosh_sinh_entries` keeps the closed form written with cosh and
 sinh, the reference for the two-exponential form of the package.
+:func:`complex_entry_bounds` keeps the kernel's bound in complex
+arithmetic, the reference for its real-arithmetic form.
 :func:`polyfit_gaussian` is the Gaussian fit done by ``np.polyfit``, the
 reference for the direct normal-equation solve of ``fit_gaussian``.
 """
@@ -53,6 +55,39 @@ def cosh_sinh_entries(p, omega, z, dispersion_mode="constant"):
     ch = np.cosh(x)
     return (pref * (ch - 0.5 * direct * shc), pref * (1j * alpha * shc),
             pref * (-1j * alpha * shc), pref * (ch + 0.5 * direct * shc))
+
+
+def generator_terms(p, omega, dispersion_mode="constant"):
+    """d, alpha and mu^2 = d^2/4 + alpha^2 of the generator, complex, at each frequency."""
+    omega = np.asarray(omega, dtype=float)
+    d = derive_coefficients(p)
+    eta = eta_of_omega(p, omega, dispersion_mode)
+    alpha = eta * d.delta_r
+    direct = eta * (1j * (d.delta_tilde + omega) + p.gamma_c)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return direct, alpha, 0.25 * direct * direct + alpha * alpha
+
+
+def complex_entry_bounds(p, omega, dispersion_mode="constant", principal_root=False):
+    """Bounds on |m_pp| and |m_cp| of :func:`mp4wm.coupling.entry_bounds`, in complex arithmetic.
+
+    g (1 + |d|/2 r) and g |alpha| r with g = e^{(Re mu - Re d/2) L} and
+    r = min(L, 1/|mu|), where Re mu = sqrt((|mu^2| + Re mu^2)/2).  That sum
+    cancels where Re mu^2 < 0, so Re mu here is off by up to
+    sqrt(eps |mu^2|) there.  With `principal_root`, Re mu is instead the
+    real part of numpy's complex sqrt of mu^2, which does not cancel.
+    """
+    direct, alpha, mu_sq = generator_terms(p, omega, dispersion_mode)
+    big_l = p.cell_length / C_LIGHT
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        abs_mu_sq = np.abs(mu_sq)
+        if principal_root:
+            re_mu = np.sqrt(mu_sq).real
+        else:
+            re_mu = np.sqrt(0.5 * (abs_mu_sq + mu_sq.real))
+        g = np.exp((re_mu - 0.5 * direct.real) * big_l)
+        r = np.minimum(big_l, 1.0 / np.sqrt(abs_mu_sq))
+        return g * (1.0 + 0.5 * np.abs(direct) * r), g * np.abs(alpha) * r
 
 
 def rk4_transfer_batch(mats, zs, n_steps=10_000):

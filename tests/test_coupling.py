@@ -240,6 +240,28 @@ class TestEntryBounds:
             assert np.all(np.abs(m_cp[finite]) <= b_cp[finite])
             assert not np.any(np.isfinite(b_pp[~finite]))
 
+    @pytest.mark.parametrize("dispersion_mode", ["constant", "full"])
+    def test_overflowing_mu_squared_gives_non_finite_bounds(self, dispersion_mode):
+        # |Im d|^2 overflows where alpha^2 does not, so Re mu^2 = -inf; with
+        # no loss Im mu^2 = 0, and Re mu must come out non-finite, not 0
+        p = make_params(eta0=1e150, omega_mhz=1.0)
+        w = np.array([-1e10, 1e10])
+        for entry in transfer_entries(p, w, dispersion_mode):
+            assert not np.any(np.isfinite(entry))
+        for bound in entry_bounds(p, w, dispersion_mode):
+            assert not np.any(np.isfinite(bound))
+
+    @pytest.mark.parametrize("dispersion_mode", ["constant", "full"])
+    def test_one_frequency_is_bounded_like_an_array(self, dispersion_mode):
+        p = make_params(delta1_mhz=30.0, gamma_c_frac=0.01)
+        w = np.array([-3e9, 0.0, 2e9])
+        bounds = entry_bounds(p, w, dispersion_mode)
+        for i, wi in enumerate(w):
+            for one, many in zip(entry_bounds(p, wi, dispersion_mode), bounds):
+                # numpy's scalar and array complex arithmetic may round apart
+                assert np.shape(one) == ()
+                assert one == pytest.approx(many[i], rel=1e-15, abs=0.0)
+
     def test_zero_length_bounds_are_exact(self):
         b_pp, b_cp = entry_bounds(make_params(z=0.0), np.array([0.0, 1e9]))
         assert np.array_equal(b_pp, [1.0, 1.0])

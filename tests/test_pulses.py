@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from mp4wm import pulses
 from mp4wm.coupling import coefficients_at, entry_bounds, transfer_entries
+from mp4wm.config import MHZ, parse_config
 from mp4wm.errors import AliasingError, ContainmentError, FitError, GuardError
+from mp4wm.experiments import scan
 from mp4wm.params import derive_coefficients
 from mp4wm.pulses import (
     SampledPulse,
@@ -23,7 +25,7 @@ from mp4wm.pulses import (
     to_spectrum,
 )
 
-from _oracles import polyfit_gaussian, pulse_oracle
+from _oracles import complex_entry_bounds, generator_terms, polyfit_gaussian, pulse_oracle
 from conftest import C, make_params
 
 RNG = np.random.default_rng(7)
@@ -295,28 +297,62 @@ class TestPropagation:
             propagate_pulse(p, pulse, "relative", "bogus")
 
     def test_shared_input_across_threads(self):
-        # each thread's cell length evicts the other's vacuum-delayed input
+        # in exact mode each thread's cell length evicts the other's
+        # vacuum-delayed input; in both modes each thread has its own
+        # workspace.  Four threads on two cores, switching often.
         grid = TimeGrid.centered(2048e-9, 1024)
-        shared = make_gaussian_pulse(grid, 70e-9)
         media = [make_params(delta1_mhz=30.0, gamma_c_frac=0.01, z=z) for z in (0.025, 0.015)]
-        serial = [propagate_pulse(p, make_gaussian_pulse(grid, 70e-9), "exact", "full")
-                  for p in media]
-        mismatches = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for mode in ("relative", "exact"):
+                shared = make_gaussian_pulse(grid, 70e-9)
+                serial = [propagate_pulse(p, make_gaussian_pulse(grid, 70e-9), mode, "full")
+                          for p in media]
+                mismatches, done = [], []
 
-        def work(p, want):
-            for _ in range(200):
-                res = propagate_pulse(p, shared, "exact", "full")
-                for name in ("reference", "probe", "conjugate"):
-                    if not np.array_equal(getattr(res, name).envelope,
-                                          getattr(want, name).envelope):
-                        mismatches.append((p.cell_length, name))
+                def work(p, want):
+                    for _ in range(100):
+                        res = propagate_pulse(p, shared, mode, "full")
+                        for name in ("reference", "probe", "conjugate"):
+                            if not np.array_equal(getattr(res, name).envelope,
+                                                  getattr(want, name).envelope):
+                                mismatches.append((p.cell_length, name))
+                    done.append(p.cell_length)
 
-        threads = [threading.Thread(target=work, args=pair) for pair in zip(media, serial)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert mismatches == []
+                threads = [threading.Thread(target=work, args=pair)
+                           for pair in zip(media * 2, serial * 2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads)
+                assert len(done) == len(threads)
+                assert mismatches == [], mode
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("propagation_mode", ["relative", "exact"])
+    def test_outputs_do_not_alias_the_workspace(self, propagation_mode):
+        # the second medium falls back to the full grid; the first runs on the
+        # band before and after it, so both paths reuse a written workspace
+        pulse = make_gaussian_pulse(GRID, 70e-9)
+        media = [make_params(delta1_mhz=30.0, gamma_c_frac=0.01),
+                 make_params(delta1_mhz=30.0, gamma_c_frac=0.5, delta2_mhz=1000.0)]
+        names = ("reference", "probe", "conjugate")
+        first = propagate_pulse(media[0], pulse, propagation_mode, "full")
+        kept = {name: getattr(first, name).envelope.copy() for name in names}
+        for p in (*media, media[0]):
+            res = propagate_pulse(p, pulse, propagation_mode, "full")
+            workspace = pulse._workspace()
+            for name in names:
+                out = getattr(res, name)
+                for arr in (out.envelope, out.intensity):
+                    assert not any(np.shares_memory(arr, w) for w in workspace)
+        assert workspace is pulse._workspace()
+        for name, envelope in kept.items():
+            assert np.array_equal(getattr(first, name).envelope, envelope)
+            assert np.array_equal(getattr(res, name).envelope, envelope)
 
     def test_output_containment_guard(self):
         # delayed, strongly broadened output must not wrap the window
@@ -362,7 +398,9 @@ class TestBandLimitedKernel:
         spectrum = pulse.spectrum
         if propagation_mode == "exact":
             spectrum = np.exp(-1j * self.GRID_1K.omegas * p.cell_length / C) * spectrum
-        outputs = pulses._output_envelopes(p, pulse, spectrum, dispersion_mode)
+        # copies: the rows are the pulse's workspace, which propagate_pulse overwrites
+        outputs = [env.copy() for env in
+                   pulses._output_envelopes(p, pulse, spectrum, dispersion_mode)]
         entries, expected = _full_grid_outputs(p, pulse, propagation_mode, dispersion_mode)
         for out, want in zip(outputs, expected):
             # near the pole of the full eta(w) the kernel overflows on some
@@ -385,6 +423,88 @@ class TestBandLimitedKernel:
             assert np.all(size[finite] <= bound[finite])
             assert not np.any(np.isfinite(bound[~finite]))
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        delta2_mhz=st.floats(-3000.0, 3000.0),
+        density=st.floats(0.2, 1.5),
+        gamma_c_frac=st.floats(0.0, 0.5),
+        dispersion_mode=st.sampled_from(["constant", "full"]),
+    )
+    def test_bound_covers_the_skipped_bins_and_agrees_with_the_complex_form(
+        self, delta2_mhz, density, gamma_c_frac, dispersion_mode
+    ):
+        p = make_params(
+            delta1_mhz=30.0, gamma_c_frac=gamma_c_frac, delta2_mhz=delta2_mhz
+        ).scaled_density(density)
+        omegas = make_gaussian_pulse(self.GRID_1K, 70e-9).band.outside_omegas
+        m_pp, _, m_cp, _ = transfer_entries(p, omegas, dispersion_mode)
+        bounds = entry_bounds(p, omegas, dispersion_mode)
+        # Every form rounds in proportion to the exponent |mu| L.  Where
+        # Re mu^2 < 0 the complex form's |mu^2| + Re mu^2 cancels, which
+        # leaves its Re mu off by up to sqrt(eps |mu^2|), so its bound by a
+        # factor e^{+/- L sqrt(eps |mu^2|)}; the principal root's does not.
+        _, _, mu_sq = generator_terms(p, omegas, dispersion_mode)
+        big_l, eps = p.cell_length / C, np.finfo(float).eps
+        with np.errstate(over="ignore", invalid="ignore"):
+            abs_mu_sq = np.abs(mu_sq)
+            rounding = 8.0 * eps * (1.0 + big_l * np.sqrt(abs_mu_sq))
+            cancelling = np.where(mu_sq.real < 0.0, big_l * np.sqrt(eps * abs_mu_sq), 0.0)
+        oracles = [
+            (complex_entry_bounds(p, omegas, dispersion_mode), rounding + cancelling),
+            (complex_entry_bounds(p, omegas, dispersion_mode, principal_root=True), rounding),
+        ]
+        for i, (m, bound) in enumerate(zip((m_pp, m_cp), bounds)):
+            size = np.abs(m)
+            finite = np.isfinite(size)
+            assert np.all(size[finite] <= bound[finite])
+            assert not np.any(np.isfinite(bound[~finite]))
+            for oracle, rtol in oracles:
+                want = oracle[i]
+                assert np.array_equal(np.isfinite(bound), np.isfinite(want))
+                ok = np.isfinite(want)
+                assert np.all(np.abs(bound[ok] - want[ok]) <= rtol[ok] * want[ok])
+
+    def test_bound_keeps_every_fallback_decision(self, monkeypatch):
+        # the two benchmark scans, then the +-3000 MHz detuning scan in all
+        # four mode pairs; the complex form is the bound that made them before
+        medium = ("omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\n"
+                  "delta_two_photon_mhz = 11.025\neta0 = 960\ncell_length_cm = 2.5\n")
+        scans = [
+            ("density", "gamma_c_over_gamma = 0\ndispersion_mode = constant\n"
+             "propagation_mode = relative\n", (0.2, 1.5, 201), 0),
+            ("delta", "gamma_c_over_gamma = 0.01\ndelta_one_mhz = 30\n"
+             "dispersion_mode = full\npropagation_mode = exact\n", (-40.0, 60.0, 201), 0),
+        ] + [
+            ("delta", f"gamma_c_over_gamma = 0.5\ndelta_one_mhz = 30\n"
+             f"dispersion_mode = {dm}\npropagation_mode = {pm}\n", (-3000.0, 3000.0, 121),
+             {"constant": 35, "full": 78}[dm])
+            for dm in ("constant", "full") for pm in ("relative", "exact")
+        ]
+        kernel = pulses.transfer_entries
+        for axis, body, (start, stop, steps), fallbacks in scans:
+            cfg = parse_config(
+                f"{medium}{body}scan_start = {start}\nscan_stop = {stop}\nscan_steps = {steps}\n"
+            )
+            unit = MHZ if axis == "delta" else 1.0
+            values = [v * unit for v in cfg.scan_values()]
+            calls = []
+            for bound in (entry_bounds, complex_entry_bounds):
+                sizes = []
+
+                def counted(p, omega, *args):
+                    sizes.append(omega.size)
+                    return kernel(p, omega, *args)
+                monkeypatch.setattr(pulses, "transfer_entries", counted)
+                monkeypatch.setattr(pulses, "entry_bounds", bound)
+                pulse_cfg = cfg.to_pulse_config()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    scan(cfg.to_medium_params(), axis, values, pulse_cfg)
+                calls.append(sizes)
+            # a point falls back when the kernel also runs on the outside bins
+            assert calls[0] == calls[1]
+            assert calls[0].count(pulse_cfg.input_pulse.band.outside.size) == fallbacks
+
     def test_band_is_the_input_spectrum_above_its_cutoff(self):
         pulse = make_gaussian_pulse(GRID, 70e-9)
         band = pulse.band
@@ -396,7 +516,8 @@ class TestBandLimitedKernel:
         assert np.array_equal(np.sort(np.r_[band.inside, band.outside]),
                               np.arange(GRID.n_samples))
         assert np.array_equal(band.outside_abs, mag[band.outside])
-        for arr in (band.inside, band.outside, band.outside_abs):
+        assert np.array_equal(band.outside_omegas, GRID.omegas[band.outside])
+        for arr in (band.inside, band.outside, band.outside_abs, band.outside_omegas):
             assert not arr.flags.writeable
 
     def test_point_that_fails_the_bound_is_the_full_grid_path(self, monkeypatch):
