@@ -197,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = _COMMANDS[args.command]
-    # the active filters still decide which warnings count; caught ones are
-    # printed one line each after a success, and dropped after an error
+    # the active filters still decide which warnings count; the distinct
+    # caught ones share one line after a success, and are dropped after an error
     with warnings.catch_warnings(record=True) as caught:
         try:
             cfg = _load_config(args.config)
@@ -209,8 +209,9 @@ def main(argv=None) -> int:
         except Mp4wmError as exc:
             print(f"mp4wm: error: {exc}", file=sys.stderr)
             return 3
-    for message in dict.fromkeys(str(w.message) for w in caught):
-        print(f"mp4wm: warning: {message}", file=sys.stderr)
+    if caught:
+        messages = "; ".join(dict.fromkeys(str(w.message) for w in caught))
+        print(f"mp4wm: warning: {messages}", file=sys.stderr)
     return status
 
 

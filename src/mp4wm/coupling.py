@@ -174,6 +174,43 @@ def entry_bounds(
         return abs_d, r
 
 
+def peak_entry_bounds(p: MediumParams, omega: np.ndarray, dispersion_mode: str = "constant"):
+    """Two scalars at or above :func:`entry_bounds` at every frequency of `omega`.
+
+    Constant mode only, and only where every frequency lies beyond 2 Delta_R
+    of the two-photon resonance: with y_min = min |dtilde + w| and
+    rho = 2 Delta_R / y_min < 1,
+
+        |m_pp| bound <= G (1 + 1/sqrt(1 - rho^2)),
+        |m_cp| bound <= G rho / sqrt(1 - rho^2),   G = e^{2 eta0 Delta_R^2 L / y_min}.
+
+    There d/2 = (eta0/2)(gamma_c + i y) with y = dtilde + w, and
+    alpha = eta0 Delta_R.  The root mu' = +/-mu whose imaginary part has
+    the sign of Im d has Re mu' = |Re mu|, and (mu' - d/2)(mu' + d/2) =
+    alpha^2, so |Re mu| - Re d/2 = Re(alpha^2 / (mu' + d/2)) <=
+    alpha^2 / |Im d/2| <= 2 eta0 Delta_R^2 / y_min, which bounds g.  Since
+    |mu|^2 >= |d/2|^2 - alpha^2 and alpha / |d/2| <= rho, r |d|/2 <=
+    1/sqrt(1 - rho^2) and r alpha <= rho/sqrt(1 - rho^2).  Returns None in
+    full mode, where eta(w) is complex, and where rho >= 1 or is nan.  An
+    empty `omega` has y_min = inf.
+    """
+    if dispersion_mode != "constant":
+        return None
+    c = derive_coefficients(p)
+    y = np.add(omega, c.delta_tilde)
+    y_min = float(np.abs(y, out=y).min()) if y.size else math.inf
+    if not 2.0 * c.delta_r < y_min:
+        return None
+    rho = 2.0 * c.delta_r / y_min
+    root = math.sqrt(1.0 - rho * rho)
+    exponent = 2.0 * c.eta0 * c.delta_r * c.delta_r * (p.cell_length / C_LIGHT) / y_min
+    try:
+        growth = math.exp(exponent)  # nan where the exponent is
+    except OverflowError:
+        growth = math.inf
+    return growth * (1.0 + 1.0 / root), growth * rho / root
+
+
 def _growth_and_reach(mu_sq: np.ndarray, half_re_d, big_l: float, out=None):
     """g = e^{(Re mu - Re d/2) L} and r = min(L, 1/|mu|) from the complex mu^2.
 

@@ -17,6 +17,7 @@ import mp4wm
 from mp4wm.cli import SCAN_HEADER, TRACE_HEADER, main
 from mp4wm.config import MAX_SCAN_STEPS, MHZ, Config, parse_config
 from mp4wm.errors import ConfigError
+from mp4wm.params import ModelValidityWarning
 
 BASE = """\
 omega_rabi_mhz = 420
@@ -549,3 +550,17 @@ def test_every_input_exits_0_2_or_3_with_one_line(tmp_path_factory, command, ove
             rows = (tmp / "out.csv").read_text().splitlines()[1:]  # below the header
             cells = [c for row in rows for c in row.split(",") if c]
             assert all(math.isfinite(float(c)) for c in cells)
+
+
+def test_distinct_warnings_share_one_line(tmp_path, capsys):
+    # delta_one = 1e9 MHz breaks both validity limits: two distinct warnings
+    cfg = write_cfg(tmp_path, SWEEP_BASE + "delta_one_mhz = 1e9\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", ModelValidityWarning)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv")])
+    assert code == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("mp4wm:")]
+    assert len(lines) == 1
+    assert lines[0].startswith("mp4wm: warning: pump Rabi coupling does not dominate")
+    assert lines[0].endswith("; upper-lambda detuning is not far off resonance compared "
+                             "with the lower lambda and the linewidth")

@@ -6,10 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mp4wm import pulses
-from mp4wm.coupling import coefficients_at, entry_bounds, transfer_entries
+from mp4wm.coupling import (
+    coefficients_at,
+    entry_bounds,
+    peak_entry_bounds,
+    transfer_entries,
+)
 from mp4wm.config import MHZ, parse_config
 from mp4wm.errors import AliasingError, ContainmentError, FitError, GuardError
 from mp4wm.experiments import scan
@@ -116,6 +121,24 @@ class TestSpectrum:
         assert rows.shape == (2, GRID.n_samples)
         for row, spec in zip(rows, specs):
             assert np.array_equal(row, from_spectrum(spec, GRID))
+
+    @pytest.mark.parametrize("out", ["new", "contiguous", "strided"])
+    def test_scaling_keeps_the_bits_of_a_division_by_the_step(self, out):
+        # magnitudes from 1e-100 to 1e100, so no exponent range is left out
+        rng, size = np.random.default_rng(11), (2, GRID.n_samples)
+        spec = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 10.0 ** (
+            rng.uniform(-100.0, 100.0, size)
+        )
+        target = {
+            "new": None,
+            "contiguous": np.empty(size, dtype=complex),
+            "strided": np.empty(size[::-1], dtype=complex).T,  # last axis not contiguous
+        }[out]
+        env = from_spectrum(spec, GRID, out=target)
+        assert target is None or env is target
+        for row, spec_row in zip(env, spec):
+            want = np.fft.ifft(spec_row) / GRID.t_step
+            assert np.ascontiguousarray(row).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(GRID.n_samples // 2,), (GRID.n_samples, 2)])
     def test_wrong_trailing_length_is_guard_error(self, shape):
@@ -464,6 +487,58 @@ class TestBandLimitedKernel:
                 ok = np.isfinite(want)
                 assert np.all(np.abs(bound[ok] - want[ok]) <= rtol[ok] * want[ok])
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        delta2_mhz=st.floats(-3000.0, 3000.0),
+        density=st.floats(0.2, 1.5),
+        gamma_c_frac=st.floats(0.0, 0.5),
+    )
+    # far off resonance B / max B_k nears 1: ~1.009 at 3000 MHz, 1 + 2e-8 at 1e10 MHz
+    @example(delta2_mhz=3000.0, density=0.2, gamma_c_frac=0.5)
+    @example(delta2_mhz=-3000.0, density=0.2, gamma_c_frac=0.0)
+    @example(delta2_mhz=1e10, density=0.2, gamma_c_frac=0.5)
+    @example(delta2_mhz=-1e10, density=1.5, gamma_c_frac=0.0)
+    def test_peak_bound_covers_every_skipped_bin(self, delta2_mhz, density, gamma_c_frac):
+        p = make_params(
+            delta1_mhz=30.0, gamma_c_frac=gamma_c_frac, delta2_mhz=delta2_mhz
+        ).scaled_density(density)
+        omegas = make_gaussian_pulse(self.GRID_1K, 70e-9).band.outside_omegas
+        c = derive_coefficients(p)
+        rho = 2.0 * c.delta_r / np.min(np.abs(omegas + c.delta_tilde))
+        peak = peak_entry_bounds(p, omegas)
+        assert (peak is None) == (not rho < 1.0)
+        assert peak_entry_bounds(p, omegas, "full") is None
+        if peak is not None:
+            for b, bins in zip(peak, entry_bounds(p, omegas)):
+                assert np.all(bins <= b)
+            if abs(delta2_mhz) > 1e9:
+                assert peak[0] <= (1.0 + 1e-7) * entry_bounds(p, omegas)[0].max()
+
+    # a peak bound made to fail by a huge slack defers to the per-bin bound
+    @pytest.mark.parametrize("dispersion_mode, slack, calls", [
+        ("constant", None, 0), ("constant", 1e6, 5), ("full", None, 5),
+    ])
+    def test_per_bin_bound_runs_only_where_the_peak_bound_does_not_pass(
+        self, monkeypatch, dispersion_mode, slack, calls
+    ):
+        if slack is not None:
+            monkeypatch.setattr(pulses, "_PEAK_BOUND_SLACK", slack)
+        cfg = parse_config(
+            "omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\ndelta_two_photon_mhz = 11.025\n"
+            "eta0 = 960\ncell_length_cm = 2.5\ngamma_c_over_gamma = 0\n"
+            f"dispersion_mode = {dispersion_mode}\n"
+            "scan_start = 0.2\nscan_stop = 1.5\nscan_steps = 5\n"
+        )
+        counted = []
+
+        def bound(*args):
+            counted.append(args)
+            return entry_bounds(*args)
+        monkeypatch.setattr(pulses, "entry_bounds", bound)
+        records = scan(cfg.to_medium_params(), "density", cfg.scan_values(), cfg.to_pulse_config())
+        assert all(r.gain_peak is not None for r in records)
+        assert len(counted) == calls
+
     def test_bound_keeps_every_fallback_decision(self, monkeypatch):
         # the two benchmark scans, then the +-3000 MHz detuning scan in all
         # four mode pairs; the complex form is the bound that made them before
@@ -516,6 +591,7 @@ class TestBandLimitedKernel:
         assert np.array_equal(np.sort(np.r_[band.inside, band.outside]),
                               np.arange(GRID.n_samples))
         assert np.array_equal(band.outside_abs, mag[band.outside])
+        assert band.outside_abs_sum == float(np.sum(mag[band.outside]))
         assert np.array_equal(band.outside_omegas, GRID.omegas[band.outside])
         for arr in (band.inside, band.outside, band.outside_abs, band.outside_omegas):
             assert not arr.flags.writeable
