@@ -2,9 +2,7 @@
 
 from .coupling import (
     AnalyticDelays,
-    CouplingCoefficients,
     analytic_delays,
-    coefficients_at,
     renormalized_length,
     transfer_entries,
 )

@@ -38,7 +38,6 @@ group delays (common delay eta z / 2c) and physical damping
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -49,28 +48,6 @@ from .params import C_LIGHT, MediumParams, derive_coefficients, eta_of_omega
 
 # below this |mu L| the sinh(mu L)/mu factor switches to its series
 _SINHC_THRESHOLD = 1e-6
-
-
-@dataclass(frozen=True)
-class CouplingCoefficients:
-    """Complex model coefficients at one envelope frequency."""
-
-    eta: complex
-    sigma: complex   # (eta/2)(dtilde + omega + i gamma_c)
-    alpha: complex   # eta * Delta_R
-    xi: complex      # principal sqrt(alpha^2 - sigma^2)
-
-
-def coefficients_at(
-    p: MediumParams, omega, dispersion_mode: str = "constant"
-) -> CouplingCoefficients:
-    """Evaluate eta, sigma, alpha and xi at a single envelope frequency."""
-    d = derive_coefficients(p)
-    eta = complex(eta_of_omega(p, omega, dispersion_mode))
-    sigma = 0.5 * eta * (d.delta_tilde + omega + 1j * p.gamma_c)
-    alpha = eta * d.delta_r
-    xi = cmath.sqrt(alpha * alpha - sigma * sigma)
-    return CouplingCoefficients(eta=eta, sigma=sigma, alpha=alpha, xi=xi)
 
 
 def _generator_terms(p: MediumParams, omega: np.ndarray, dispersion_mode: str):
@@ -118,10 +95,10 @@ def transfer_entries(p: MediumParams, omega, dispersion_mode: str = "constant"):
 
 def entry_bounds(
     p: MediumParams,
-    omega,
+    omega: np.ndarray,
     dispersion_mode: str = "constant",
 ):
-    """Upper bounds on |m_pp| and |m_cp| (= |m_pc|) at each frequency.
+    """Upper bounds on |m_pp| and |m_cp| (= |m_pc|) at each frequency of `omega`.
 
     With g = e^{(|Re mu| - Re d/2) L} and r = min(L, 1/|mu|),
 
@@ -132,38 +109,13 @@ def entry_bounds(
     The bounds are non-finite where the entries may overflow.
 
     Re mu and |mu| come from the real and imaginary parts of mu^2, with no
-    complex sqrt and no cancellation (see :func:`_growth_and_reach`).  In
-    constant mode eta, Re d and alpha are scalars and only Im d =
-    eta (dtilde + w) is an array, so mu^2 is formed in real arithmetic, in
-    place; Im d is formed twice rather than kept.
+    complex sqrt and no cancellation (see :func:`_growth_and_reach`).
     """
-    if np.ndim(omega) == 0:  # one frequency: a length-1 array, worked in place
-        return tuple(b[0] for b in entry_bounds(p, np.reshape(omega, 1), dispersion_mode))
     big_l = p.cell_length / C_LIGHT
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        if dispersion_mode != "constant":
-            direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode)
-            abs_d, abs_alpha = np.abs(direct), np.abs(alpha)
-            g, r = _growth_and_reach(mu_sq, 0.5 * direct.real, big_l)
-        else:
-            c = derive_coefficients(p)
-            re_d, abs_alpha = c.eta0 * p.gamma_c, c.alpha0
-            im_d = np.array(omega, dtype=float)
-            im_d += c.delta_tilde
-            im_d *= c.eta0
-            mu_sq = np.empty(im_d.shape, dtype=complex)  # d^2/4 + alpha^2
-            np.multiply(im_d, 0.5 * re_d, out=mu_sq.imag)
-            re_mu_sq = np.square(im_d, out=mu_sq.real)
-            np.subtract(re_d * re_d, re_mu_sq, out=re_mu_sq)
-            re_mu_sq *= 0.25
-            re_mu_sq += abs_alpha * abs_alpha
-            g, r = _growth_and_reach(mu_sq, 0.5 * re_d, big_l, out=im_d)
-            # |d| = sqrt(Re d^2 + Im d^2); Im d^2 overflows only where mu^2 does
-            abs_d = np.add(omega, c.delta_tilde, out=mu_sq.imag)
-            abs_d *= c.eta0
-            np.square(abs_d, out=abs_d)
-            abs_d += re_d * re_d
-            np.sqrt(abs_d, out=abs_d)
+        direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode)
+        abs_d, abs_alpha = np.abs(direct), np.abs(alpha)
+        g, r = _growth_and_reach(mu_sq, 0.5 * direct.real, big_l)
         # g (1 + |d|/2 r) and (g |alpha|) r
         abs_d *= 0.5
         abs_d *= r
@@ -211,17 +163,17 @@ def peak_entry_bounds(p: MediumParams, omega: np.ndarray, dispersion_mode: str =
     return growth * (1.0 + 1.0 / root), growth * rho / root
 
 
-def _growth_and_reach(mu_sq: np.ndarray, half_re_d, big_l: float, out=None):
+def _growth_and_reach(mu_sq: np.ndarray, half_re_d, big_l: float):
     """g = e^{(Re mu - Re d/2) L} and r = min(L, 1/|mu|) from the complex mu^2.
 
     The principal root has 2 (Re mu)^2 = |mu^2| + Re mu^2, a sum that
     cancels where Re mu^2 < 0.  Since |mu^2|^2 = (Re mu^2)^2 + (Im mu^2)^2,
     it equals (Im mu^2)^2 / (|mu^2| + |Re mu^2|) + Re mu^2 + |Re mu^2|, a
     sum of terms >= 0 that is nan where Re mu^2 = -inf.  `mu_sq`'s
-    imaginary part is overwritten; r goes to `out` when given.
+    imaginary part is overwritten.
     """
     re_mu_sq = mu_sq.real
-    abs_mu_sq = np.abs(mu_sq, out=out)
+    abs_mu_sq = np.abs(mu_sq)
     total = np.abs(re_mu_sq)
     g = np.add(re_mu_sq, total)
     total += abs_mu_sq

@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields, replace
 from .errors import ConfigError, GuardError
 
 C_LIGHT = 299_792_458.0  # m/s, exact
-TWO_PI = 2.0 * math.pi
 
 # "much greater than" threshold for the model-validity warnings
 _VALIDITY_FACTOR = 10.0

@@ -214,6 +214,8 @@ def from_spectrum(
     n = grid.n_samples
     if spec.shape[-1:] != (n,):
         raise GuardError("spectrum length must match the grid")
+    if out is not None and out.shape != spec.shape:
+        raise GuardError("out must have the spectrum's shape")
     env = np.empty(spec.shape, dtype=complex) if out is None else out
     # row by row: on a stack, numpy's pocketfft vectorizes across rows with
     # per-call scratch buffers that glibc can return to the OS and fault in

@@ -8,11 +8,15 @@ through a whole pulse, using plain ``np.fft`` transforms.
 :func:`cosh_sinh_entries` keeps the closed form written with cosh and
 sinh, the reference for the two-exponential form of the package.
 :func:`complex_entry_bounds` keeps the kernel's bound in complex
-arithmetic, the reference for its real-arithmetic form.
+arithmetic, the reference for its cancellation-free form.
 :func:`polyfit_gaussian` is the Gaussian fit done by ``np.polyfit``, the
 reference for the direct normal-equation solve of ``fit_gaussian``.
+:func:`coefficients_at` gives the paper's eta, sigma, alpha and xi at one
+frequency, the notation the delay and gain formulas are written in.
 """
+import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as C_LIGHT
@@ -20,6 +24,26 @@ from scipy.constants import c as C_LIGHT
 from mp4wm.errors import FitError
 from mp4wm.params import derive_coefficients, eta_of_omega
 from mp4wm.pulses import GaussianFit
+
+
+@dataclass(frozen=True)
+class CouplingCoefficients:
+    """Complex model coefficients at one envelope frequency."""
+
+    eta: complex
+    sigma: complex   # (eta/2)(dtilde + omega + i gamma_c)
+    alpha: complex   # eta * Delta_R
+    xi: complex      # principal sqrt(alpha^2 - sigma^2)
+
+
+def coefficients_at(p, omega, dispersion_mode="constant"):
+    """Evaluate eta, sigma, alpha and xi at a single envelope frequency."""
+    d = derive_coefficients(p)
+    eta = complex(eta_of_omega(p, omega, dispersion_mode))
+    sigma = 0.5 * eta * (d.delta_tilde + omega + 1j * p.gamma_c)
+    alpha = eta * d.delta_r
+    xi = cmath.sqrt(alpha * alpha - sigma * sigma)
+    return CouplingCoefficients(eta=eta, sigma=sigma, alpha=alpha, xi=xi)
 
 
 def generator(p, omega, dispersion_mode="constant", include_vacuum=True):

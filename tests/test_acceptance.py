@@ -13,7 +13,6 @@ import pytest
 from mp4wm.cli import main
 from mp4wm.coupling import (
     analytic_delays,
-    coefficients_at,
     renormalized_length,
     transfer_entries,
 )
@@ -32,7 +31,7 @@ from mp4wm.pulses import (
     propagate_pulse,
 )
 
-from _oracles import ivp_transfer
+from _oracles import coefficients_at, ivp_transfer
 from conftest import C, MHZ, make_params, transfer_array
 
 DERIVE_CONFIG = """\

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from mp4wm.coupling import (
     _SINHC_THRESHOLD,
     analytic_delays,
-    coefficients_at,
     entry_bounds,
     predict_gain,
     renormalized_length,
@@ -17,7 +16,7 @@ from mp4wm.coupling import (
 from mp4wm.errors import GuardError
 from mp4wm.params import derive_coefficients, eta_of_omega
 
-from _oracles import cosh_sinh_entries, generator, rk4_transfer
+from _oracles import coefficients_at, cosh_sinh_entries, generator, rk4_transfer
 from conftest import C, MHZ, make_params, transfer_array
 
 RNG = np.random.default_rng(20260826)
@@ -250,17 +249,6 @@ class TestEntryBounds:
             assert not np.any(np.isfinite(entry))
         for bound in entry_bounds(p, w, dispersion_mode):
             assert not np.any(np.isfinite(bound))
-
-    @pytest.mark.parametrize("dispersion_mode", ["constant", "full"])
-    def test_one_frequency_is_bounded_like_an_array(self, dispersion_mode):
-        p = make_params(delta1_mhz=30.0, gamma_c_frac=0.01)
-        w = np.array([-3e9, 0.0, 2e9])
-        bounds = entry_bounds(p, w, dispersion_mode)
-        for i, wi in enumerate(w):
-            for one, many in zip(entry_bounds(p, wi, dispersion_mode), bounds):
-                # numpy's scalar and array complex arithmetic may round apart
-                assert np.shape(one) == ()
-                assert one == pytest.approx(many[i], rel=1e-15, abs=0.0)
 
     def test_zero_length_bounds_are_exact(self):
         b_pp, b_cp = entry_bounds(make_params(z=0.0), np.array([0.0, 1e9]))

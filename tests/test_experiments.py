@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mp4wm import experiments, pulses
-from mp4wm.coupling import analytic_delays, coefficients_at
+from mp4wm.coupling import analytic_delays
 from mp4wm.errors import GuardError
 from mp4wm.experiments import (
     PulseConfig,
@@ -16,6 +16,7 @@ from mp4wm.experiments import (
 )
 from mp4wm.params import derive_coefficients
 
+from _oracles import coefficients_at
 from conftest import C, MHZ, make_params
 
 CFG = PulseConfig()

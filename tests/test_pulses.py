@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from mp4wm import pulses
 from mp4wm.coupling import (
-    coefficients_at,
     entry_bounds,
     peak_entry_bounds,
     transfer_entries,
@@ -30,7 +29,13 @@ from mp4wm.pulses import (
     to_spectrum,
 )
 
-from _oracles import complex_entry_bounds, generator_terms, polyfit_gaussian, pulse_oracle
+from _oracles import (
+    coefficients_at,
+    complex_entry_bounds,
+    generator_terms,
+    polyfit_gaussian,
+    pulse_oracle,
+)
 from conftest import C, make_params
 
 RNG = np.random.default_rng(7)
@@ -139,6 +144,14 @@ class TestSpectrum:
         for row, spec_row in zip(env, spec):
             want = np.fft.ifft(spec_row) / GRID.t_step
             assert np.ascontiguousarray(row).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(GRID.n_samples,), (3, GRID.n_samples)])
+    def test_out_of_another_shape_is_guard_error(self, shape):
+        # a zip over the rows would stop at the shorter stack, untransformed
+        spec = np.ones((2, GRID.n_samples), dtype=complex)
+        out = np.zeros(shape, dtype=complex)
+        with pytest.raises(GuardError, match="out must have the spectrum's shape"):
+            from_spectrum(spec, GRID, out=out)
 
     @pytest.mark.parametrize("shape", [(GRID.n_samples // 2,), (GRID.n_samples, 2)])
     def test_wrong_trailing_length_is_guard_error(self, shape):
@@ -541,7 +554,8 @@ class TestBandLimitedKernel:
 
     def test_bound_keeps_every_fallback_decision(self, monkeypatch):
         # the two benchmark scans, then the +-3000 MHz detuning scan in all
-        # four mode pairs; the complex form is the bound that made them before
+        # four mode pairs, and in constant mode at small and zero loss, where
+        # Re d is tiny or 0; the complex form is the bound that made them before
         medium = ("omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\n"
                   "delta_two_photon_mhz = 11.025\neta0 = 960\ncell_length_cm = 2.5\n")
         scans = [
@@ -554,6 +568,11 @@ class TestBandLimitedKernel:
              f"dispersion_mode = {dm}\npropagation_mode = {pm}\n", (-3000.0, 3000.0, 121),
              {"constant": 35, "full": 78}[dm])
             for dm in ("constant", "full") for pm in ("relative", "exact")
+        ] + [
+            ("delta", f"gamma_c_over_gamma = {gc}\ndelta_one_mhz = 30\n"
+             f"dispersion_mode = constant\npropagation_mode = {pm}\n",
+             (-3000.0, 3000.0, 121), 38)
+            for gc in (0.01, 0) for pm in ("relative", "exact")
         ]
         kernel = pulses.transfer_entries
         for axis, body, (start, stop, steps), fallbacks in scans:
