@@ -84,9 +84,8 @@ class SampledPulse:
     grid: TimeGrid
     envelope: np.ndarray
     intensity: np.ndarray = field(init=False, repr=False, compare=False)
-    # (length, spectrum, pulse) after the last exact propagation's vacuum transit
-    _vacuum: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # per thread: the (2, N) spectra and envelopes that propagating this pulse reuses
+    # per thread: the (2, N) spectra and envelopes that propagating this pulse
+    # reuses, and the (length, spectrum, pulse) of its last exact vacuum transit
     _work: threading.local = field(
         default_factory=threading.local, init=False, repr=False, compare=False
     )
@@ -207,15 +206,15 @@ def from_spectrum(
 ) -> np.ndarray:
     """Envelopes of `spectrum` along its last axis: :func:`to_spectrum` inverted.
 
-    The envelopes are written to `out` when given (a complex array of the
-    spectrum's shape), else to one new array.
+    The envelopes are written to `out` when given (a C-contiguous complex
+    array of the spectrum's shape), else to one new array.
     """
     spec = np.asarray(spectrum, dtype=complex)
     n = grid.n_samples
     if spec.shape[-1:] != (n,):
         raise GuardError("spectrum length must match the grid")
-    if out is not None and out.shape != spec.shape:
-        raise GuardError("out must have the spectrum's shape")
+    if out is not None and not (out.shape == spec.shape and out.flags.c_contiguous):
+        raise GuardError("out must be C-contiguous with the spectrum's shape")
     env = np.empty(spec.shape, dtype=complex) if out is None else out
     # row by row: on a stack, numpy's pocketfft vectorizes across rows with
     # per-call scratch buffers that glibc can return to the OS and fault in
@@ -223,11 +222,9 @@ def from_spectrum(
     for row, env_row in zip(spec.reshape(-1, n), env.reshape(-1, n)):
         np.fft.ifft(row, out=env_row)
     # numpy divides a complex by a real dt as (x + 0) * (1 / dt) part by
-    # part, so one multiply gives the same bits for every nonzero finite
-    # part; over a float view where the last axis is contiguous
-    parts = (env.view(float),) if env.strides[-1] == env.itemsize else (env.real, env.imag)
-    for part in parts:
-        part *= 1.0 / grid.t_step
+    # part, so one multiply over a float view gives the same bits for every
+    # nonzero finite part
+    np.multiply(env.view(float), 1.0 / grid.t_step, out=env.view(float))
     return env
 
 
@@ -271,9 +268,11 @@ def _output_envelopes(
     with np.errstate(invalid="ignore", over="ignore"):
         outputs = fill(band.inside, grid.omegas[band.inside])
         scale = 1.0 / (grid.n_samples * grid.t_step)
+        budgets = [_BAND_TOLERANCE * float(np.abs(env).max()) for env in outputs]
 
         def passes(sums) -> bool:
-            return all(_within_tolerance(s * scale, env) for s, env in zip(sums, outputs))
+            return all(math.isfinite(s * scale) and s * scale <= b
+                       for s, b in zip(sums, budgets))
 
         peak = peak_entry_bounds(p, band.outside_omegas, dispersion_mode)
         if peak is not None and passes(
@@ -284,13 +283,6 @@ def _output_envelopes(
         if passes(float(np.dot(b, band.outside_abs)) for b in bounds):
             return outputs
         return fill(band.outside, band.outside_omegas)
-
-
-def _within_tolerance(error_bound: float, envelope: np.ndarray) -> bool:
-    """Whether `error_bound` is finite and at most `_BAND_TOLERANCE` of max |envelope|."""
-    return math.isfinite(error_bound) and (
-        error_bound <= _BAND_TOLERANCE * float(np.abs(envelope).max())
-    )
 
 
 @dataclass(frozen=True)
@@ -319,18 +311,16 @@ def propagate_pulse(
         raise GuardError(f"unknown propagation mode {propagation_mode!r}")
     pulse.check_containment("input pulse")
     grid = pulse.grid
-    # a scan changes no cell length, so its points share one vacuum-delayed
-    # input; read once, as a caller on another thread may replace it
-    vacuum = pulse._vacuum
+    # a scan changes no cell length, so its points share one vacuum-delayed input
     if propagation_mode == "relative":
         spectrum, reference = pulse.spectrum, pulse
-    elif vacuum is not None and vacuum[0] == p.cell_length:
-        _, spectrum, reference = vacuum
+    elif getattr(pulse._work, "vacuum", (None,))[0] == p.cell_length:
+        _, spectrum, reference = pulse._work.vacuum
     else:
         vac = np.exp(-1j * grid.omegas * p.cell_length / C_LIGHT)
         spectrum = _read_only(vac * pulse.spectrum)
         reference = SampledPulse(grid, from_spectrum(spectrum, grid))
-        object.__setattr__(pulse, "_vacuum", (p.cell_length, spectrum, reference))
+        pulse._work.vacuum = (p.cell_length, spectrum, reference)
     probe_env, conj_star_env = _output_envelopes(p, pulse, spectrum, dispersion_mode)
     # each pulse copies its envelope out of the workspace
     probe = SampledPulse(grid, probe_env)
@@ -356,16 +346,20 @@ def fit_gaussian(pulse: SampledPulse) -> GaussianFit:
     samples within 1/e^2 of the peak, with weight (I / peak)^2; exact for
     noiseless Gaussians.  The fitted times are mapped onto [-1, 1] and the
     3x3 normal equations solved directly.  Errors out when no unique
-    dominant peak exists, when fewer than 8 samples lie above threshold,
-    when the samples do not determine a parabola (times that round to
-    too few distinct values), when the curvature is not negative, or
-    when the fitted peak intensity overflows.
+    dominant peak exists, when the threshold underflows or fewer than 8
+    samples lie above it, when the samples do not determine a parabola
+    (times that round to too few distinct values), when the curvature is
+    not negative, or when the fitted peak intensity overflows.
     """
     inten = pulse.intensity
     peak = float(inten.max())
     if peak <= 0.0:
         raise FitError("cannot fit an all-zero pulse")
-    mask = inten >= peak * math.exp(-2.0)
+    threshold = peak * math.exp(-2.0)
+    if not threshold > 0.0:  # it would take the exact zeros, whose log is -inf
+        raise FitError(f"peak intensity {peak:.3g} is too small to fit: "
+                       "its 1/e^2 level underflows")
+    mask = inten >= threshold
     idx = np.flatnonzero(mask)
     if idx.size < _FIT_MIN_SAMPLES:
         raise FitError(f"only {idx.size} samples above the 1/e^2 threshold")

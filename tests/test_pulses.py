@@ -127,7 +127,7 @@ class TestSpectrum:
         for row, spec in zip(rows, specs):
             assert np.array_equal(row, from_spectrum(spec, GRID))
 
-    @pytest.mark.parametrize("out", ["new", "contiguous", "strided"])
+    @pytest.mark.parametrize("out", ["new", "contiguous"])
     def test_scaling_keeps_the_bits_of_a_division_by_the_step(self, out):
         # magnitudes from 1e-100 to 1e100, so no exponent range is left out
         rng, size = np.random.default_rng(11), (2, GRID.n_samples)
@@ -137,7 +137,6 @@ class TestSpectrum:
         target = {
             "new": None,
             "contiguous": np.empty(size, dtype=complex),
-            "strided": np.empty(size[::-1], dtype=complex).T,  # last axis not contiguous
         }[out]
         env = from_spectrum(spec, GRID, out=target)
         assert target is None or env is target
@@ -145,12 +144,19 @@ class TestSpectrum:
             want = np.fft.ifft(spec_row) / GRID.t_step
             assert np.ascontiguousarray(row).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("shape", [(GRID.n_samples,), (3, GRID.n_samples)])
-    def test_out_of_another_shape_is_guard_error(self, shape):
+    @pytest.mark.parametrize("spec_shape, out", [
         # a zip over the rows would stop at the shorter stack, untransformed
-        spec = np.ones((2, GRID.n_samples), dtype=complex)
-        out = np.zeros(shape, dtype=complex)
-        with pytest.raises(GuardError, match="out must have the spectrum's shape"):
+        ((2, GRID.n_samples), np.zeros(GRID.n_samples, dtype=complex)),
+        ((2, GRID.n_samples), np.zeros((3, GRID.n_samples), dtype=complex)),
+        # the last axis not contiguous
+        ((2, GRID.n_samples), np.empty((GRID.n_samples, 2), dtype=complex).T),
+        # leading axes that reshape only to a copy, which the transforms would fill
+        ((2, 2, GRID.n_samples),
+         np.zeros((2, 2, GRID.n_samples), dtype=complex).transpose(1, 0, 2)),
+    ], ids=["shape0", "shape1", "strided", "transposed"])
+    def test_out_of_another_shape_is_guard_error(self, spec_shape, out):
+        spec = np.ones(spec_shape, dtype=complex)
+        with pytest.raises(GuardError, match="out must be C-contiguous with the spectrum's shape"):
             from_spectrum(spec, GRID, out=out)
 
     @pytest.mark.parametrize("shape", [(GRID.n_samples // 2,), (GRID.n_samples, 2)])
@@ -332,12 +338,19 @@ class TestPropagation:
         with pytest.raises(GuardError, match="unknown dispersion mode 'bogus'"):
             propagate_pulse(p, pulse, "relative", "bogus")
 
-    def test_shared_input_across_threads(self):
-        # in exact mode each thread's cell length evicts the other's
-        # vacuum-delayed input; in both modes each thread has its own
-        # workspace.  Four threads on two cores, switching often.
+    def test_shared_input_across_threads(self, monkeypatch):
+        # each thread has its own workspace and, in exact mode, its own
+        # vacuum-delayed input, built once however the threads' two cell
+        # lengths interleave.  Four threads on two cores, switching often.
         grid = TimeGrid.centered(2048e-9, 1024)
         media = [make_params(delta1_mhz=30.0, gamma_c_frac=0.01, z=z) for z in (0.025, 0.015)]
+        builds = []  # the vacuum references: 1-D inverse transforms into a new array
+
+        def counted(spectrum, grid, out=None):
+            if out is None and np.ndim(spectrum) == 1:
+                builds.append(threading.get_ident())
+            return from_spectrum(spectrum, grid, out)
+        monkeypatch.setattr(pulses, "from_spectrum", counted)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -346,6 +359,7 @@ class TestPropagation:
                 serial = [propagate_pulse(p, make_gaussian_pulse(grid, 70e-9), mode, "full")
                           for p in media]
                 mismatches, done = [], []
+                builds.clear()
 
                 def work(p, want):
                     for _ in range(100):
@@ -365,6 +379,7 @@ class TestPropagation:
                 assert not any(t.is_alive() for t in threads)
                 assert len(done) == len(threads)
                 assert mismatches == [], mode
+                assert len(builds) == (len(threads) if mode == "exact" else 0)
         finally:
             sys.setswitchinterval(interval)
 
@@ -699,6 +714,15 @@ class TestFitRobustness:
         pulse = SampledPulse(grid, env)
         assert np.all(np.isfinite(pulse.intensity))
         with pytest.raises(FitError, match="overflows"):
+            fit_gaussian(pulse)
+
+    @pytest.mark.parametrize("scale", [2.5e-162, 3.2e-162])
+    def test_peak_whose_threshold_underflows_is_a_fit_error(self, scale):
+        # peak intensity 5e-324 or 1e-323: peak e^-2 rounds to 0, so the mask
+        # would take the exact zeros of the far wings and fit their log
+        pulse = SampledPulse(GRID, make_gaussian_pulse(GRID, 70e-9).envelope * scale)
+        assert pulse.intensity.max() * math.exp(-2.0) == 0.0
+        with pytest.raises(FitError, match="too small to fit"):
             fit_gaussian(pulse)
 
     def test_too_few_samples(self):
