@@ -55,7 +55,7 @@ def _round9(x):
 def _load_config(path: str) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:

@@ -109,13 +109,31 @@ def entry_bounds(
     The bounds are non-finite where the entries may overflow.
 
     Re mu and |mu| come from the real and imaginary parts of mu^2, with no
-    complex sqrt and no cancellation (see :func:`_growth_and_reach`).
+    complex sqrt.  The principal root has 2 (Re mu)^2 = |mu^2| + Re mu^2, a
+    sum that cancels where Re mu^2 < 0.  Since |mu^2|^2 = (Re mu^2)^2 +
+    (Im mu^2)^2, it equals (Im mu^2)^2 / (|mu^2| + |Re mu^2|) + Re mu^2 +
+    |Re mu^2|, a sum of terms >= 0 that is nan where Re mu^2 = -inf.
     """
     big_l = p.cell_length / C_LIGHT
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode)
         abs_d, abs_alpha = np.abs(direct), np.abs(alpha)
-        g, r = _growth_and_reach(mu_sq, 0.5 * direct.real, big_l)
+        half_re_d = 0.5 * direct.real
+        r = np.abs(mu_sq)  # |mu^2| until it becomes r
+        total = np.abs(mu_sq.real)
+        g = np.add(mu_sq.real, total)
+        total += r
+        im_part = np.square(mu_sq.imag, out=mu_sq.imag)
+        im_part /= total
+        g += im_part
+        g *= 0.5
+        np.sqrt(g, out=g)  # Re mu
+        g -= half_re_d
+        g *= big_l
+        np.exp(g, out=g)
+        np.sqrt(r, out=r)
+        np.divide(1.0, r, out=r)
+        np.minimum(r, big_l, out=r)
         # g (1 + |d|/2 r) and (g |alpha|) r
         abs_d *= 0.5
         abs_d *= r
@@ -161,34 +179,6 @@ def peak_entry_bounds(p: MediumParams, omega: np.ndarray, dispersion_mode: str =
     except OverflowError:
         growth = math.inf
     return growth * (1.0 + 1.0 / root), growth * rho / root
-
-
-def _growth_and_reach(mu_sq: np.ndarray, half_re_d, big_l: float):
-    """g = e^{(Re mu - Re d/2) L} and r = min(L, 1/|mu|) from the complex mu^2.
-
-    The principal root has 2 (Re mu)^2 = |mu^2| + Re mu^2, a sum that
-    cancels where Re mu^2 < 0.  Since |mu^2|^2 = (Re mu^2)^2 + (Im mu^2)^2,
-    it equals (Im mu^2)^2 / (|mu^2| + |Re mu^2|) + Re mu^2 + |Re mu^2|, a
-    sum of terms >= 0 that is nan where Re mu^2 = -inf.  `mu_sq`'s
-    imaginary part is overwritten.
-    """
-    re_mu_sq = mu_sq.real
-    abs_mu_sq = np.abs(mu_sq)
-    total = np.abs(re_mu_sq)
-    g = np.add(re_mu_sq, total)
-    total += abs_mu_sq
-    im_part = np.square(mu_sq.imag, out=mu_sq.imag)
-    im_part /= total
-    g += im_part
-    g *= 0.5
-    np.sqrt(g, out=g)  # Re mu
-    g -= half_re_d
-    g *= big_l
-    np.exp(g, out=g)
-    r = np.sqrt(abs_mu_sq, out=abs_mu_sq)
-    np.divide(1.0, r, out=r)
-    np.minimum(r, big_l, out=r)
-    return g, r
 
 
 @dataclass(frozen=True)

@@ -206,15 +206,17 @@ def from_spectrum(
 ) -> np.ndarray:
     """Envelopes of `spectrum` along its last axis: :func:`to_spectrum` inverted.
 
-    The envelopes are written to `out` when given (a C-contiguous complex
-    array of the spectrum's shape), else to one new array.
+    The envelopes are written to `out` when given (a writeable, C-contiguous
+    complex128 array of the spectrum's shape), else to one new array.
     """
     spec = np.asarray(spectrum, dtype=complex)
     n = grid.n_samples
     if spec.shape[-1:] != (n,):
         raise GuardError("spectrum length must match the grid")
-    if out is not None and not (out.shape == spec.shape and out.flags.c_contiguous):
-        raise GuardError("out must be C-contiguous with the spectrum's shape")
+    if out is not None and not (out.shape == spec.shape and out.dtype == complex
+                                and out.flags.c_contiguous and out.flags.writeable):
+        raise GuardError("out must be a writeable, C-contiguous complex128 array "
+                         "of the spectrum's shape")
     env = np.empty(spec.shape, dtype=complex) if out is None else out
     # row by row: on a stack, numpy's pocketfft vectorizes across rows with
     # per-call scratch buffers that glibc can return to the OS and fault in

@@ -386,6 +386,17 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert str(path) in err and "Traceback" not in err
 
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(BASE.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + BASE.encode())
+        codes, outs = [], []
+        for path in (plain, bom):
+            codes.append(main(["derive", "--config", str(path)]))
+            outs.append(capsys.readouterr().out)
+        assert codes == [0, 0]
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("command", ["run", "scan-density"])
     def test_unwritable_output_is_config_error(self, tmp_path, capsys, command):
         cfg = write_cfg(

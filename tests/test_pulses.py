@@ -153,10 +153,17 @@ class TestSpectrum:
         # leading axes that reshape only to a copy, which the transforms would fill
         ((2, 2, GRID.n_samples),
          np.zeros((2, 2, GRID.n_samples), dtype=complex).transpose(1, 0, 2)),
-    ], ids=["shape0", "shape1", "strided", "transposed"])
+        # the float-view scaling would misread the bytes of another dtype
+        ((2, GRID.n_samples), np.zeros((2, GRID.n_samples), dtype=np.complex64)),
+        ((2, GRID.n_samples), np.zeros((2, GRID.n_samples))),
+        # read-only, which the transforms cannot write
+        ((2, GRID.n_samples),
+         np.frombuffer(bytes(32 * GRID.n_samples), dtype=complex).reshape(2, -1)),
+    ], ids=["shape0", "shape1", "strided", "transposed", "complex64", "float64", "read-only"])
     def test_out_of_another_shape_is_guard_error(self, spec_shape, out):
         spec = np.ones(spec_shape, dtype=complex)
-        with pytest.raises(GuardError, match="out must be C-contiguous with the spectrum's shape"):
+        with pytest.raises(GuardError, match="out must be a writeable, C-contiguous complex128 "
+                                             "array of the spectrum's shape"):
             from_spectrum(spec, GRID, out=out)
 
     @pytest.mark.parametrize("shape", [(GRID.n_samples // 2,), (GRID.n_samples, 2)])
