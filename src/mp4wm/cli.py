@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -109,7 +110,7 @@ def _cmd_run(cfg: Config, args) -> int:
     p = cfg.to_medium_params()
     res = run_single(p, cfg.to_pulse_config())
     tr = res.traces
-    norm = tr.reference.intensity.max()
+    norm = tr.reference.peak
     cols = np.column_stack((
         tr.reference.grid.times * 1e9,
         tr.reference.intensity / norm,
@@ -203,8 +204,18 @@ def main(argv=None) -> int:
         try:
             cfg = _load_config(args.config)
             status = handler(cfg, args)
+            sys.stdout.flush()  # a closed stdout fails here, not at exit
         except ConfigError as exc:
             print(f"mp4wm: config error: {exc}", file=sys.stderr)
+            return 2
+        except BrokenPipeError as exc:
+            # the reader is gone: what is left in the buffer goes to the null
+            # device, so the flush at interpreter exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"mp4wm: config error: cannot write output <stdout>: {exc.strerror}",
+                  file=sys.stderr)
             return 2
         except Mp4wmError as exc:
             print(f"mp4wm: error: {exc}", file=sys.stderr)

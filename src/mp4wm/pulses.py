@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -83,25 +83,35 @@ class SampledPulse:
 
     grid: TimeGrid
     envelope: np.ndarray
+    # private: |envelope| when the caller has it, taken over as the intensity
+    _magnitude: InitVar[np.ndarray | None] = None
     intensity: np.ndarray = field(init=False, repr=False, compare=False)
+    peak: float = field(init=False, repr=False, compare=False)  # max of `intensity`
     # per thread: the (2, N) spectra and envelopes that propagating this pulse
     # reuses, and the (length, spectrum, pulse) of its last exact vacuum transit
     _work: threading.local = field(
         default_factory=threading.local, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self):
+    def __post_init__(self, _magnitude):
         env = np.array(self.envelope, dtype=complex)  # a copy the caller cannot change
         if env.shape != (self.grid.n_samples,):
             raise GuardError("envelope length must match the grid")
         with np.errstate(over="ignore", invalid="ignore"):
-            inten = np.abs(env) ** 2
-        if not np.all(np.isfinite(inten)):
-            if not np.all(np.isfinite(env)):
-                raise GuardError("envelope must be finite everywhere")
-            raise GuardError("intensity overflows double precision; the gain is too large")
+            inten = np.abs(env) if _magnitude is None else _magnitude
+            # rounding a square is monotone, so max(|E|)^2 is the max of the
+            # rounded |E|^2; max propagates nan, so a finite peak makes every
+            # intensity finite
+            peak = float(inten.max())
+            peak *= peak
+            if not math.isfinite(peak):
+                if not np.all(np.isfinite(env)):
+                    raise GuardError("envelope must be finite everywhere")
+                raise GuardError("intensity overflows double precision; the gain is too large")
+            np.square(inten, out=inten)  # the bits of np.abs(env) ** 2
         object.__setattr__(self, "envelope", _read_only(env))
         object.__setattr__(self, "intensity", _read_only(inten))
+        object.__setattr__(self, "peak", peak)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -145,11 +155,10 @@ class SampledPulse:
         return fit_gaussian(self)
 
     def check_containment(self, label: str):
-        inten = self.intensity
-        peak = float(inten.max())
+        peak = self.peak
         if peak == 0.0:
             return
-        edge = max(inten[0], inten[-1])
+        edge = max(self.intensity[0], self.intensity[-1])
         if edge >= _CONTAINMENT_RATIO * peak:
             raise ContainmentError(
                 f"{label} intensity at the window edge is {edge / peak:.2e} of "
@@ -232,7 +241,7 @@ def from_spectrum(
 
 def _output_envelopes(
     p: MediumParams, pulse: SampledPulse, spectrum: np.ndarray, dispersion_mode: str
-) -> np.ndarray:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Rows ifft(m_pp S) and ifft(m_cp S) as envelopes, the kernel run on the band.
 
     `spectrum` is S0 = the input's :attr:`~SampledPulse.spectrum`, or phi S0
@@ -243,7 +252,8 @@ def _output_envelopes(
     peak amplitude of each output, the kernel also fills the outside bins
     and both outputs are transformed again, which makes them the full-grid
     outputs.  The rows are this thread's workspace of `pulse`, which its
-    next propagation on the thread overwrites.
+    next propagation on the thread overwrites; they come with a new |row|
+    each, the magnitudes the budgets were taken from.
 
     Where :func:`peak_entry_bounds` gives one B >= every B_k, the check
     first tries B sum_k |S0_k| (1 + `_PEAK_BOUND_SLACK`), and skips the
@@ -269,8 +279,9 @@ def _output_envelopes(
     # non-finite entries pass through silently; the output guards report them
     with np.errstate(invalid="ignore", over="ignore"):
         outputs = fill(band.inside, grid.omegas[band.inside])
+        magnitudes = [np.abs(env) for env in outputs]
         scale = 1.0 / (grid.n_samples * grid.t_step)
-        budgets = [_BAND_TOLERANCE * float(np.abs(env).max()) for env in outputs]
+        budgets = [_BAND_TOLERANCE * float(mag.max()) for mag in magnitudes]
 
         def passes(sums) -> bool:
             return all(math.isfinite(s * scale) and s * scale <= b
@@ -280,11 +291,12 @@ def _output_envelopes(
         if peak is not None and passes(
             b * band.outside_abs_sum * (1.0 + _PEAK_BOUND_SLACK) for b in peak
         ):
-            return outputs
+            return outputs, magnitudes
         bounds = entry_bounds(p, band.outside_omegas, dispersion_mode)
         if passes(float(np.dot(b, band.outside_abs)) for b in bounds):
-            return outputs
-        return fill(band.outside, band.outside_omegas)
+            return outputs, magnitudes
+        outputs = fill(band.outside, band.outside_omegas)
+        return outputs, [np.abs(env) for env in outputs]
 
 
 @dataclass(frozen=True)
@@ -323,11 +335,14 @@ def propagate_pulse(
         spectrum = _read_only(vac * pulse.spectrum)
         reference = SampledPulse(grid, from_spectrum(spectrum, grid))
         pulse._work.vacuum = (p.cell_length, spectrum, reference)
-    probe_env, conj_star_env = _output_envelopes(p, pulse, spectrum, dispersion_mode)
-    # each pulse copies its envelope out of the workspace
-    probe = SampledPulse(grid, probe_env)
-    # E_c*(-w) synthesized in time, conjugated back to E_c(t)
-    conjugate = SampledPulse(grid, np.conj(conj_star_env, out=conj_star_env))
+    (probe_env, conj_star_env), (probe_mag, conj_mag) = _output_envelopes(
+        p, pulse, spectrum, dispersion_mode
+    )
+    # each pulse copies its envelope out of the workspace and squares its
+    # magnitude in place into its intensity
+    probe = SampledPulse(grid, probe_env, probe_mag)
+    # E_c*(-w) synthesized in time, conjugated back to E_c(t), |E_c| = |E_c*|
+    conjugate = SampledPulse(grid, np.conj(conj_star_env, out=conj_star_env), conj_mag)
 
     probe.check_containment("propagated probe")
     conjugate.check_containment("generated conjugate")
@@ -354,33 +369,35 @@ def fit_gaussian(pulse: SampledPulse) -> GaussianFit:
     not negative, or when the fitted peak intensity overflows.
     """
     inten = pulse.intensity
-    peak = float(inten.max())
+    peak = pulse.peak
     if peak <= 0.0:
         raise FitError("cannot fit an all-zero pulse")
     threshold = peak * math.exp(-2.0)
     if not threshold > 0.0:  # it would take the exact zeros, whose log is -inf
         raise FitError(f"peak intensity {peak:.3g} is too small to fit: "
                        "its 1/e^2 level underflows")
-    mask = inten >= threshold
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(inten >= threshold)
     if idx.size < _FIT_MIN_SAMPLES:
         raise FitError(f"only {idx.size} samples above the 1/e^2 threshold")
-    if np.any(np.diff(idx) != 1):
+    if idx[-1] - idx[0] + 1 != idx.size:  # sorted and distinct: contiguous iff no gap
         raise FitError("no unique dominant peak: 1/e^2 region is not contiguous")
 
-    t = pulse.grid.times[idx]
-    t0 = t[np.argmax(inten[idx])]
+    fitted = slice(idx[0], idx[-1] + 1)
+    y = inten[fitted]
+    t = pulse.grid.times[fitted]
+    t0 = t[np.argmax(y)]
     x = t - t0  # around the discrete peak, then onto u in [-1, 1]
     mid, half = 0.5 * (x[-1] + x[0]), 0.5 * (x[-1] - x[0])
     if not half > 0.0:  # all fitted times rounded to one value
         raise FitError("fitted samples share one time value: t_step is below its resolution")
     u = (x - mid) / half
     # weight (I / peak)^2; dividing by the peak keeps the square finite
-    w = (inten[idx] / peak) ** 2
-    v = np.stack((u * u, u, np.ones_like(u)))
+    w = (y / peak) ** 2
+    v = np.empty((3, u.size))
+    v[0], v[1], v[2] = u * u, u, 1.0
     wv = v * w
     try:
-        a, b, c = np.linalg.solve(wv @ v.T, wv @ np.log(inten[idx]))
+        a, b, c = np.linalg.solve(wv @ v.T, wv @ np.log(y))
     except np.linalg.LinAlgError:
         raise FitError("fitted sample times do not determine a parabola") from None
     if a >= 0.0:

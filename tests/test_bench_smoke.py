@@ -20,3 +20,15 @@ def test_bench_smoke(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
+
+
+def test_tracer_finds_every_span_target(monkeypatch):
+    # a renamed span target would read as absent, and its metrics as 0
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import mp4wm.cli  # noqa: F401  (loads every module the tracer wraps)
+    from tracer import SCAN_NAME, SPAN_TARGETS, Tracer
+
+    absent = Tracer().absent
+    assert [f"{module}.{path}" for module, path, _ in SPAN_TARGETS
+            if f"{module}.{path}" in absent] == []
+    assert SCAN_NAME not in absent

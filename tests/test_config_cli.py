@@ -408,6 +408,20 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert str(out) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["derive", "run"])
+    def test_closed_stdout_is_config_error(self, tmp_path, command):
+        # a reader that stops early, as in `mp4wm derive ... | true`
+        cfg = write_cfg(tmp_path, BASE + "n_samples = 256\n")
+        out = [] if command == "derive" else ["--out", str(tmp_path / "t.csv")]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mp4wm.cli", command, "--config", cfg, *out],
+            env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
+        assert err == "mp4wm: config error: cannot write output <stdout>: Broken pipe\n"
+
     @pytest.mark.parametrize(
         "key, value",
         [("fwhm_ns", "nan"), ("window_ns", "inf"), ("scan_start", "nan"), ("eta0", "inf")],

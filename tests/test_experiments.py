@@ -120,14 +120,16 @@ class TestScanEngine:
         built = []
         post_init = pulses.SampledPulse.__post_init__
 
-        def counted(pulse):
-            built.append(pulse)
-            post_init(pulse)
+        def counted(pulse, magnitude=None):
+            built.append(magnitude is not None)
+            post_init(pulse, magnitude)
         monkeypatch.setattr(pulses.SampledPulse, "__post_init__", counted)
         cfg = PulseConfig(n_samples=1024)
         scan(make_params(), "density", [0.2, 0.6, 1.0], cfg)
-        # the shared input, then the probe and the conjugate of each point
+        # the shared input, then the probe and the conjugate of each point,
+        # which take over the |E| their band budgets were read from
         assert len(built) == 1 + 2 * 3
+        assert built == [False] + [True] * (2 * 3)
         grid = cfg.input_pulse.grid
         for name in ("times", "omegas"):
             arr = getattr(grid, name)

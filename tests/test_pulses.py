@@ -42,6 +42,12 @@ RNG = np.random.default_rng(7)
 
 GRID = TimeGrid.centered(2048e-9, 4096)  # dt = 0.5 ns, t = 0 on the grid
 
+# parts of envelope samples: non-finite, overflowing when squared, subnormal
+SPECIAL_SAMPLES = st.sampled_from(
+    [0.0, -0.0, 1.0, -3.5, 5e-324, -1e-310, 1e-160, 1e154, -1e155, 1e200, 1e308,
+     np.inf, -np.inf, np.nan]
+) | st.floats(allow_nan=True, allow_infinity=True)
+
 
 def _metrics(res):
     """Probe and conjugate metrics of a :class:`PropagationResult`."""
@@ -66,6 +72,39 @@ class TestGrid:
         env[3] = value
         with np.errstate(all="raise"), pytest.raises(GuardError, match=message):
             SampledPulse(grid=GRID, envelope=env)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        scale=st.sampled_from([0.0, 5e-324, 1e-170, 1e-160, 1.0, 1e150, 1e154, 1e160]),
+        specials=st.lists(
+            st.tuples(st.integers(0, 255), SPECIAL_SAMPLES, SPECIAL_SAMPLES), max_size=4
+        ),
+    )
+    def test_intensity_and_peak_keep_the_bits_of_one_abs_squared(self, scale, specials):
+        grid = TimeGrid(n_samples=256, t_start=-128e-9, t_step=1e-9)
+        with np.errstate(over="ignore", under="ignore"):
+            env = scale * np.exp(-(grid.times / 30e-9) ** 2) * np.exp(0.3j * grid.times / 1e-9)
+        for i, re_part, im_part in specials:
+            env[i] = complex(re_part, im_part)
+        with np.errstate(over="ignore", invalid="ignore"):
+            magnitude = np.abs(env)
+            want = np.abs(env) ** 2
+        message = None
+        if not np.all(np.isfinite(want)):  # the guard as an isfinite pass over |E|^2
+            message = ("envelope must be finite everywhere" if not np.all(np.isfinite(env))
+                       else "intensity overflows double precision; the gain is too large")
+        # the public constructor, and the conjugate output's path, which
+        # passes the |E| of the row it conjugates
+        for build in (lambda: SampledPulse(grid, env),
+                      lambda: SampledPulse(grid, np.conj(env), magnitude.copy())):
+            if message is not None:
+                with pytest.raises(GuardError) as info:
+                    build()
+                assert str(info.value) == message
+                continue
+            pulse = build()
+            assert pulse.intensity.tobytes() == want.tobytes()
+            assert type(pulse.peak) is float and pulse.peak == pulse.intensity.max()
 
     def test_energy_overflow_is_a_guard_error(self):
         # each intensity (1e308) is finite; their sum is not
@@ -456,9 +495,12 @@ class TestBandLimitedKernel:
         spectrum = pulse.spectrum
         if propagation_mode == "exact":
             spectrum = np.exp(-1j * self.GRID_1K.omegas * p.cell_length / C) * spectrum
+        envelopes, magnitudes = pulses._output_envelopes(p, pulse, spectrum, dispersion_mode)
         # copies: the rows are the pulse's workspace, which propagate_pulse overwrites
-        outputs = [env.copy() for env in
-                   pulses._output_envelopes(p, pulse, spectrum, dispersion_mode)]
+        outputs = [env.copy() for env in envelopes]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for out, mag in zip(outputs, magnitudes):  # what the output pulses square
+                assert np.array_equal(mag, np.abs(out), equal_nan=True)
         entries, expected = _full_grid_outputs(p, pulse, propagation_mode, dispersion_mode)
         for out, want in zip(outputs, expected):
             # near the pole of the full eta(w) the kernel overflows on some
@@ -698,6 +740,33 @@ class TestFitRobustness:
         )
         with pytest.raises(FitError, match="unique dominant peak"):
             fit_gaussian(SampledPulse(GRID, env))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        runs=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 40)), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gap_in_the_fitted_region_is_found_like_a_diff(self, runs, seed):
+        # samples above the 1/e^2 level in runs of the given lengths after
+        # the given gaps, at 0.6..1 of the peak amplitude; 0.1 elsewhere
+        mask = np.concatenate([np.r_[np.zeros(gap, bool), np.ones(run, bool)]
+                               for gap, run in runs])[:256]
+        mask = np.r_[mask, np.zeros(256 - mask.size, bool)]
+        amplitude = np.random.default_rng(seed).uniform(0.6, 1.0, 256)
+        grid = TimeGrid(n_samples=256, t_start=0.0, t_step=1e-9)
+        pulse = SampledPulse(grid, np.where(mask, amplitude, 0.1))
+        idx = np.flatnonzero(mask)
+        assert np.array_equal(np.flatnonzero(pulse.intensity >= pulse.peak * math.exp(-2.0)), idx)
+        try:
+            fit_gaussian(pulse)
+        except FitError as exc:
+            message = str(exc)
+        else:
+            message = ""
+        if idx.size < 8:
+            assert message.startswith("only")
+        else:
+            assert ("not contiguous" in message) == bool(np.any(np.diff(idx) != 1))
 
     def test_huge_intensity_fits_like_the_unit_pulse(self):
         unit = fit_gaussian(make_gaussian_pulse(GRID, 120e-9, center=13e-9))
