@@ -28,7 +28,8 @@ e^{mu L} is taken as 1 + expm1(mu L), so that e_+ - e_- =
 P expm1(mu L) (1 + e^{-mu L}) keeps full precision as mu L -> 0; below
 |mu L| = 1e-6 the series L (1 + (mu L)^2/6) replaces sinh(mu L)/mu.
 :func:`entry_bounds` bounds |m_pp| and |m_cp| from the same d, alpha and
-mu^2 without evaluating the entries.
+mu^2 without evaluating the entries, and :func:`peak_entry_bounds` bounds
+them in closed form on an interval of frequencies.
 
 The Fourier convention is the NumPy one: spectra are obtained with the
 e^{-i w t} kernel, so a time delay tau multiplies a spectrum by
@@ -44,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError
-from .params import C_LIGHT, MediumParams, derive_coefficients, eta_of_omega
+from .params import (C_LIGHT, DerivedCoefficients, MediumParams, derive_coefficients,
+                     eta_of_omega)
 
 # below this |mu L| the sinh(mu L)/mu factor switches to its series
 _SINHC_THRESHOLD = 1e-6
@@ -144,38 +146,64 @@ def entry_bounds(
         return abs_d, r
 
 
-def peak_entry_bounds(p: MediumParams, omega: np.ndarray, dispersion_mode: str = "constant"):
-    """Two scalars at or above :func:`entry_bounds` at every frequency of `omega`.
+def peak_entry_bounds(
+    p: MediumParams,
+    y_min: float,
+    omega_lo: float,
+    omega_hi: float,
+    dispersion_mode: str = "constant",
+    coefficients: DerivedCoefficients | None = None,
+):
+    """Two scalars at or above :func:`entry_bounds` at every frequency w in
+    [omega_lo, omega_hi] with |dtilde + w| >= y_min.
 
-    Constant mode only, and only where every frequency lies beyond 2 Delta_R
-    of the two-photon resonance: with y_min = min |dtilde + w| and
-    rho = 2 Delta_R / y_min < 1,
+    `coefficients` is ``derive_coefficients(p)``, when the caller has it.
+    With rho = 2 Delta_R / y_min < 1 and the maxima taken over the interval,
 
         |m_pp| bound <= G (1 + 1/sqrt(1 - rho^2)),
-        |m_cp| bound <= G rho / sqrt(1 - rho^2),   G = e^{2 eta0 Delta_R^2 L / y_min}.
+        |m_cp| bound <= G rho / sqrt(1 - rho^2),
+        G = e^{L [max(0, -Re d)_max + 2 Delta_R^2 |eta|_max / y_min]}.
 
-    There d/2 = (eta0/2)(gamma_c + i y) with y = dtilde + w, and
-    alpha = eta0 Delta_R.  The root mu' = +/-mu whose imaginary part has
-    the sign of Im d has Re mu' = |Re mu|, and (mu' - d/2)(mu' + d/2) =
-    alpha^2, so |Re mu| - Re d/2 = Re(alpha^2 / (mu' + d/2)) <=
-    alpha^2 / |Im d/2| <= 2 eta0 Delta_R^2 / y_min, which bounds g.  Since
-    |mu|^2 >= |d/2|^2 - alpha^2 and alpha / |d/2| <= rho, r |d|/2 <=
-    1/sqrt(1 - rho^2) and r alpha <= rho/sqrt(1 - rho^2).  Returns None in
-    full mode, where eta(w) is complex, and where rho >= 1 or is nan.  An
-    empty `omega` has y_min = inf.
+    Write h = (gamma_c + i y)/2 with y = dtilde + w, so d = 2 eta h,
+    alpha = eta Delta_R and mu = eta nu with nu^2 = h^2 + Delta_R^2.  The
+    root nu0 with Re(nu0 conj(h)) >= 0 has |nu0 + h| >= |h|, so |nu0 - h| =
+    Delta_R^2 / |nu0 + h| <= 2 Delta_R^2 / y_min.  Whatever the sign of
+    Re(eta nu0), |Re mu| - Re d/2 = |Re(eta nu0)| - Re(eta h) <=
+    |eta| |nu0 - h| + max(0, -Re d), which bounds g.  Since |nu|^2 >=
+    |h|^2 - Delta_R^2 and Delta_R / |h| <= rho, r |d|/2 <= |h|/|nu| <=
+    1/sqrt(1 - rho^2) and r |alpha| <= Delta_R/|nu| <= rho/sqrt(1 - rho^2).
+
+    In constant mode eta = eta0 and -Re d = -eta0 gamma_c <= 0, so
+    G = e^{2 eta0 Delta_R^2 L / y_min}.  In full mode eta = g^2 N / D with
+    D = u + i Delta_1 gamma_c and u = Omega^2/4 + Delta_1 (delta + w),
+    linear in w, so |eta|_max is g^2 N over the smallest |D| on the
+    interval, and -Re d = gamma_c (K - 2u) |eta|^2 / g^2 N with
+    K = Omega^2/4 + Delta_1 Delta_R is at most
+    gamma_c max(0, K - 2 u_min) |eta|_max^2 / g^2 N.  The pair is infinite
+    where rho >= 1 or is nan, and where the interval reaches the pole of
+    eta(w); it is nan where the exponent is.
     """
-    if dispersion_mode != "constant":
-        return None
-    c = derive_coefficients(p)
-    y = np.add(omega, c.delta_tilde)
-    y_min = float(np.abs(y, out=y).min()) if y.size else math.inf
-    if not 2.0 * c.delta_r < y_min:
-        return None
+    c = derive_coefficients(p) if coefficients is None else coefficients
+    if not y_min > 2.0 * c.delta_r:
+        return math.inf, math.inf
     rho = 2.0 * c.delta_r / y_min
     root = math.sqrt(1.0 - rho * rho)
-    exponent = 2.0 * c.eta0 * c.delta_r * c.delta_r * (p.cell_length / C_LIGHT) / y_min
+    shift = 2.0 * c.delta_r * c.delta_r
+    if dispersion_mode == "constant":
+        exponent = shift * c.eta0 / y_min
+    else:
+        g2n, quarter = p.coupling_g2n, 0.25 * p.omega_rabi**2
+        u_lo = quarter + p.delta_one * (p.delta_two_photon + omega_lo)
+        u_hi = quarter + p.delta_one * (p.delta_two_photon + omega_hi)
+        # the smallest |D|^2 on the interval: u^2 is 0 where u changes sign
+        den = (min(u_lo * u_lo, u_hi * u_hi) if u_lo * u_hi > 0.0 else 0.0)
+        den += (p.delta_one * p.gamma_c) ** 2
+        if not den > 0.0:
+            return math.inf, math.inf
+        loss = max(quarter + p.delta_one * c.delta_r - 2.0 * min(u_lo, u_hi), 0.0)
+        exponent = (loss * p.gamma_c * g2n + shift * g2n * math.sqrt(den) / y_min) / den
     try:
-        growth = math.exp(exponent)  # nan where the exponent is
+        growth = math.exp(exponent * p.cell_length / C_LIGHT)  # nan where the exponent is
     except OverflowError:
         growth = math.inf
     return growth * (1.0 + 1.0 / root), growth * rho / root

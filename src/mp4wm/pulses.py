@@ -14,7 +14,7 @@ import numpy as np
 
 from .coupling import entry_bounds, peak_entry_bounds, transfer_entries
 from .errors import AliasingError, ContainmentError, FitError, GuardError
-from .params import C_LIGHT, MediumParams
+from .params import C_LIGHT, DerivedCoefficients, MediumParams, derive_coefficients
 
 PROPAGATION_MODES = ("exact", "relative")
 
@@ -22,7 +22,8 @@ _CONTAINMENT_RATIO = 1e-6   # boundary intensity vs peak
 _ALIASING_RATIO = 1e-6      # edge spectral magnitude vs spectral peak
 _BAND_RATIO = 1e-16         # spectral magnitude vs peak that the kernel evaluates
 _BAND_TOLERANCE = 1e-13     # bound of the skipped bins' output vs the output peak
-_PEAK_BOUND_SLACK = 1e-9    # relative rounding allowance of the one-bound check
+_PEAK_BOUND_SLACK = 1e-9    # relative rounding allowance of the closed-form checks
+_NEAR_RADIUS = 16.0         # bins within this many Delta_R of resonance take per-bin bounds
 _FIT_MIN_SAMPLES = 8
 _FOUR_LN2 = 4.0 * math.log(2.0)
 
@@ -71,9 +72,11 @@ class SpectralBand:
     """Split of a spectrum's FFT bins at `_BAND_RATIO` of its peak magnitude."""
 
     inside: np.ndarray     # indices where |S| > _BAND_RATIO * max |S|
-    outside: np.ndarray    # the other indices
+    outside: np.ndarray    # the other indices, in ascending order of frequency
     outside_abs: np.ndarray  # |S| on `outside`
-    outside_abs_sum: float   # sum of `outside_abs`
+    # cumulative sums of `outside_abs`: sum of [:i] at i, and of [i:] at i
+    outside_abs_below: np.ndarray
+    outside_abs_above: np.ndarray
     outside_omegas: np.ndarray  # the grid's angular frequencies on `outside`
 
 
@@ -124,12 +127,18 @@ class SampledPulse:
         mag = np.abs(self.spectrum)
         kept = mag > _BAND_RATIO * mag.max()
         outside = np.flatnonzero(~kept)
+        # in ascending frequency the FFT order's negative half comes first
+        outside = np.roll(outside, -int(np.searchsorted(outside, mag.size // 2)))
         outside_abs = mag[outside]
+        below, above = np.zeros((2, outside.size + 1))
+        np.cumsum(outside_abs, out=below[1:])
+        np.cumsum(outside_abs[::-1], out=above[-2::-1])
         return SpectralBand(
             inside=_read_only(np.flatnonzero(kept)),
             outside=_read_only(outside),
             outside_abs=_read_only(outside_abs),
-            outside_abs_sum=float(outside_abs.sum()),
+            outside_abs_below=_read_only(below),
+            outside_abs_above=_read_only(above),
             outside_omegas=_read_only(self.grid.omegas[outside]),
         )
 
@@ -239,6 +248,43 @@ def from_spectrum(
     return env
 
 
+def _skipped_sums(p: MediumParams, band: SpectralBand, radius: float, dispersion_mode: str,
+                  c: DerivedCoefficients):
+    """Upper bounds on sum_k B_k |S0_k| over the bins outside `band`, for m_pp and m_cp.
+
+    `c` is ``derive_coefficients(p)``.  The bins with |dtilde + w| <=
+    `radius` Delta_R (none at radius 0) take their :func:`entry_bounds` B_k;
+    each run of bins on either side of them takes one
+    :func:`peak_entry_bounds` pair times its sum of |S0_k|, or makes both
+    sums infinite.  fl(dtilde + w) is monotone in w, so a run's
+    smallest |dtilde + w| is at its end nearer the resonance.  The sums
+    carry (1 + `_PEAK_BOUND_SLACK`), so that they are at or above the
+    rounded per-bin sum over every outside bin: np.dot and the running sums
+    of n <= 2**20 non-negative terms each round by at most n eps = 2.3e-10
+    relative, exp and sqrt round a pair by a few eps, and each B_k rounds
+    by a few eps times its exponents |Re mu| L and Re d/2 L, which the
+    slack covers up to ~1e6.  A pair and the B_k it covers approach each
+    other only at large |dtilde + w|, where both tend to 2.
+    """
+    omegas, sizes = band.outside_omegas, band.outside_abs
+    lo, hi = np.searchsorted(omegas, (-c.delta_tilde - radius * c.delta_r,
+                                      -c.delta_tilde + radius * c.delta_r)).tolist()
+    sums = [0.0, 0.0]
+    if lo < hi:
+        sums = [float(np.dot(b, sizes[lo:hi]))
+                for b in entry_bounds(p, omegas[lo:hi], dispersion_mode)]
+    for start, stop, inner, total in ((0, lo, lo - 1, band.outside_abs_below[lo]),
+                                      (hi, omegas.size, hi, band.outside_abs_above[hi])):
+        if start < stop:
+            pair = peak_entry_bounds(p, abs(float(omegas[inner]) + c.delta_tilde),
+                                     float(omegas[start]), float(omegas[stop - 1]),
+                                     dispersion_mode, c)
+            if not math.isfinite(pair[0] + pair[1]):
+                return [math.inf, math.inf]
+            sums = [s + b * float(total) for s, b in zip(sums, pair)]
+    return [s * (1.0 + _PEAK_BOUND_SLACK) for s in sums]
+
+
 def _output_envelopes(
     p: MediumParams, pulse: SampledPulse, spectrum: np.ndarray, dispersion_mode: str
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -255,15 +301,10 @@ def _output_envelopes(
     next propagation on the thread overwrites; they come with a new |row|
     each, the magnitudes the budgets were taken from.
 
-    Where :func:`peak_entry_bounds` gives one B >= every B_k, the check
-    first tries B sum_k |S0_k| (1 + `_PEAK_BOUND_SLACK`), and skips the
-    per-bin sum when that passes.  The slack makes a pass here imply a pass
-    of the rounded per-bin sum: np.dot of n <= 2**20 non-negative terms and
-    the sum of |S0| each round by at most n eps = 2.3e-10 relative, exp and
-    sqrt round B by a few eps, and each B_k rounds by a few eps times its
-    exponents |Re mu| L and Re d/2 L, which the slack covers up to ~1e6.
-    B and max B_k approach each other only at large |dtilde + w|, where
-    both tend to 2.
+    The check first tries :func:`_skipped_sums` with no near bins, then
+    with the bins within `_NEAR_RADIUS` Delta_R of resonance, and takes the
+    per-bin sum over every outside bin only when neither passes.  Both are
+    at or above that sum, so a pass of either implies its pass.
     """
     grid = pulse.grid
     band = pulse.band
@@ -287,11 +328,10 @@ def _output_envelopes(
             return all(math.isfinite(s * scale) and s * scale <= b
                        for s, b in zip(sums, budgets))
 
-        peak = peak_entry_bounds(p, band.outside_omegas, dispersion_mode)
-        if peak is not None and passes(
-            b * band.outside_abs_sum * (1.0 + _PEAK_BOUND_SLACK) for b in peak
-        ):
-            return outputs, magnitudes
+        coefficients = derive_coefficients(p)
+        for radius in (0.0, _NEAR_RADIUS):
+            if passes(_skipped_sums(p, band, radius, dispersion_mode, coefficients)):
+                return outputs, magnitudes
         bounds = entry_bounds(p, band.outside_omegas, dispersion_mode)
         if passes(float(np.dot(b, band.outside_abs)) for b in bounds):
             return outputs, magnitudes

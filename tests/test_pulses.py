@@ -581,19 +581,24 @@ class TestBandLimitedKernel:
         ).scaled_density(density)
         omegas = make_gaussian_pulse(self.GRID_1K, 70e-9).band.outside_omegas
         c = derive_coefficients(p)
-        rho = 2.0 * c.delta_r / np.min(np.abs(omegas + c.delta_tilde))
-        peak = peak_entry_bounds(p, omegas)
-        assert (peak is None) == (not rho < 1.0)
-        assert peak_entry_bounds(p, omegas, "full") is None
-        if peak is not None:
-            for b, bins in zip(peak, entry_bounds(p, omegas)):
-                assert np.all(bins <= b)
-            if abs(delta2_mhz) > 1e9:
-                assert peak[0] <= (1.0 + 1e-7) * entry_bounds(p, omegas)[0].max()
+        y_min = np.min(np.abs(omegas + c.delta_tilde))
+        span = (y_min, omegas.min(), omegas.max())
+        peak = peak_entry_bounds(p, *span)
+        assert np.all(np.isfinite(peak)) == (2.0 * c.delta_r / y_min < 1.0)
+        if abs(delta2_mhz) > 1e9:
+            assert peak[0] <= (1.0 + 1e-7) * entry_bounds(p, omegas)[0].max()
+        # full mode is also infinite where the span reaches the pole of eta(w)
+        for dispersion_mode in ("constant", "full"):
+            pair = peak_entry_bounds(p, *span, dispersion_mode)
+            if np.all(np.isfinite(pair)):
+                for b, bins in zip(pair, entry_bounds(p, omegas, dispersion_mode)):
+                    assert np.all(bins <= b)
 
-    # a peak bound made to fail by a huge slack defers to the per-bin bound
+    # closed forms made to fail by a huge slack defer to the per-bin bound on
+    # the bins near resonance, then on every skipped bin; with Delta_1 = 0,
+    # eta(w) is flat in full mode too, and the closed forms pass in both modes
     @pytest.mark.parametrize("dispersion_mode, slack, calls", [
-        ("constant", None, 0), ("constant", 1e6, 5), ("full", None, 5),
+        ("constant", None, 0), ("constant", 1e6, 10), ("full", None, 0),
     ])
     def test_per_bin_bound_runs_only_where_the_peak_bound_does_not_pass(
         self, monkeypatch, dispersion_mode, slack, calls
@@ -615,6 +620,90 @@ class TestBandLimitedKernel:
         records = scan(cfg.to_medium_params(), "density", cfg.scan_values(), cfg.to_pulse_config())
         assert all(r.gain_peak is not None for r in records)
         assert len(counted) == calls
+        if slack is not None:  # each point ends with one call on all skipped bins
+            outside = cfg.to_pulse_config().input_pulse.band.outside.size
+            assert [args[1].size for args in counted[1::2]] == [outside] * 5
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        delta2_mhz=st.floats(-3000.0, 3000.0),
+        density=st.floats(0.2, 1.5),
+        gamma_c_frac=st.floats(0.0, 0.5),
+        dispersion_mode=st.sampled_from(["constant", "full"]),
+        delta1_mhz=st.sampled_from([0.0, 30.0, -30.0]),
+        radius=st.sampled_from([0.0, pulses._NEAR_RADIUS]),
+    )
+    # the pole of the full eta(w), -Omega^2/4 Delta_1 - delta, exactly on the
+    # skipped bin 255 (124.5 MHz), where the per-bin bound is nan
+    @example(delta2_mhz=-1594.51171875, density=1.0, gamma_c_frac=0.0,
+             dispersion_mode="full", delta1_mhz=30.0, radius=0.0)
+    def test_far_bound_covers_every_bin_on_its_side(
+        self, delta2_mhz, density, gamma_c_frac, dispersion_mode, delta1_mhz, radius
+    ):
+        p = make_params(
+            delta1_mhz=delta1_mhz, gamma_c_frac=gamma_c_frac, delta2_mhz=delta2_mhz
+        ).scaled_density(density)
+        band = make_gaussian_pulse(self.GRID_1K, 70e-9).band
+        omegas, sizes = band.outside_omegas, band.outside_abs
+        c = derive_coefficients(p)
+        y = omegas + c.delta_tilde
+        per_bin = entry_bounds(p, omegas, dispersion_mode)
+        near = np.abs(y) <= radius * c.delta_r
+        finite = True
+        for side in (~near & (y < 0.0), ~near & (y > 0.0)):
+            if not side.any():
+                continue
+            pair = peak_entry_bounds(p, np.abs(y[side]).min(), omegas[side].min(),
+                                     omegas[side].max(), dispersion_mode)
+            if np.all(np.isfinite(pair)):
+                for b, bins in zip(pair, per_bin):
+                    assert np.all(bins[side] <= b)
+            else:
+                finite = False
+        sums = pulses._skipped_sums(p, band, radius, dispersion_mode, c)
+        if not finite:  # an infinite pair fails the check
+            assert not all(np.isfinite(sums))
+        # at or above the per-bin sum over every skipped bin, which it stands for
+        for s, bins in zip(sums, per_bin):
+            total = float(np.dot(bins, sizes))
+            assert s >= total or not np.isfinite(s) or not np.isfinite(total)
+
+    def test_per_bin_bound_runs_only_near_resonance_on_the_benchmark_scans(self, monkeypatch):
+        medium = ("omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\n"
+                  "delta_two_photon_mhz = 11.025\neta0 = 960\ncell_length_cm = 2.5\n"
+                  "n_samples = 4096\n")
+        scans = [
+            ("delta", "gamma_c_over_gamma = 0.01\ndelta_one_mhz = 30\n"
+             "dispersion_mode = full\npropagation_mode = exact\n", (-40.0, 60.0, 21)),
+            ("density", "gamma_c_over_gamma = 0\ndispersion_mode = constant\n",
+             (0.2, 1.5, 5)),
+        ]
+        for axis, body, (start, stop, steps) in scans:
+            cfg = parse_config(
+                f"{medium}{body}scan_start = {start}\nscan_stop = {stop}\nscan_steps = {steps}\n"
+            )
+            near, kernel_sizes = [], []
+
+            def bound(p, omega, *args):
+                c = derive_coefficients(p)
+                radius = pulses._NEAR_RADIUS * c.delta_r
+                near.append(bool(np.all(np.abs(omega + c.delta_tilde) <= radius)))
+                return entry_bounds(p, omega, *args)
+
+            def kernel(p, omega, *args):
+                kernel_sizes.append(omega.size)
+                return transfer_entries(p, omega, *args)
+            monkeypatch.setattr(pulses, "entry_bounds", bound)
+            monkeypatch.setattr(pulses, "transfer_entries", kernel)
+            unit = MHZ if axis == "delta" else 1.0
+            pulse_cfg = cfg.to_pulse_config()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                scan(cfg.to_medium_params(), axis, [v * unit for v in cfg.scan_values()],
+                     pulse_cfg)
+            # each detuning point bounds only bins near resonance, the density scan none
+            assert near == [True] * (steps if axis == "delta" else 0)
+            assert len(kernel_sizes) == steps  # no point falls back
 
     def test_bound_keeps_every_fallback_decision(self, monkeypatch):
         # the two benchmark scans, then the +-3000 MHz detuning scan in all
@@ -674,9 +763,14 @@ class TestBandLimitedKernel:
         assert np.array_equal(np.sort(np.r_[band.inside, band.outside]),
                               np.arange(GRID.n_samples))
         assert np.array_equal(band.outside_abs, mag[band.outside])
-        assert band.outside_abs_sum == float(np.sum(mag[band.outside]))
         assert np.array_equal(band.outside_omegas, GRID.omegas[band.outside])
-        for arr in (band.inside, band.outside, band.outside_abs, band.outside_omegas):
+        # in ascending order of frequency, which outside_abs follows
+        assert np.all(np.diff(band.outside_omegas) > 0.0)
+        sizes = mag[band.outside]
+        assert np.array_equal(band.outside_abs_below, np.r_[0.0, np.cumsum(sizes)])
+        assert np.array_equal(band.outside_abs_above, np.r_[np.cumsum(sizes[::-1])[::-1], 0.0])
+        for arr in (band.inside, band.outside, band.outside_abs, band.outside_omegas,
+                    band.outside_abs_below, band.outside_abs_above):
             assert not arr.flags.writeable
 
     def test_point_that_fails_the_bound_is_the_full_grid_path(self, monkeypatch):
