@@ -33,13 +33,13 @@ from .params import (
 from .pulses import (
     GaussianFit,
     PropagationResult,
+    Propagator,
     PulseMetrics,
     SampledPulse,
     TimeGrid,
     fit_gaussian,
     from_spectrum,
     make_gaussian_pulse,
-    propagate_pulse,
     pulse_metrics,
     to_spectrum,
 )

@@ -108,7 +108,7 @@ def _cmd_derive(cfg: Config, args) -> int:
 
 def _cmd_run(cfg: Config, args) -> int:
     p = cfg.to_medium_params()
-    res = run_single(p, cfg.to_pulse_config())
+    res = run_single(p, cfg.to_pulse_config().propagator())
     tr = res.traces
     norm = tr.reference.peak
     cols = np.column_stack((

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 from .coupling import predict_gain, renormalized_length
 from .errors import GuardError
@@ -17,11 +16,10 @@ from .params import C_LIGHT, DISPERSION_MODES, MediumParams, derive_coefficients
 from .pulses import (
     PROPAGATION_MODES,
     PropagationResult,
+    Propagator,
     PulseMetrics,
-    SampledPulse,
     TimeGrid,
     make_gaussian_pulse,
-    propagate_pulse,
     pulse_metrics,
 )
 
@@ -48,12 +46,10 @@ class PulseConfig:
     def make_grid(self) -> TimeGrid:
         return TimeGrid.centered(self.window, self.n_samples, self.center)
 
-    @cached_property
-    def input_pulse(self) -> SampledPulse:
-        """The Gaussian input, built and checked for containment and aliasing once."""
+    def propagator(self) -> Propagator:
+        """A :class:`Propagator` of a newly built Gaussian input pulse."""
         pulse = make_gaussian_pulse(self.make_grid(), self.fwhm, self.center)
-        pulse.spectrum  # computing the spectrum runs the aliasing guard
-        return pulse
+        return Propagator(pulse, self.propagation_mode, self.dispersion_mode)
 
 
 @dataclass(frozen=True)
@@ -82,11 +78,9 @@ class ScanRecord:
     approx_valid: bool = True  # dtilde << 2 Delta_R flag, not serialized
 
 
-def run_single(p: MediumParams, pulse_cfg: PulseConfig) -> SingleRunResult:
-    """Propagate one Gaussian probe pulse and measure it like the experiment."""
-    traces = propagate_pulse(
-        p, pulse_cfg.input_pulse, pulse_cfg.propagation_mode, pulse_cfg.dispersion_mode
-    )
+def run_single(p: MediumParams, propagate: Propagator) -> SingleRunResult:
+    """Propagate one probe pulse through `p` and measure it like the experiment."""
+    traces = propagate(p)
     probe_m = pulse_metrics(traces.reference, traces.probe)
     conj_m = None
     if traces.conjugate.energy > _ZERO_CONJUGATE_ENERGY * traces.reference.energy:
@@ -114,11 +108,11 @@ def infer_eta_xi(
     return eta, xi
 
 
-def _record_for(p: MediumParams, var: float, pulse_cfg: PulseConfig) -> ScanRecord:
+def _record_for(p: MediumParams, var: float, propagate: Propagator) -> ScanRecord:
     d = derive_coefficients(p)
     approx_valid = abs(d.delta_tilde) <= 2.0 * d.delta_r
     try:
-        res = run_single(p, pulse_cfg)
+        res = run_single(p, propagate)
     except GuardError:
         return ScanRecord(var=var, approx_valid=approx_valid)
 
@@ -195,8 +189,8 @@ def scan(
     points = [(point_at(p, float(v), delta_policy), float(v)) for v in values]
     # every point propagates this input: a bad one fails the scan here
     # instead of blanking every row
-    pulse_cfg.input_pulse
-    records = [_record_for(q, v, pulse_cfg) for q, v in points]
+    propagate = pulse_cfg.propagator()
+    records = [_record_for(q, v, propagate) for q, v in points]
     if not all(r.approx_valid for r in records):
         warnings.warn(
             "some scan points have |dtilde| > 2 Delta_R where the line-center "

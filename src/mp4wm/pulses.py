@@ -6,7 +6,6 @@ Spectra use the NumPy FFT convention (forward kernel e^{-i w t}); see
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -90,11 +89,6 @@ class SampledPulse:
     _magnitude: InitVar[np.ndarray | None] = None
     intensity: np.ndarray = field(init=False, repr=False, compare=False)
     peak: float = field(init=False, repr=False, compare=False)  # max of `intensity`
-    # per thread: the (2, N) spectra and envelopes that propagating this pulse
-    # reuses, and the (length, spectrum, pulse) of its last exact vacuum transit
-    _work: threading.local = field(
-        default_factory=threading.local, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self, _magnitude):
         env = np.array(self.envelope, dtype=complex)  # a copy the caller cannot change
@@ -141,14 +135,6 @@ class SampledPulse:
             outside_abs_above=_read_only(above),
             outside_omegas=_read_only(self.grid.omegas[outside]),
         )
-
-    def _workspace(self) -> tuple[np.ndarray, np.ndarray]:
-        """This thread's (2, N) complex spectra and envelopes, made once and reused."""
-        work = self._work
-        if not hasattr(work, "arrays"):
-            shape = (2, self.grid.n_samples)
-            work.arrays = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
-        return work.arrays
 
     @cached_property
     def energy(self) -> float:
@@ -285,60 +271,6 @@ def _skipped_sums(p: MediumParams, band: SpectralBand, radius: float, dispersion
     return [s * (1.0 + _PEAK_BOUND_SLACK) for s in sums]
 
 
-def _output_envelopes(
-    p: MediumParams, pulse: SampledPulse, spectrum: np.ndarray, dispersion_mode: str
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Rows ifft(m_pp S) and ifft(m_cp S) as envelopes, the kernel run on the band.
-
-    `spectrum` is S0 = the input's :attr:`~SampledPulse.spectrum`, or phi S0
-    for a phase factor |phi| = 1, so the input's band and its bound serve
-    for both.  The bins outside the band add at most sum_k B_k |S0_k| / (N dt)
-    to any output sample, with B_k from :func:`entry_bounds` (0 when no bin
-    is outside).  Unless that is finite and within `_BAND_TOLERANCE` of the
-    peak amplitude of each output, the kernel also fills the outside bins
-    and both outputs are transformed again, which makes them the full-grid
-    outputs.  The rows are this thread's workspace of `pulse`, which its
-    next propagation on the thread overwrites; they come with a new |row|
-    each, the magnitudes the budgets were taken from.
-
-    The check first tries :func:`_skipped_sums` with no near bins, then
-    with the bins within `_NEAR_RADIUS` Delta_R of resonance, and takes the
-    per-bin sum over every outside bin only when neither passes.  Both are
-    at or above that sum, so a pass of either implies its pass.
-    """
-    grid = pulse.grid
-    band = pulse.band
-    specs, envs = pulse._workspace()  # m_pp S and m_cp S, then their envelopes
-    specs.fill(0.0)
-
-    def fill(bins: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-        m_pp, _, m_cp, _ = transfer_entries(p, omegas, dispersion_mode)
-        for spec, m in zip(specs, (m_pp, m_cp)):
-            spec[bins] = m * spectrum[bins]
-        return from_spectrum(specs, grid, out=envs)
-
-    # non-finite entries pass through silently; the output guards report them
-    with np.errstate(invalid="ignore", over="ignore"):
-        outputs = fill(band.inside, grid.omegas[band.inside])
-        magnitudes = [np.abs(env) for env in outputs]
-        scale = 1.0 / (grid.n_samples * grid.t_step)
-        budgets = [_BAND_TOLERANCE * float(mag.max()) for mag in magnitudes]
-
-        def passes(sums) -> bool:
-            return all(math.isfinite(s * scale) and s * scale <= b
-                       for s, b in zip(sums, budgets))
-
-        coefficients = derive_coefficients(p)
-        for radius in (0.0, _NEAR_RADIUS):
-            if passes(_skipped_sums(p, band, radius, dispersion_mode, coefficients)):
-                return outputs, magnitudes
-        bounds = entry_bounds(p, band.outside_omegas, dispersion_mode)
-        if passes(float(np.dot(b, band.outside_abs)) for b in bounds):
-            return outputs, magnitudes
-        outputs = fill(band.outside, band.outside_omegas)
-        return outputs, [np.abs(env) for env in outputs]
-
-
 @dataclass(frozen=True)
 class PropagationResult:
     reference: SampledPulse
@@ -346,47 +278,109 @@ class PropagationResult:
     conjugate: SampledPulse
 
 
-def propagate_pulse(
-    p: MediumParams,
-    pulse: SampledPulse,
-    propagation_mode: str = "relative",
-    dispersion_mode: str = "constant",
-) -> PropagationResult:
-    """Propagate a probe pulse (no seed conjugate) through the cell.
+class Propagator:
+    """Propagates one input probe pulse (no seed conjugate) through any medium.
 
-    Returns the vacuum reference, the amplified probe and the generated
-    conjugate, all on the input grid.  The conjugate is returned as
-    E_c(t), conjugated back from the E_c*(-w) solution so that its
-    intensity is directly plottable.  The reference is the input in
-    `"relative"` mode, and in `"exact"` mode the input delayed by the vacuum
-    transit e^{-i w z/c}, which is then what the cell propagates.
+    Built once per input, it checks the propagation mode and the input's
+    containment, and takes the input's spectrum, which runs the aliasing
+    guard.  Called on a :class:`MediumParams`, it returns the vacuum
+    reference, the amplified probe and the generated conjugate, all on the
+    input grid.  The conjugate is returned as E_c(t), conjugated back from
+    the E_c*(-w) solution so that its intensity is directly plottable.  The
+    reference is the input in `"relative"` mode, and in `"exact"` mode the
+    input delayed by the vacuum transit e^{-i w z/c}, which is then what the
+    cell propagates.  Every call reuses the propagator's work arrays, so
+    threads that share an input each build their own propagator.
     """
-    if propagation_mode not in PROPAGATION_MODES:
-        raise GuardError(f"unknown propagation mode {propagation_mode!r}")
-    pulse.check_containment("input pulse")
-    grid = pulse.grid
-    # a scan changes no cell length, so its points share one vacuum-delayed input
-    if propagation_mode == "relative":
-        spectrum, reference = pulse.spectrum, pulse
-    elif getattr(pulse._work, "vacuum", (None,))[0] == p.cell_length:
-        _, spectrum, reference = pulse._work.vacuum
-    else:
-        vac = np.exp(-1j * grid.omegas * p.cell_length / C_LIGHT)
-        spectrum = _read_only(vac * pulse.spectrum)
-        reference = SampledPulse(grid, from_spectrum(spectrum, grid))
-        pulse._work.vacuum = (p.cell_length, spectrum, reference)
-    (probe_env, conj_star_env), (probe_mag, conj_mag) = _output_envelopes(
-        p, pulse, spectrum, dispersion_mode
-    )
-    # each pulse copies its envelope out of the workspace and squares its
-    # magnitude in place into its intensity
-    probe = SampledPulse(grid, probe_env, probe_mag)
-    # E_c*(-w) synthesized in time, conjugated back to E_c(t), |E_c| = |E_c*|
-    conjugate = SampledPulse(grid, np.conj(conj_star_env, out=conj_star_env), conj_mag)
 
-    probe.check_containment("propagated probe")
-    conjugate.check_containment("generated conjugate")
-    return PropagationResult(reference=reference, probe=probe, conjugate=conjugate)
+    def __init__(self, pulse: SampledPulse, propagation_mode: str = "relative",
+                 dispersion_mode: str = "constant"):
+        if propagation_mode not in PROPAGATION_MODES:
+            raise GuardError(f"unknown propagation mode {propagation_mode!r}")
+        pulse.check_containment("input pulse")
+        self.pulse = pulse
+        self.propagation_mode = propagation_mode
+        self.dispersion_mode = dispersion_mode
+        # m_pp S and m_cp S, then their envelopes, overwritten by every call
+        self._buffers = np.empty((2, 2, pulse.grid.n_samples), dtype=complex)
+        # (cell length, spectrum the cell propagates, reference): the input's
+        # own, aliasing-checked here, until an exact-mode call delays it by
+        # its cell's vacuum transit
+        self._vacuum = (None, pulse.spectrum, pulse)
+
+    def __call__(self, p: MediumParams) -> PropagationResult:
+        grid = self.pulse.grid
+        # a scan changes no cell length, so its points share one vacuum-delayed input
+        if self.propagation_mode == "exact" and self._vacuum[0] != p.cell_length:
+            vac = np.exp(-1j * grid.omegas * p.cell_length / C_LIGHT)
+            spectrum = _read_only(vac * self.pulse.spectrum)
+            reference = SampledPulse(grid, from_spectrum(spectrum, grid))
+            self._vacuum = (p.cell_length, spectrum, reference)
+        _, spectrum, reference = self._vacuum
+        (probe_env, conj_star_env), (probe_mag, conj_mag) = self._output_envelopes(p, spectrum)
+        # each pulse copies its envelope out of the work arrays and squares
+        # its magnitude in place into its intensity
+        probe = SampledPulse(grid, probe_env, probe_mag)
+        # E_c*(-w) synthesized in time, conjugated back to E_c(t), |E_c| = |E_c*|
+        conjugate = SampledPulse(grid, np.conj(conj_star_env, out=conj_star_env), conj_mag)
+
+        probe.check_containment("propagated probe")
+        conjugate.check_containment("generated conjugate")
+        return PropagationResult(reference=reference, probe=probe, conjugate=conjugate)
+
+    def _output_envelopes(
+        self, p: MediumParams, spectrum: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Rows ifft(m_pp S) and ifft(m_cp S) as envelopes, the kernel run on the band.
+
+        `spectrum` is S0 = the input's :attr:`~SampledPulse.spectrum`, or phi S0
+        for a phase factor |phi| = 1, so the input's band and its bound serve
+        for both.  The bins outside the band add at most sum_k B_k |S0_k| / (N dt)
+        to any output sample, with B_k from :func:`entry_bounds` (0 when no bin
+        is outside).  Unless that is finite and within `_BAND_TOLERANCE` of the
+        peak amplitude of each output, the kernel also fills the outside bins
+        and both outputs are transformed again, which makes them the full-grid
+        outputs.  The rows are the propagator's work arrays, which its next
+        call overwrites; they come with a new |row| each, the magnitudes the
+        budgets were taken from.
+
+        The check first tries :func:`_skipped_sums` with no near bins, then
+        with the bins within `_NEAR_RADIUS` Delta_R of resonance, and takes the
+        per-bin sum over every outside bin only when neither passes.  Both are
+        at or above that sum, so a pass of either implies its pass.
+        """
+        grid = self.pulse.grid
+        band = self.pulse.band
+        dispersion_mode = self.dispersion_mode
+        specs, envs = self._buffers
+        specs.fill(0.0)
+
+        def fill(bins: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+            m_pp, _, m_cp, _ = transfer_entries(p, omegas, dispersion_mode)
+            for spec, m in zip(specs, (m_pp, m_cp)):
+                spec[bins] = m * spectrum[bins]
+            return from_spectrum(specs, grid, out=envs)
+
+        # non-finite entries pass through silently; the output guards report them
+        with np.errstate(invalid="ignore", over="ignore"):
+            outputs = fill(band.inside, grid.omegas[band.inside])
+            magnitudes = [np.abs(env) for env in outputs]
+            scale = 1.0 / (grid.n_samples * grid.t_step)
+            budgets = [_BAND_TOLERANCE * float(mag.max()) for mag in magnitudes]
+
+            def passes(sums) -> bool:
+                return all(math.isfinite(s * scale) and s * scale <= b
+                           for s, b in zip(sums, budgets))
+
+            coefficients = derive_coefficients(p)
+            for radius in (0.0, _NEAR_RADIUS):
+                if passes(_skipped_sums(p, band, radius, dispersion_mode, coefficients)):
+                    return outputs, magnitudes
+            bounds = entry_bounds(p, band.outside_omegas, dispersion_mode)
+            if passes(float(np.dot(b, band.outside_abs)) for b in bounds):
+                return outputs, magnitudes
+            outputs = fill(band.outside, band.outside_omegas)
+            return outputs, [np.abs(env) for env in outputs]
 
 
 @dataclass(frozen=True)

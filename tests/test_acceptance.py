@@ -24,11 +24,11 @@ from mp4wm.experiments import (
 )
 from mp4wm.params import derive_coefficients
 from mp4wm.pulses import (
+    Propagator,
     SampledPulse,
     TimeGrid,
     fit_gaussian,
     make_gaussian_pulse,
-    propagate_pulse,
 )
 
 from _oracles import coefficients_at, ivp_transfer
@@ -89,7 +89,7 @@ def test_acceptance_3_saturation(capsys):
 
 def test_acceptance_4_slowdown(capsys):
     p = make_params(gamma_c_frac=0.0)
-    res = run_single(p, PulseConfig())
+    res = run_single(p, PulseConfig().propagator())
     delay = res.conjugate_metrics.delay_vs_reference
     slowdown = C * delay / p.cell_length
     ok = abs(delay - 40e-9) <= 0.5e-9 and abs(round(slowdown / 100) * 100 / 500 - 1) <= 0.05
@@ -149,7 +149,7 @@ def test_acceptance_6_distortion_bound(capsys):
     best = None
     for eta_scale in (0.85, 1.0, 1.15):
         p = base.scaled_density(eta_scale)
-        res = run_single(p, PulseConfig())
+        res = run_single(p, PulseConfig().propagator())
         pm = res.probe_metrics
         cand = (pm.fractional_delay, pm.broadening_fraction, eta_scale)
         if pm.broadening_fraction <= 0.10 and (best is None or cand[0] > best[0]):
@@ -253,13 +253,13 @@ def test_acceptance_8_invariant_suite(capsys):
     # linearity and shift covariance of the pulse pipeline
     pulse = make_gaussian_pulse(grid, 70e-9)
     s = 0.6 - 0.8j
-    r1 = propagate_pulse(p, pulse)
-    r2 = propagate_pulse(p, SampledPulse(grid, s * np.asarray(pulse.envelope)))
+    r1 = Propagator(pulse)(p)
+    r2 = Propagator(SampledPulse(grid, s * np.asarray(pulse.envelope)))(p)
     checks["linearity"] = bool(
         np.allclose(r2.probe.envelope, s * np.asarray(r1.probe.envelope), rtol=1e-12)
     )
     shifted = make_gaussian_pulse(grid, 70e-9, center=64e-9)
-    r3 = propagate_pulse(p, shifted)
+    r3 = Propagator(shifted)(p)
     n_shift = round(64e-9 / grid.t_step)
     checks["shift_covariance"] = bool(
         np.allclose(
@@ -273,7 +273,7 @@ def test_acceptance_8_invariant_suite(capsys):
     # simulate -> fit -> infer roundtrip within 2% at xi z / c >= 3
     pr = make_params(gamma_c_frac=0.01)
     assert abs(coefficients_at(pr, 0.0).xi) * pr.cell_length / C >= 3.0
-    res = run_single(pr, PulseConfig())
+    res = run_single(pr, PulseConfig().propagator())
     dtau = (
         res.probe_metrics.delay_vs_reference
         - res.conjugate_metrics.delay_vs_reference
@@ -299,7 +299,7 @@ def test_acceptance_8_invariant_suite(capsys):
 def test_acceptance_9_renormalized_length(capsys):
     p = make_params(gamma_c_frac=0.0).scaled_density(0.3)
     cfg = PulseConfig(fwhm=400e-9, window=8192e-9, n_samples=8192)
-    res = run_single(p, cfg)
+    res = run_single(p, cfg.propagator())
     gain = res.probe_metrics.gain_peak
     ell = renormalized_length(gain)
     ell_direct = _xi0(p) * p.cell_length / C

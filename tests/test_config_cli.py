@@ -225,7 +225,8 @@ class TestCli:
         assert main(["run", "--config", cfg, "--out", str(out_csv)]) == 0
         capsys.readouterr()
         config = parse_config(BASE + "n_samples = 1024\n")
-        tr = mp4wm.run_single(config.to_medium_params(), config.to_pulse_config()).traces
+        propagate = config.to_pulse_config().propagator()
+        tr = mp4wm.run_single(config.to_medium_params(), propagate).traces
         norm = tr.reference.intensity.max()
         columns = (tr.reference.grid.times * 1e9, tr.reference.intensity / norm,
                    tr.probe.intensity / norm, tr.conjugate.intensity / norm)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -30,7 +32,7 @@ class TestRunSingle:
     def test_locked_differential_delay(self):
         p = make_params(gamma_c_frac=0.0)
         assert _xi_z_over_c(p) > 3.0  # deep in the locked regime
-        res = run_single(p, CFG)
+        res = run_single(p, CFG.propagator())
         dtau = (
             res.probe_metrics.delay_vs_reference
             - res.conjugate_metrics.delay_vs_reference
@@ -41,7 +43,7 @@ class TestRunSingle:
         base = make_params(gamma_c_frac=0.0)
         scale = math.acosh(math.sqrt(13.0)) / _xi_z_over_c(base)
         p = base.scaled_density(scale)
-        res = run_single(p, CFG)
+        res = run_single(p, CFG.propagator())
         assert res.probe_metrics.gain_peak == pytest.approx(13.0, rel=0.05)
         assert (
             res.conjugate_metrics.delay_vs_reference
@@ -50,9 +52,25 @@ class TestRunSingle:
 
     def test_no_conjugate_at_vanishing_density(self):
         p = make_params(gamma_c_frac=0.0).scaled_density(1e-16)
-        res = run_single(p, CFG)
+        res = run_single(p, CFG.propagator())
         assert res.conjugate_metrics is None
         assert res.probe_metrics.gain_peak == pytest.approx(1.0, rel=1e-9)
+
+    def test_pulses_and_results_survive_pickle_and_deepcopy(self):
+        propagate = CFG.propagator()
+        res = run_single(make_params(gamma_c_frac=0.5), propagate)
+        for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+            pulse, again = clone(propagate.pulse), clone(res)
+            assert again.probe_metrics == res.probe_metrics
+            assert again.conjugate_metrics == res.conjugate_metrics
+            pairs = [(pulse, propagate.pulse)] + [
+                (getattr(again.traces, name), getattr(res.traces, name))
+                for name in ("reference", "probe", "conjugate")
+            ]
+            for got, want in pairs:
+                assert np.array_equal(got.envelope, want.envelope)
+                assert np.array_equal(got.intensity, want.intensity)
+                assert got.peak == want.peak
 
 
 class TestScanDelta:
@@ -86,13 +104,23 @@ class TestScanEngine:
         counted(experiments, "make_gaussian_pulse")
         counted(pulses, "to_spectrum")
         counted(pulses, "fit_gaussian")
+        labels = []
+        check = pulses.SampledPulse.check_containment
+
+        def checked(pulse, label):
+            labels.append(label)
+            return check(pulse, label)
+        monkeypatch.setattr(pulses.SampledPulse, "check_containment", checked)
         cfg = PulseConfig(n_samples=1024)
         records = scan(make_params(), "density", [0.2, 0.6, 1.0, 1.4], cfg)
         assert len(records) == 4
         # the shared input is the relative-mode reference: fitted once, then
         # the probe and the conjugate of each point
         assert calls == {"make_gaussian_pulse": 1, "to_spectrum": 1, "fit_gaussian": 9}
-        pulse = cfg.input_pulse
+        # the input is checked where it is built and where its propagator
+        # is, not at every point
+        assert labels.count("input pulse") == 2
+        pulse = cfg.propagator().pulse
         for arr in (pulse.envelope, pulse.intensity, pulse.spectrum):
             assert not arr.flags.writeable
 
@@ -130,7 +158,7 @@ class TestScanEngine:
         # which take over the |E| their band budgets were read from
         assert len(built) == 1 + 2 * 3
         assert built == [False] + [True] * (2 * 3)
-        grid = cfg.input_pulse.grid
+        grid = cfg.propagator().pulse.grid
         for name in ("times", "omegas"):
             arr = getattr(grid, name)
             assert getattr(grid, name) is arr
@@ -146,7 +174,7 @@ class TestScanEngine:
         monkeypatch.setattr(pulses, "transfer_entries", counted)
         cfg = PulseConfig(n_samples=1024)
         scan(make_params(), "density", [0.2, 0.6, 1.0], cfg)
-        band_size = cfg.input_pulse.band.inside.size
+        band_size = cfg.propagator().pulse.band.inside.size
         assert band_size < cfg.n_samples
         # no point of the README medium needs the full-grid fallback
         assert sizes == [band_size] * 3
@@ -274,7 +302,7 @@ class TestInference:
     def test_simulate_fit_infer(self):
         p = make_params(gamma_c_frac=0.01)
         assert _xi_z_over_c(p) > 3.0
-        res = run_single(p, CFG)
+        res = run_single(p, CFG.propagator())
         dtau = (
             res.probe_metrics.delay_vs_reference
             - res.conjugate_metrics.delay_vs_reference
@@ -333,7 +361,7 @@ class TestGainPrediction:
         eta = derive_coefficients(p).eta0
         xi = abs(coefficients_at(p, 0.0).xi)
         cfg = PulseConfig(fwhm=400e-9, window=8192e-9, n_samples=8192)
-        res = run_single(p, cfg)
+        res = run_single(p, cfg.propagator())
         assert res.probe_metrics.gain_peak == pytest.approx(
             predict_gain(eta, xi, 0.0, p.cell_length), rel=0.03
         )

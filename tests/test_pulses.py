@@ -19,12 +19,12 @@ from mp4wm.errors import AliasingError, ContainmentError, FitError, GuardError
 from mp4wm.experiments import scan
 from mp4wm.params import derive_coefficients
 from mp4wm.pulses import (
+    Propagator,
     SampledPulse,
     TimeGrid,
     fit_gaussian,
     from_spectrum,
     make_gaussian_pulse,
-    propagate_pulse,
     pulse_metrics,
     to_spectrum,
 )
@@ -259,7 +259,7 @@ class TestPropagation:
     def test_zero_length_identity(self):
         p = make_params().replace(cell_length=0.0)
         pulse = make_gaussian_pulse(GRID, 70e-9)
-        res = propagate_pulse(p, pulse)
+        res = Propagator(pulse)(p)
         assert res.probe.envelope == pytest.approx(pulse.envelope, rel=1e-12, abs=1e-15)
         assert np.max(np.abs(res.conjugate.envelope)) == 0.0
 
@@ -271,7 +271,7 @@ class TestPropagation:
         arg = xi * p.cell_length / C
         grid = TimeGrid.centered(8192e-9, 8192)
         pulse = make_gaussian_pulse(grid, 400e-9)
-        res = propagate_pulse(p, pulse)
+        res = Propagator(pulse)(p)
         pm, cm = _metrics(res)
         assert pm.gain_peak == pytest.approx(math.cosh(arg) ** 2, rel=1e-2)
         assert cm.gain_peak == pytest.approx(math.sinh(arg) ** 2, rel=1e-2)
@@ -279,13 +279,13 @@ class TestPropagation:
     def test_decoupled_lossless_energy_preserved(self):
         p = make_params(gamma_c_frac=0.0, delta_mhz=1e15, delta2_mhz=5.0)
         pulse = make_gaussian_pulse(GRID, 70e-9)
-        res = propagate_pulse(p, pulse)
+        res = Propagator(pulse)(p)
         assert res.probe.energy == pytest.approx(pulse.energy, rel=1e-10)
 
     def test_conjugate_emerges_before_probe(self):
         p = make_params(gamma_c_frac=0.5)
         pulse = make_gaussian_pulse(GRID, 70e-9)
-        res = propagate_pulse(p, pulse)
+        res = Propagator(pulse)(p)
         assert res.conjugate.fit.center < res.probe.fit.center
 
     def test_linearity(self):
@@ -293,8 +293,8 @@ class TestPropagation:
         pulse = make_gaussian_pulse(GRID, 70e-9)
         s = 0.37 - 1.2j
         scaled = SampledPulse(GRID, s * np.asarray(pulse.envelope))
-        res1 = propagate_pulse(p, pulse)
-        res2 = propagate_pulse(p, scaled)
+        res1 = Propagator(pulse)(p)
+        res2 = Propagator(scaled)(p)
         assert res2.probe.envelope == pytest.approx(
             s * np.asarray(res1.probe.envelope), rel=1e-12
         )
@@ -305,8 +305,8 @@ class TestPropagation:
     def test_time_shift_covariance(self):
         p = make_params(gamma_c_frac=0.5)
         shift = 100e-9
-        res1 = propagate_pulse(p, make_gaussian_pulse(GRID, 70e-9))
-        res2 = propagate_pulse(p, make_gaussian_pulse(GRID, 70e-9, center=shift))
+        res1 = Propagator(make_gaussian_pulse(GRID, 70e-9))(p)
+        res2 = Propagator(make_gaussian_pulse(GRID, 70e-9, center=shift))(p)
         m1, m2 = _metrics(res1), _metrics(res2)
         dt = GRID.t_step
         for out1, out2 in ((res1.probe, res2.probe), (res1.conjugate, res2.conjugate)):
@@ -321,7 +321,7 @@ class TestPropagation:
         vals = []
         for n in (4096, 8192):
             grid = TimeGrid.centered(2048e-9, n)
-            res = propagate_pulse(p, make_gaussian_pulse(grid, 70e-9))
+            res = Propagator(make_gaussian_pulse(grid, 70e-9))(p)
             pm, cm = _metrics(res)
             vals.append((pm.gain_peak, pm.delay_vs_reference, res.probe.fit.fwhm,
                          cm.gain_peak, cm.delay_vs_reference))
@@ -335,7 +335,7 @@ class TestPropagation:
         p = make_params(delta1_mhz=30.0, gamma_c_frac=0.01)
         grid = TimeGrid.centered(2048e-9, 1024)
         pulse = make_gaussian_pulse(grid, 70e-9)
-        res = propagate_pulse(p, pulse, propagation_mode, dispersion_mode)
+        res = Propagator(pulse, propagation_mode, dispersion_mode)(p)
         probe, conj = pulse_oracle(
             p, pulse.envelope, grid.t_step, propagation_mode, dispersion_mode
         )
@@ -348,23 +348,24 @@ class TestPropagation:
         shared = make_gaussian_pulse(grid, 70e-9)
         p1 = make_params(delta1_mhz=30.0, gamma_c_frac=0.01)
         p2 = p1.replace(cell_length=0.015)
+        propagate = Propagator(shared, "exact", "full")
         for p in (p1, p2, p1):
-            res = propagate_pulse(p, shared, "exact", "full")
-            fresh = propagate_pulse(p, make_gaussian_pulse(grid, 70e-9), "exact", "full")
+            res = propagate(p)
+            fresh = Propagator(make_gaussian_pulse(grid, 70e-9), "exact", "full")(p)
             for name in ("reference", "probe", "conjugate"):
                 assert np.array_equal(
                     getattr(res, name).envelope, getattr(fresh, name).envelope
                 )
         # points at one cell length share the reference and its fit
-        again = propagate_pulse(p1.scaled_density(0.5), shared, "exact", "full")
+        again = propagate(p1.scaled_density(0.5))
         assert again.reference is res.reference
 
     def test_modes_differ_only_by_vacuum_phase(self):
         p = make_params(delta1_mhz=30.0, gamma_c_frac=0.01)
         grid = TimeGrid.centered(2048e-9, 1024)
         pulse = make_gaussian_pulse(grid, 70e-9)
-        rel = propagate_pulse(p, pulse, "relative", "full")
-        exact = propagate_pulse(p, pulse, "exact", "full")
+        rel = Propagator(pulse, "relative", "full")(p)
+        exact = Propagator(pulse, "exact", "full")(p)
         assert rel.reference is pulse
         vac = np.exp(-1j * grid.omegas * p.cell_length / C)
         for name in ("reference", "probe"):
@@ -380,14 +381,16 @@ class TestPropagation:
         p = make_params()
         pulse = make_gaussian_pulse(TimeGrid.centered(2048e-9, 1024), 70e-9)
         with pytest.raises(GuardError, match="unknown propagation mode 'warp'"):
-            propagate_pulse(p, pulse, "warp")
+            Propagator(pulse, "warp")
+        propagate = Propagator(pulse, "relative", "bogus")  # checked on the first call
         with pytest.raises(GuardError, match="unknown dispersion mode 'bogus'"):
-            propagate_pulse(p, pulse, "relative", "bogus")
+            propagate(p)
 
     def test_shared_input_across_threads(self, monkeypatch):
-        # each thread has its own workspace and, in exact mode, its own
-        # vacuum-delayed input, built once however the threads' two cell
-        # lengths interleave.  Four threads on two cores, switching often.
+        # each thread owns a propagator of the one shared input, so its own
+        # work arrays and, in exact mode, its own vacuum-delayed input, built
+        # once however the threads' two cell lengths interleave.  Four
+        # threads on two cores, switching often.
         grid = TimeGrid.centered(2048e-9, 1024)
         media = [make_params(delta1_mhz=30.0, gamma_c_frac=0.01, z=z) for z in (0.025, 0.015)]
         builds = []  # the vacuum references: 1-D inverse transforms into a new array
@@ -402,14 +405,15 @@ class TestPropagation:
         try:
             for mode in ("relative", "exact"):
                 shared = make_gaussian_pulse(grid, 70e-9)
-                serial = [propagate_pulse(p, make_gaussian_pulse(grid, 70e-9), mode, "full")
+                serial = [Propagator(make_gaussian_pulse(grid, 70e-9), mode, "full")(p)
                           for p in media]
                 mismatches, done = [], []
                 builds.clear()
 
                 def work(p, want):
+                    propagate = Propagator(shared, mode, "full")
                     for _ in range(100):
-                        res = propagate_pulse(p, shared, mode, "full")
+                        res = propagate(p)
                         for name in ("reference", "probe", "conjugate"):
                             if not np.array_equal(getattr(res, name).envelope,
                                                   getattr(want, name).envelope):
@@ -432,21 +436,22 @@ class TestPropagation:
     @pytest.mark.parametrize("propagation_mode", ["relative", "exact"])
     def test_outputs_do_not_alias_the_workspace(self, propagation_mode):
         # the second medium falls back to the full grid; the first runs on the
-        # band before and after it, so both paths reuse a written workspace
+        # band before and after it, so both paths reuse written work arrays
         pulse = make_gaussian_pulse(GRID, 70e-9)
         media = [make_params(delta1_mhz=30.0, gamma_c_frac=0.01),
                  make_params(delta1_mhz=30.0, gamma_c_frac=0.5, delta2_mhz=1000.0)]
         names = ("reference", "probe", "conjugate")
-        first = propagate_pulse(media[0], pulse, propagation_mode, "full")
+        propagate = Propagator(pulse, propagation_mode, "full")
+        work = propagate._buffers
+        first = propagate(media[0])
         kept = {name: getattr(first, name).envelope.copy() for name in names}
         for p in (*media, media[0]):
-            res = propagate_pulse(p, pulse, propagation_mode, "full")
-            workspace = pulse._workspace()
+            res = propagate(p)
             for name in names:
                 out = getattr(res, name)
                 for arr in (out.envelope, out.intensity):
-                    assert not any(np.shares_memory(arr, w) for w in workspace)
-        assert workspace is pulse._workspace()
+                    assert not np.shares_memory(arr, work)
+        assert propagate._buffers is work
         for name, envelope in kept.items():
             assert np.array_equal(getattr(first, name).envelope, envelope)
             assert np.array_equal(getattr(res, name).envelope, envelope)
@@ -457,7 +462,7 @@ class TestPropagation:
         grid = TimeGrid.centered(1024e-9, 2048)
         pulse = make_gaussian_pulse(grid, 70e-9)
         with pytest.raises(ContainmentError):
-            propagate_pulse(p, pulse)
+            Propagator(pulse)(p)
 
 
 def _full_grid_outputs(p, pulse, propagation_mode, dispersion_mode):
@@ -495,8 +500,9 @@ class TestBandLimitedKernel:
         spectrum = pulse.spectrum
         if propagation_mode == "exact":
             spectrum = np.exp(-1j * self.GRID_1K.omegas * p.cell_length / C) * spectrum
-        envelopes, magnitudes = pulses._output_envelopes(p, pulse, spectrum, dispersion_mode)
-        # copies: the rows are the pulse's workspace, which propagate_pulse overwrites
+        propagate = Propagator(pulse, propagation_mode, dispersion_mode)
+        envelopes, magnitudes = propagate._output_envelopes(p, spectrum)
+        # copies: the rows are the propagator's work arrays, which its calls overwrite
         outputs = [env.copy() for env in envelopes]
         with np.errstate(over="ignore", invalid="ignore"):
             for out, mag in zip(outputs, magnitudes):  # what the output pulses square
@@ -509,7 +515,7 @@ class TestBandLimitedKernel:
             if np.all(np.isfinite(want)):
                 assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
         try:
-            res = propagate_pulse(p, pulse, propagation_mode, dispersion_mode)
+            res = propagate(p)
         except GuardError:
             pass  # a guard on the output, not on how it was computed
         else:
@@ -621,7 +627,7 @@ class TestBandLimitedKernel:
         assert all(r.gain_peak is not None for r in records)
         assert len(counted) == calls
         if slack is not None:  # each point ends with one call on all skipped bins
-            outside = cfg.to_pulse_config().input_pulse.band.outside.size
+            outside = cfg.to_pulse_config().propagator().pulse.band.outside.size
             assert [args[1].size for args in counted[1::2]] == [outside] * 5
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -750,7 +756,7 @@ class TestBandLimitedKernel:
                 calls.append(sizes)
             # a point falls back when the kernel also runs on the outside bins
             assert calls[0] == calls[1]
-            assert calls[0].count(pulse_cfg.input_pulse.band.outside.size) == fallbacks
+            assert calls[0].count(pulse_cfg.propagator().pulse.band.outside.size) == fallbacks
 
     def test_band_is_the_input_spectrum_above_its_cutoff(self):
         pulse = make_gaussian_pulse(GRID, 70e-9)
@@ -784,7 +790,7 @@ class TestBandLimitedKernel:
             sizes.append(omega.size)
             return transfer_entries(p, omega, *args)
         monkeypatch.setattr(pulses, "transfer_entries", counted)
-        res = propagate_pulse(p, pulse, "exact", "full")
+        res = Propagator(pulse, "exact", "full")(p)
         assert sizes == [pulse.band.inside.size, pulse.band.outside.size]
         m_pp, _, m_cp, _ = transfer_entries(p, GRID.omegas, "full")
         # exact mode is relative mode on the vacuum-delayed input
@@ -808,7 +814,7 @@ class TestBandLimitedKernel:
             return transfer_entries(p, omega, *args)
         monkeypatch.setattr(pulses, "transfer_entries", counted)
         p = make_params()
-        res = propagate_pulse(p, pulse)
+        res = Propagator(pulse)(p)
         assert sizes == [grid.n_samples]
         _, (probe, conj_star) = _full_grid_outputs(p, pulse, "relative", "constant")
         assert np.max(np.abs(res.probe.envelope - probe)) <= 1e-13 * np.max(np.abs(probe))
@@ -963,7 +969,7 @@ class TestMetrics:
 
     def test_invariant_relations(self):
         p = make_params(gamma_c_frac=0.5)
-        res = propagate_pulse(p, make_gaussian_pulse(GRID, 70e-9))
+        res = Propagator(make_gaussian_pulse(GRID, 70e-9))(p)
         pm, cm = _metrics(res)
         ref_fit = fit_gaussian(res.reference)
         for m, out in ((pm, res.probe), (cm, res.conjugate)):
