@@ -41,16 +41,12 @@ SCAN_HEADER = ",".join(["var", *_SCAN_COLUMNS])
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return f"{x:.9g}"
+    return "" if x is None else "%.9g" % x
 
 
 def _round9(x):
     """Round to 9 significant digits so JSON output round-trips exactly."""
-    if x is None:
-        return None
-    return float(f"{x:.9g}")
+    return None if x is None else float("%.9g" % x)
 
 
 def _load_config(path: str) -> Config:

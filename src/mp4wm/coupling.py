@@ -52,56 +52,72 @@ from .params import (C_LIGHT, DerivedCoefficients, MediumParams, derive_coeffici
 _SINHC_THRESHOLD = 1e-6
 
 
-def _generator_terms(p: MediumParams, omega: np.ndarray, dispersion_mode: str):
+def _generator_terms(p: MediumParams, omega: np.ndarray, dispersion_mode: str,
+                     coefficients: DerivedCoefficients | None = None):
     """d, alpha and mu^2 = d^2/4 + alpha^2 at each frequency.
 
+    `coefficients` is ``derive_coefficients(p)``, when the caller has it.
     Extreme inputs overflow to non-finite values, so callers run this under
     ``np.errstate``.
     """
-    d = derive_coefficients(p)
+    d = derive_coefficients(p) if coefficients is None else coefficients
     eta = eta_of_omega(p, omega, dispersion_mode)
     alpha = eta * d.delta_r
     direct = eta * (1j * (d.delta_tilde + omega) + p.gamma_c)
     return direct, alpha, 0.25 * direct * direct + alpha * alpha
 
 
-def transfer_entries(p: MediumParams, omega, dispersion_mode: str = "constant"):
+def transfer_entries(p: MediumParams, omega, dispersion_mode: str = "constant",
+                     coefficients: DerivedCoefficients | None = None):
     """Vectorized transfer-matrix entries (m_pp, m_pc, m_cp, m_cc) of exp(N L).
 
-    `omega` may be a scalar or ndarray; entries broadcast with it.  The
-    vacuum factor e^{-i w L} is left out, so delays are measured against
-    the vacuum reference pulse, as in the experiment.
+    `omega` may be a scalar or ndarray; entries broadcast with it, and
+    `coefficients` is ``derive_coefficients(p)``, when the caller has it.
+    The vacuum factor e^{-i w L} is left out, so delays are measured
+    against the vacuum reference pulse, as in the experiment.
     """
     big_l = p.cell_length / C_LIGHT
     omega = np.asarray(omega, dtype=float)
     # overflow at extreme gain-length products degrades a point to
     # non-finite entries, which downstream guards turn into absent results
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode)
+        direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode, coefficients)
         mu = np.sqrt(mu_sq)
         x = mu * big_l
-        pref = np.exp(-0.5 * direct * big_l)
+        pref = np.exp(-0.5 * direct * big_l)  # P = e^{-d L/2}
         grow_m1 = np.expm1(x)             # e^{mu L} - 1
-        shrink = 1.0 / (1.0 + grow_m1)    # e^{-mu L}
-        e_plus = pref * (1.0 + grow_m1)
+        grow = 1.0 + grow_m1              # e^{mu L}
+        shrink = 1.0 / grow               # e^{-mu L}
+        # in place, in each product's operand order (an array's complex
+        # multiply need not commute bit for bit); numpy scalars rebind
         e_minus = pref * shrink
-        pref_ch = 0.5 * (e_plus + e_minus)
+        shrink += 1.0
         # e_+ - e_- = P expm1(mu L) (1 + e^{-mu L}) does not cancel as mu L -> 0
-        pref_shc = 0.5 * pref * grow_m1 * (1.0 + shrink) / mu
+        pref_shc = 0.5 * pref
+        pref_shc *= grow_m1
+        pref_shc *= shrink
+        pref_shc /= mu
         small = np.abs(x) < _SINHC_THRESHOLD
-        pref_shc = np.where(small, pref * big_l * (1.0 + x * x / 6.0), pref_shc)
-        half_d_shc = 0.5 * direct * pref_shc
-        m_cp = -1j * alpha * pref_shc
-        return pref_ch - half_d_shc, -m_cp, m_cp, pref_ch + half_d_shc
+        if small.any():
+            pref_shc = np.where(small, pref * big_l * (1.0 + x * x / 6.0), pref_shc)
+        pref *= grow                      # e_+
+        pref += e_minus
+        pref *= 0.5                       # (e_+ + e_-)/2
+        # ufunc calls: on numpy scalars `*` rounds otherwise, and a scalar omega keeps its bits
+        half_d_shc = np.multiply(0.5 * direct, pref_shc)
+        m_cp = np.multiply(-1j * alpha, pref_shc)
+        return pref - half_d_shc, -m_cp, m_cp, pref + half_d_shc
 
 
 def entry_bounds(
     p: MediumParams,
     omega: np.ndarray,
     dispersion_mode: str = "constant",
+    coefficients: DerivedCoefficients | None = None,
 ):
     """Upper bounds on |m_pp| and |m_cp| (= |m_pc|) at each frequency of `omega`.
 
+    `coefficients` is ``derive_coefficients(p)``, when the caller has it.
     With g = e^{(|Re mu| - Re d/2) L} and r = min(L, 1/|mu|),
 
         |m_pp| <= g (1 + |d|/2 r),    |m_cp| <= g |alpha| r,
@@ -118,7 +134,7 @@ def entry_bounds(
     """
     big_l = p.cell_length / C_LIGHT
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode)
+        direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode, coefficients)
         abs_d, abs_alpha = np.abs(direct), np.abs(alpha)
         half_re_d = 0.5 * direct.real
         r = np.abs(mu_sq)  # |mu^2| until it becomes r

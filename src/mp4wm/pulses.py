@@ -71,6 +71,7 @@ class SpectralBand:
     """Split of a spectrum's FFT bins at `_BAND_RATIO` of its peak magnitude."""
 
     inside: np.ndarray     # indices where |S| > _BAND_RATIO * max |S|
+    inside_omegas: np.ndarray  # the grid's angular frequencies on `inside`
     outside: np.ndarray    # the other indices, in ascending order of frequency
     outside_abs: np.ndarray  # |S| on `outside`
     # cumulative sums of `outside_abs`: sum of [:i] at i, and of [i:] at i
@@ -85,8 +86,9 @@ class SampledPulse:
 
     grid: TimeGrid
     envelope: np.ndarray
-    # private: |envelope| when the caller has it, taken over as the intensity
-    _magnitude: InitVar[np.ndarray | None] = None
+    # private: |envelope| and its max when the caller has them, taken over
+    # as the intensity and the peak
+    _magnitude: InitVar[tuple[np.ndarray, float] | None] = None
     intensity: np.ndarray = field(init=False, repr=False, compare=False)
     peak: float = field(init=False, repr=False, compare=False)  # max of `intensity`
 
@@ -94,18 +96,21 @@ class SampledPulse:
         env = np.array(self.envelope, dtype=complex)  # a copy the caller cannot change
         if env.shape != (self.grid.n_samples,):
             raise GuardError("envelope length must match the grid")
-        with np.errstate(over="ignore", invalid="ignore"):
-            inten = np.abs(env) if _magnitude is None else _magnitude
-            # rounding a square is monotone, so max(|E|)^2 is the max of the
-            # rounded |E|^2; max propagates nan, so a finite peak makes every
-            # intensity finite
+        if _magnitude is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                inten = np.abs(env)
             peak = float(inten.max())
-            peak *= peak
-            if not math.isfinite(peak):
-                if not np.all(np.isfinite(env)):
-                    raise GuardError("envelope must be finite everywhere")
-                raise GuardError("intensity overflows double precision; the gain is too large")
-            np.square(inten, out=inten)  # the bits of np.abs(env) ** 2
+        else:
+            inten, peak = _magnitude
+        # rounding a square is monotone, so max(|E|)^2 is the max of the
+        # rounded |E|^2; max propagates nan, so a finite peak makes every
+        # intensity finite, and squaring it cannot overflow
+        peak *= peak
+        if not math.isfinite(peak):
+            if not np.all(np.isfinite(env)):
+                raise GuardError("envelope must be finite everywhere")
+            raise GuardError("intensity overflows double precision; the gain is too large")
+        np.square(inten, out=inten)  # the bits of np.abs(env) ** 2
         object.__setattr__(self, "envelope", _read_only(env))
         object.__setattr__(self, "intensity", _read_only(inten))
         object.__setattr__(self, "peak", peak)
@@ -129,6 +134,7 @@ class SampledPulse:
         np.cumsum(outside_abs[::-1], out=above[-2::-1])
         return SpectralBand(
             inside=_read_only(np.flatnonzero(kept)),
+            inside_omegas=_read_only(self.grid.omegas[kept]),
             outside=_read_only(outside),
             outside_abs=_read_only(outside_abs),
             outside_abs_below=_read_only(below),
@@ -139,7 +145,7 @@ class SampledPulse:
     @cached_property
     def energy(self) -> float:
         with np.errstate(over="ignore"):
-            energy = float(np.sum(self.intensity) * self.grid.t_step)
+            energy = float(self.intensity.sum() * self.grid.t_step)
         if not math.isfinite(energy):
             raise GuardError("energy overflows double precision; the gain is too large")
         return energy
@@ -253,12 +259,12 @@ def _skipped_sums(p: MediumParams, band: SpectralBand, radius: float, dispersion
     other only at large |dtilde + w|, where both tend to 2.
     """
     omegas, sizes = band.outside_omegas, band.outside_abs
-    lo, hi = np.searchsorted(omegas, (-c.delta_tilde - radius * c.delta_r,
-                                      -c.delta_tilde + radius * c.delta_r)).tolist()
+    lo, hi = omegas.searchsorted((-c.delta_tilde - radius * c.delta_r,
+                                  -c.delta_tilde + radius * c.delta_r)).tolist()
     sums = [0.0, 0.0]
     if lo < hi:
         sums = [float(np.dot(b, sizes[lo:hi]))
-                for b in entry_bounds(p, omegas[lo:hi], dispersion_mode)]
+                for b in entry_bounds(p, omegas[lo:hi], dispersion_mode, c)]
     for start, stop, inner, total in ((0, lo, lo - 1, band.outside_abs_below[lo]),
                                       (hi, omegas.size, hi, band.outside_abs_above[hi])):
         if start < stop:
@@ -301,12 +307,13 @@ class Propagator:
         self.pulse = pulse
         self.propagation_mode = propagation_mode
         self.dispersion_mode = dispersion_mode
-        # m_pp S and m_cp S, then their envelopes, overwritten by every call
-        self._buffers = np.empty((2, 2, pulse.grid.n_samples), dtype=complex)
-        # (cell length, spectrum the cell propagates, reference): the input's
-        # own, aliasing-checked here, until an exact-mode call delays it by
-        # its cell's vacuum transit
-        self._vacuum = (None, pulse.spectrum, pulse)
+        # m_pp S and m_cp S, then their envelopes, overwritten by every call;
+        # the spectra are zero outside the input's band between calls
+        self._buffers = np.zeros((2, 2, pulse.grid.n_samples), dtype=complex)
+        # (cell length, reference, spectrum the cell propagates, the same on
+        # the band): the input's own, aliasing-checked here, until an
+        # exact-mode call delays it by its cell's vacuum transit
+        self._vacuum = (None, pulse, pulse.spectrum, pulse.spectrum[pulse.band.inside])
 
     def __call__(self, p: MediumParams) -> PropagationResult:
         grid = self.pulse.grid
@@ -315,11 +322,11 @@ class Propagator:
             vac = np.exp(-1j * grid.omegas * p.cell_length / C_LIGHT)
             spectrum = _read_only(vac * self.pulse.spectrum)
             reference = SampledPulse(grid, from_spectrum(spectrum, grid))
-            self._vacuum = (p.cell_length, spectrum, reference)
-        _, spectrum, reference = self._vacuum
-        (probe_env, conj_star_env), (probe_mag, conj_mag) = self._output_envelopes(p, spectrum)
+            self._vacuum = (p.cell_length, reference, spectrum, spectrum[self.pulse.band.inside])
+        _, reference, *spectra = self._vacuum
+        (probe_env, conj_star_env), (probe_mag, conj_mag) = self._output_envelopes(p, *spectra)
         # each pulse copies its envelope out of the work arrays and squares
-        # its magnitude in place into its intensity
+        # its magnitude in place into its intensity, and its max into its peak
         probe = SampledPulse(grid, probe_env, probe_mag)
         # E_c*(-w) synthesized in time, conjugated back to E_c(t), |E_c| = |E_c*|
         conjugate = SampledPulse(grid, np.conj(conj_star_env, out=conj_star_env), conj_mag)
@@ -329,20 +336,21 @@ class Propagator:
         return PropagationResult(reference=reference, probe=probe, conjugate=conjugate)
 
     def _output_envelopes(
-        self, p: MediumParams, spectrum: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        self, p: MediumParams, spectrum: np.ndarray, inside: np.ndarray
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
         """Rows ifft(m_pp S) and ifft(m_cp S) as envelopes, the kernel run on the band.
 
         `spectrum` is S0 = the input's :attr:`~SampledPulse.spectrum`, or phi S0
         for a phase factor |phi| = 1, so the input's band and its bound serve
-        for both.  The bins outside the band add at most sum_k B_k |S0_k| / (N dt)
-        to any output sample, with B_k from :func:`entry_bounds` (0 when no bin
-        is outside).  Unless that is finite and within `_BAND_TOLERANCE` of the
-        peak amplitude of each output, the kernel also fills the outside bins
-        and both outputs are transformed again, which makes them the full-grid
-        outputs.  The rows are the propagator's work arrays, which its next
-        call overwrites; they come with a new |row| each, the magnitudes the
-        budgets were taken from.
+        for both; `inside` is `spectrum` on the band.  The bins outside the
+        band add at most sum_k B_k |S0_k| / (N dt) to any output sample, with
+        B_k from :func:`entry_bounds` (0 when no bin is outside).  Unless that
+        is finite and within `_BAND_TOLERANCE` of the peak amplitude of each
+        output, the kernel also fills the outside bins, both outputs are
+        transformed again into the full-grid ones, and the bins are zeroed.
+        The rows are the propagator's work arrays, which its next call
+        overwrites; they come with a new |row| each and its max, from which
+        the budgets were taken.  One derivation serves the kernel and bounds.
 
         The check first tries :func:`_skipped_sums` with no near bins, then
         with the bins within `_NEAR_RADIUS` Delta_R of resonance, and takes the
@@ -350,37 +358,37 @@ class Propagator:
         at or above that sum, so a pass of either implies its pass.
         """
         grid = self.pulse.grid
-        band = self.pulse.band
-        dispersion_mode = self.dispersion_mode
+        band, mode = self.pulse.band, self.dispersion_mode
         specs, envs = self._buffers
-        specs.fill(0.0)
+        coefficients = derive_coefficients(p)
 
-        def fill(bins: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-            m_pp, _, m_cp, _ = transfer_entries(p, omegas, dispersion_mode)
+        def fill(bins: np.ndarray, omegas: np.ndarray, values: np.ndarray):
+            m_pp, _, m_cp, _ = transfer_entries(p, omegas, mode, coefficients)
             for spec, m in zip(specs, (m_pp, m_cp)):
-                spec[bins] = m * spectrum[bins]
-            return from_spectrum(specs, grid, out=envs)
+                spec[bins] = np.multiply(m, values, out=m)
+            outputs = from_spectrum(specs, grid, out=envs)
+            return outputs, [(mag, float(mag.max())) for mag in map(np.abs, outputs)]
 
         # non-finite entries pass through silently; the output guards report them
         with np.errstate(invalid="ignore", over="ignore"):
-            outputs = fill(band.inside, grid.omegas[band.inside])
-            magnitudes = [np.abs(env) for env in outputs]
+            outputs, magnitudes = fill(band.inside, band.inside_omegas, inside)
             scale = 1.0 / (grid.n_samples * grid.t_step)
-            budgets = [_BAND_TOLERANCE * float(mag.max()) for mag in magnitudes]
+            budgets = [_BAND_TOLERANCE * top for _, top in magnitudes]
 
             def passes(sums) -> bool:
                 return all(math.isfinite(s * scale) and s * scale <= b
                            for s, b in zip(sums, budgets))
 
-            coefficients = derive_coefficients(p)
             for radius in (0.0, _NEAR_RADIUS):
-                if passes(_skipped_sums(p, band, radius, dispersion_mode, coefficients)):
+                if passes(_skipped_sums(p, band, radius, mode, coefficients)):
                     return outputs, magnitudes
-            bounds = entry_bounds(p, band.outside_omegas, dispersion_mode)
+            bounds = entry_bounds(p, band.outside_omegas, mode, coefficients)
             if passes(float(np.dot(b, band.outside_abs)) for b in bounds):
                 return outputs, magnitudes
-            outputs = fill(band.outside, band.outside_omegas)
-            return outputs, [np.abs(env) for env in outputs]
+            try:
+                return fill(band.outside, band.outside_omegas, spectrum[band.outside])
+            finally:
+                specs[:, band.outside] = 0.0
 
 
 @dataclass(frozen=True)
@@ -410,7 +418,7 @@ def fit_gaussian(pulse: SampledPulse) -> GaussianFit:
     if not threshold > 0.0:  # it would take the exact zeros, whose log is -inf
         raise FitError(f"peak intensity {peak:.3g} is too small to fit: "
                        "its 1/e^2 level underflows")
-    idx = np.flatnonzero(inten >= threshold)
+    idx = (inten >= threshold).nonzero()[0]
     if idx.size < _FIT_MIN_SAMPLES:
         raise FitError(f"only {idx.size} samples above the 1/e^2 threshold")
     if idx[-1] - idx[0] + 1 != idx.size:  # sorted and distinct: contiguous iff no gap
@@ -419,7 +427,7 @@ def fit_gaussian(pulse: SampledPulse) -> GaussianFit:
     fitted = slice(idx[0], idx[-1] + 1)
     y = inten[fitted]
     t = pulse.grid.times[fitted]
-    t0 = t[np.argmax(y)]
+    t0 = t[y.argmax()]
     x = t - t0  # around the discrete peak, then onto u in [-1, 1]
     mid, half = 0.5 * (x[-1] + x[0]), 0.5 * (x[-1] - x[0])
     if not half > 0.0:  # all fitted times rounded to one value
@@ -431,7 +439,7 @@ def fit_gaussian(pulse: SampledPulse) -> GaussianFit:
     v[0], v[1], v[2] = u * u, u, 1.0
     wv = v * w
     try:
-        a, b, c = np.linalg.solve(wv @ v.T, wv @ np.log(y))
+        a, b, c = np.linalg.solve(wv @ v.T, wv @ np.log(y)).tolist()
     except np.linalg.LinAlgError:
         raise FitError("fitted sample times do not determine a parabola") from None
     if a >= 0.0:

@@ -6,7 +6,9 @@ coupled-mode equations; the integrator below never calls into the
 closed-form solver.  :func:`pulse_oracle` carries the same integration
 through a whole pulse, using plain ``np.fft`` transforms.
 :func:`cosh_sinh_entries` keeps the closed form written with cosh and
-sinh, the reference for the two-exponential form of the package.
+sinh, the reference for the two-exponential form of the package, and
+:func:`two_exponential_entries` that form in plain expressions, the
+bit-for-bit reference for the kernel's in-place one.
 :func:`complex_entry_bounds` keeps the kernel's bound in complex
 arithmetic, the reference for its cancellation-free form.
 :func:`polyfit_gaussian` is the Gaussian fit done by ``np.polyfit``, the
@@ -81,6 +83,34 @@ def cosh_sinh_entries(p, omega, z, dispersion_mode="constant"):
             pref * (-1j * alpha * shc), pref * (ch + 0.5 * direct * shc))
 
 
+def two_exponential_entries(p, omega, dispersion_mode="constant"):
+    """(m_pp, m_pc, m_cp, m_cc) in the package's two-exponential form, step by step.
+
+    Plain expressions, one new value per step, the series taken on every
+    bin: every bit of :func:`mp4wm.coupling.transfer_entries` must equal
+    these, for array and scalar `omega` alike.
+    """
+    big_l = p.cell_length / C_LIGHT
+    omega = np.asarray(omega, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        direct, alpha, mu_sq = generator_terms(p, omega, dispersion_mode)
+        mu = np.sqrt(mu_sq)
+        x = mu * big_l
+        pref = np.exp(-0.5 * direct * big_l)
+        grow_m1 = np.expm1(x)             # e^{mu L} - 1
+        shrink = 1.0 / (1.0 + grow_m1)    # e^{-mu L}
+        e_plus = pref * (1.0 + grow_m1)
+        e_minus = pref * shrink
+        pref_ch = 0.5 * (e_plus + e_minus)
+        # e_+ - e_- = P expm1(mu L) (1 + e^{-mu L}) does not cancel as mu L -> 0
+        pref_shc = 0.5 * pref * grow_m1 * (1.0 + shrink) / mu
+        small = np.abs(x) < 1e-6
+        pref_shc = np.where(small, pref * big_l * (1.0 + x * x / 6.0), pref_shc)
+        half_d_shc = 0.5 * direct * pref_shc
+        m_cp = -1j * alpha * pref_shc
+        return pref_ch - half_d_shc, -m_cp, m_cp, pref_ch + half_d_shc
+
+
 def generator_terms(p, omega, dispersion_mode="constant"):
     """d, alpha and mu^2 = d^2/4 + alpha^2 of the generator, complex, at each frequency."""
     omega = np.asarray(omega, dtype=float)
@@ -92,8 +122,12 @@ def generator_terms(p, omega, dispersion_mode="constant"):
         return direct, alpha, 0.25 * direct * direct + alpha * alpha
 
 
-def complex_entry_bounds(p, omega, dispersion_mode="constant", principal_root=False):
+def complex_entry_bounds(p, omega, dispersion_mode="constant", coefficients=None, *,
+                         principal_root=False):
     """Bounds on |m_pp| and |m_cp| of :func:`mp4wm.coupling.entry_bounds`, in complex arithmetic.
+
+    It takes `coefficients` where ``entry_bounds`` does, so that it can stand
+    in for it, but derives its own.
 
     g (1 + |d|/2 r) and g |alpha| r with g = e^{(Re mu - Re d/2) L} and
     r = min(L, 1/|mu|), where Re mu = sqrt((|mu^2| + Re mu^2)/2).  That sum

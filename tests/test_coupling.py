@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mp4wm.coupling import (
     _SINHC_THRESHOLD,
@@ -16,7 +16,14 @@ from mp4wm.coupling import (
 from mp4wm.errors import GuardError
 from mp4wm.params import derive_coefficients, eta_of_omega
 
-from _oracles import coefficients_at, cosh_sinh_entries, generator, rk4_transfer
+from _oracles import (
+    coefficients_at,
+    cosh_sinh_entries,
+    generator,
+    generator_terms,
+    rk4_transfer,
+    two_exponential_entries,
+)
 from conftest import C, MHZ, make_params, transfer_array
 
 RNG = np.random.default_rng(20260826)
@@ -209,6 +216,57 @@ class TestTwoExponentialForm:
                 assert np.max(np.abs(np.array(got) - want)) <= 1e-14 * np.max(np.abs(want))
                 assert abs(got[2] - want[2]) <= 1e-14 * abs(want[2])
                 assert got[1] == -got[2]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        dispersion_mode=st.sampled_from(["constant", "full"]),
+        log_mu_l=st.floats(-8.0, math.log10(700.0)),
+        eta0=st.floats(50.0, 2000.0),
+        gamma_c_frac=st.sampled_from([0.0, 0.01, 0.5]),
+        delta2_mhz=st.floats(-3000.0, 3000.0),
+        small_bins=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # |mu L| far beyond 700 at the gain peak: e^{mu L} overflows
+    @example(dispersion_mode="constant", log_mu_l=6.0, eta0=960.0, gamma_c_frac=0.01,
+             delta2_mhz=11.025, small_bins=False, seed=1)
+    @example(dispersion_mode="full", log_mu_l=6.0, eta0=960.0, gamma_c_frac=0.0,
+             delta2_mhz=11.025, small_bins=True, seed=2)
+    def test_keeps_the_bits_of_the_step_by_step_form(
+        self, dispersion_mode, log_mu_l, eta0, gamma_c_frac, delta2_mhz, small_bins, seed
+    ):
+        rng = np.random.default_rng(seed)
+        # with no loss and dtilde = 0, mu^2 = eta^2 (Delta_R^2 - w^2/4) rounds
+        # to exactly 0 at w = +-2 Delta_R, where the series takes over
+        p = make_params(eta0=eta0, delta1_mhz=30.0,
+                        gamma_c_frac=0.0 if small_bins else gamma_c_frac,
+                        delta2_mhz=None if small_bins else delta2_mhz)
+        c = derive_coefficients(p)
+        # a spread of frequencies and some within 3 Delta_R of the gain peak,
+        # whose largest |mu L| is 10^log_mu_l
+        omega = np.concatenate([rng.uniform(-6e9, 6e9, 48),
+                                -c.delta_tilde + c.delta_r * rng.uniform(-3.0, 3.0, 16)])
+        _, _, mu_sq = generator_terms(p, omega, dispersion_mode)
+        p = p.replace(cell_length=10.0**log_mu_l * C / np.max(np.sqrt(np.abs(mu_sq))))
+        if small_bins:
+            near = np.array([1.0, -1.0, 1.0 + 1e-12, 1.0 - 1e-10, 1.0 + 1e-8])
+            omega = np.concatenate([omega, 2.0 * c.delta_r * near])
+            _, _, mu_sq = generator_terms(p, omega, dispersion_mode)
+            assert np.any(np.abs(np.sqrt(mu_sq) * (p.cell_length / C)) < _SINHC_THRESHOLD)
+        want = two_exponential_entries(p, omega, dispersion_mode)
+        if log_mu_l > 3.0:
+            assert not np.all(np.isfinite(want[0]))
+        # the array, then each frequency alone as a Python float, whose
+        # entries are numpy scalars
+        cases = [(omega, want)] + [(w, two_exponential_entries(p, w, dispersion_mode))
+                                   for w in omega.tolist()]
+        for w, entries in cases:
+            for coefficients in (None, c):
+                got = transfer_entries(p, w, dispersion_mode, coefficients)
+                assert len(got) == 4
+                for g, e in zip(got, entries):  # the same bits, nan payloads too
+                    assert type(g) is type(e) and np.shape(g) == np.shape(e)
+                    assert np.asarray(g).tobytes() == np.asarray(e).tobytes()
 
     def test_overflow_gives_non_finite_entries_and_bounds(self):
         # mu z / c ~ 5e6: e^{mu L} overflows, silently

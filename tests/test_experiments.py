@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mp4wm import experiments, pulses
+from mp4wm import coupling, experiments, params, pulses
+from mp4wm.config import parse_config
 from mp4wm.coupling import analytic_delays
 from mp4wm.errors import GuardError
 from mp4wm.experiments import (
@@ -123,6 +124,45 @@ class TestScanEngine:
         pulse = cfg.propagator().pulse
         for arr in (pulse.envelope, pulse.intensity, pulse.spectrum):
             assert not arr.flags.writeable
+
+    # the benchmark media: every density point passes the band check at
+    # step 1, every detuning point at step 2, which bounds its near bins
+    @pytest.mark.parametrize("body, axis, unit, near_bounds", [
+        ("gamma_c_over_gamma = 0\ndispersion_mode = constant\npropagation_mode = relative\n"
+         "scan_start = 0.2\nscan_stop = 1.5\n", "density", 1.0, 0),
+        ("gamma_c_over_gamma = 0.01\ndelta_one_mhz = 30\ndispersion_mode = full\n"
+         "propagation_mode = exact\nscan_start = -40\nscan_stop = 60\n", "delta", MHZ, 1),
+    ])
+    def test_coefficients_derived_at_most_twice_per_point(
+        self, monkeypatch, body, axis, unit, near_bounds
+    ):
+        cfg = parse_config("omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\n"
+                           "delta_two_photon_mhz = 11.025\neta0 = 960\ncell_length_cm = 2.5\n"
+                           f"n_samples = 4096\nscan_steps = 5\n{body}")
+        calls = {"derive_coefficients": 0, "entry_bounds": 0, "transfer_entries": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        # every binding of the derivation, so that no call is missed
+        for module in (params, coupling, pulses, experiments):
+            counted(module, "derive_coefficients")
+        counted(pulses, "entry_bounds")
+        counted(pulses, "transfer_entries")
+        values = [v * unit for v in cfg.scan_values()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            scan(cfg.to_medium_params(), axis, values, cfg.to_pulse_config())
+        points = len(values)
+        assert calls["transfer_entries"] == points  # no point falls back
+        assert calls["entry_bounds"] == near_bounds * points
+        # once for the band check, the kernel and the bounds, once for the record
+        assert calls["derive_coefficients"] <= 2 * points
 
     def test_exact_reference_built_and_fitted_once(self, monkeypatch):
         calls = {"from_spectrum": 0, "fit_gaussian": 0}

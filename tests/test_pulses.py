@@ -94,9 +94,10 @@ class TestGrid:
             message = ("envelope must be finite everywhere" if not np.all(np.isfinite(env))
                        else "intensity overflows double precision; the gain is too large")
         # the public constructor, and the conjugate output's path, which
-        # passes the |E| of the row it conjugates
+        # passes the |E| of the row it conjugates and its max
         for build in (lambda: SampledPulse(grid, env),
-                      lambda: SampledPulse(grid, np.conj(env), magnitude.copy())):
+                      lambda: SampledPulse(grid, np.conj(env),
+                                           (magnitude.copy(), float(magnitude.max())))):
             if message is not None:
                 with pytest.raises(GuardError) as info:
                     build()
@@ -501,12 +502,14 @@ class TestBandLimitedKernel:
         if propagation_mode == "exact":
             spectrum = np.exp(-1j * self.GRID_1K.omegas * p.cell_length / C) * spectrum
         propagate = Propagator(pulse, propagation_mode, dispersion_mode)
-        envelopes, magnitudes = propagate._output_envelopes(p, spectrum)
+        envelopes, magnitudes = propagate._output_envelopes(
+            p, spectrum, spectrum[pulse.band.inside])
         # copies: the rows are the propagator's work arrays, which its calls overwrite
         outputs = [env.copy() for env in envelopes]
         with np.errstate(over="ignore", invalid="ignore"):
-            for out, mag in zip(outputs, magnitudes):  # what the output pulses square
+            for out, (mag, top) in zip(outputs, magnitudes):  # what the output pulses square
                 assert np.array_equal(mag, np.abs(out), equal_nan=True)
+                assert np.array_equal(top, mag.max(), equal_nan=True)
         entries, expected = _full_grid_outputs(p, pulse, propagation_mode, dispersion_mode)
         for out, want in zip(outputs, expected):
             # near the pole of the full eta(w) the kernel overflows on some
@@ -770,13 +773,14 @@ class TestBandLimitedKernel:
                               np.arange(GRID.n_samples))
         assert np.array_equal(band.outside_abs, mag[band.outside])
         assert np.array_equal(band.outside_omegas, GRID.omegas[band.outside])
+        assert np.array_equal(band.inside_omegas, GRID.omegas[band.inside])
         # in ascending order of frequency, which outside_abs follows
         assert np.all(np.diff(band.outside_omegas) > 0.0)
         sizes = mag[band.outside]
         assert np.array_equal(band.outside_abs_below, np.r_[0.0, np.cumsum(sizes)])
         assert np.array_equal(band.outside_abs_above, np.r_[np.cumsum(sizes[::-1])[::-1], 0.0])
-        for arr in (band.inside, band.outside, band.outside_abs, band.outside_omegas,
-                    band.outside_abs_below, band.outside_abs_above):
+        for arr in (band.inside, band.inside_omegas, band.outside, band.outside_abs,
+                    band.outside_omegas, band.outside_abs_below, band.outside_abs_above):
             assert not arr.flags.writeable
 
     def test_point_that_fails_the_bound_is_the_full_grid_path(self, monkeypatch):
@@ -800,6 +804,29 @@ class TestBandLimitedKernel:
         conj_star = from_spectrum(m_cp * delayed, GRID)
         assert np.array_equal(res.probe.envelope, probe)
         assert np.array_equal(res.conjugate.envelope, np.conj(conj_star))
+
+    def test_a_fallback_leaves_no_outside_bins_for_the_next_call(self, monkeypatch):
+        # the first medium fails the bound, so its call also fills the
+        # outside bins of the work spectra; the next medium passes it, and
+        # its call must find them zero, as a new propagator does
+        fallback = make_params(delta1_mhz=30.0, gamma_c_frac=0.5, delta2_mhz=1000.0)
+        band_only = make_params(delta1_mhz=30.0, gamma_c_frac=0.01)
+        pulse = make_gaussian_pulse(GRID, 70e-9)
+        sizes = []
+
+        def counted(p, omega, *args):
+            sizes.append(omega.size)
+            return transfer_entries(p, omega, *args)
+        monkeypatch.setattr(pulses, "transfer_entries", counted)
+        shared = Propagator(pulse, "exact", "full")
+        shared(fallback)
+        second = shared(band_only)
+        fresh = Propagator(pulse, "exact", "full")(band_only)
+        inside, outside = pulse.band.inside.size, pulse.band.outside.size
+        assert sizes == [inside, outside, inside, inside]
+        for name in ("reference", "probe", "conjugate"):
+            got, want = getattr(second, name), getattr(fresh, name)
+            assert got.envelope.tobytes() == want.envelope.tobytes()
 
     def test_all_bins_in_band_is_one_full_grid_call(self, monkeypatch):
         # 3.2 samples wide: the spectrum falls to ~1e-8 at the grid edge, so
