@@ -19,7 +19,6 @@ from .config import MHZ, Config, parse_config
 from .coupling import analytic_delays
 from .errors import ConfigError, GuardError, Mp4wmError
 from .experiments import run_single, scan
-from .params import derive_coefficients
 
 TRACE_HEADER = "t_ns,ref,probe,conj"
 # scan output column -> (ScanRecord field, factor from SI units); every row
@@ -87,7 +86,7 @@ def _metrics_dict(m, pulse) -> dict:
 
 
 def _cmd_derive(cfg: Config, args) -> int:
-    d = derive_coefficients(cfg.to_medium_params())
+    d = cfg.to_medium_params().coefficients
     out = {
         "eta0": _round9(d.eta0),
         "delta_r_mhz": _round9(d.delta_r / MHZ),

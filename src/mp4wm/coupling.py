@@ -29,7 +29,8 @@ P expm1(mu L) (1 + e^{-mu L}) keeps full precision as mu L -> 0; below
 |mu L| = 1e-6 the series L (1 + (mu L)^2/6) replaces sinh(mu L)/mu.
 :func:`entry_bounds` bounds |m_pp| and |m_cp| from the same d, alpha and
 mu^2 without evaluating the entries, and :func:`peak_entry_bounds` bounds
-them in closed form on an interval of frequencies.
+them in closed form on an interval of frequencies.  All three read
+Delta_R and dtilde from the medium's cached ``p.coefficients``.
 
 The Fourier convention is the NumPy one: spectra are obtained with the
 e^{-i w t} kernel, so a time delay tau multiplies a spectrum by
@@ -45,43 +46,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError
-from .params import (C_LIGHT, DerivedCoefficients, MediumParams, derive_coefficients,
-                     eta_of_omega)
+from .params import C_LIGHT, DISPERSION_MODES, MediumParams, eta_of_omega
 
 # below this |mu L| the sinh(mu L)/mu factor switches to its series
 _SINHC_THRESHOLD = 1e-6
 
 
-def _generator_terms(p: MediumParams, omega: np.ndarray, dispersion_mode: str,
-                     coefficients: DerivedCoefficients | None = None):
+def _generator_terms(p: MediumParams, omega: np.ndarray, dispersion_mode: str):
     """d, alpha and mu^2 = d^2/4 + alpha^2 at each frequency.
 
-    `coefficients` is ``derive_coefficients(p)``, when the caller has it.
     Extreme inputs overflow to non-finite values, so callers run this under
     ``np.errstate``.
     """
-    d = derive_coefficients(p) if coefficients is None else coefficients
+    d = p.coefficients
     eta = eta_of_omega(p, omega, dispersion_mode)
     alpha = eta * d.delta_r
     direct = eta * (1j * (d.delta_tilde + omega) + p.gamma_c)
     return direct, alpha, 0.25 * direct * direct + alpha * alpha
 
 
-def transfer_entries(p: MediumParams, omega, dispersion_mode: str = "constant",
-                     coefficients: DerivedCoefficients | None = None):
+def transfer_entries(p: MediumParams, omega, dispersion_mode: str = "constant"):
     """Vectorized transfer-matrix entries (m_pp, m_pc, m_cp, m_cc) of exp(N L).
 
-    `omega` may be a scalar or ndarray; entries broadcast with it, and
-    `coefficients` is ``derive_coefficients(p)``, when the caller has it.
-    The vacuum factor e^{-i w L} is left out, so delays are measured
-    against the vacuum reference pulse, as in the experiment.
+    `omega` may be a scalar or ndarray; entries broadcast with it.  The
+    vacuum factor e^{-i w L} is left out, so delays are measured against the
+    vacuum reference pulse, as in the experiment.
     """
     big_l = p.cell_length / C_LIGHT
     omega = np.asarray(omega, dtype=float)
     # overflow at extreme gain-length products degrades a point to
     # non-finite entries, which downstream guards turn into absent results
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode, coefficients)
+        direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode)
         mu = np.sqrt(mu_sq)
         x = mu * big_l
         pref = np.exp(-0.5 * direct * big_l)  # P = e^{-d L/2}
@@ -109,15 +105,9 @@ def transfer_entries(p: MediumParams, omega, dispersion_mode: str = "constant",
         return pref - half_d_shc, -m_cp, m_cp, pref + half_d_shc
 
 
-def entry_bounds(
-    p: MediumParams,
-    omega: np.ndarray,
-    dispersion_mode: str = "constant",
-    coefficients: DerivedCoefficients | None = None,
-):
+def entry_bounds(p: MediumParams, omega: np.ndarray, dispersion_mode: str = "constant"):
     """Upper bounds on |m_pp| and |m_cp| (= |m_pc|) at each frequency of `omega`.
 
-    `coefficients` is ``derive_coefficients(p)``, when the caller has it.
     With g = e^{(|Re mu| - Re d/2) L} and r = min(L, 1/|mu|),
 
         |m_pp| <= g (1 + |d|/2 r),    |m_cp| <= g |alpha| r,
@@ -134,7 +124,7 @@ def entry_bounds(
     """
     big_l = p.cell_length / C_LIGHT
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode, coefficients)
+        direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode)
         abs_d, abs_alpha = np.abs(direct), np.abs(alpha)
         half_re_d = 0.5 * direct.real
         r = np.abs(mu_sq)  # |mu^2| until it becomes r
@@ -168,12 +158,10 @@ def peak_entry_bounds(
     omega_lo: float,
     omega_hi: float,
     dispersion_mode: str = "constant",
-    coefficients: DerivedCoefficients | None = None,
 ):
     """Two scalars at or above :func:`entry_bounds` at every frequency w in
     [omega_lo, omega_hi] with |dtilde + w| >= y_min.
 
-    `coefficients` is ``derive_coefficients(p)``, when the caller has it.
     With rho = 2 Delta_R / y_min < 1 and the maxima taken over the interval,
 
         |m_pp| bound <= G (1 + 1/sqrt(1 - rho^2)),
@@ -197,9 +185,12 @@ def peak_entry_bounds(
     K = Omega^2/4 + Delta_1 Delta_R is at most
     gamma_c max(0, K - 2 u_min) |eta|_max^2 / g^2 N.  The pair is infinite
     where rho >= 1 or is nan, and where the interval reaches the pole of
-    eta(w); it is nan where the exponent is.
+    eta(w); it is nan where the exponent is.  Any other dispersion mode
+    raises :class:`GuardError`.
     """
-    c = derive_coefficients(p) if coefficients is None else coefficients
+    if dispersion_mode not in DISPERSION_MODES:
+        raise GuardError(f"unknown dispersion mode {dispersion_mode!r}")
+    c = p.coefficients
     if not y_min > 2.0 * c.delta_r:
         return math.inf, math.inf
     rho = 2.0 * c.delta_r / y_min
@@ -264,7 +255,7 @@ def analytic_delays(p: MediumParams) -> AnalyticDelays:
     Raises :class:`GuardError` from :func:`predict_gain`, which also covers
     2 xi <= eta gamma_c, where the locked differential delay is undefined.
     """
-    d = derive_coefficients(p)
+    d = p.coefficients
     eta = d.eta0
     # sigma = i eta gamma_c / 2 at line center, so xi^2 = alpha^2 + (eta gamma_c/2)^2
     xi = math.hypot(d.alpha0, 0.5 * eta * p.gamma_c)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .coupling import predict_gain, renormalized_length
 from .errors import GuardError
-from .params import C_LIGHT, DISPERSION_MODES, MediumParams, derive_coefficients
+from .params import C_LIGHT, DISPERSION_MODES, MediumParams
 from .pulses import (
     PROPAGATION_MODES,
     PropagationResult,
@@ -109,7 +109,7 @@ def infer_eta_xi(
 
 
 def _record_for(p: MediumParams, var: float, propagate: Propagator) -> ScanRecord:
-    d = derive_coefficients(p)
+    d = p.coefficients
     approx_valid = abs(d.delta_tilde) <= 2.0 * d.delta_r
     try:
         res = run_single(p, propagate)
@@ -153,7 +153,7 @@ DELTA_POLICIES = ("track", "fixed")
 def _pump_point(p: MediumParams, rabi: float, delta_policy: str) -> MediumParams:
     q = p.replace(omega_rabi=rabi)
     if delta_policy == "track":
-        q = q.replace(delta_two_photon=derive_coefficients(q).delta_r)
+        q = q.replace(delta_two_photon=q.coefficients.delta_r)
     return q
 
 

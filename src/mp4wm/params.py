@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from .errors import ConfigError, GuardError
 
@@ -115,6 +116,11 @@ class MediumParams:
     def replace(self, **kwargs) -> "MediumParams":
         return replace(self, **kwargs)
 
+    @cached_property
+    def coefficients(self) -> "DerivedCoefficients":
+        """:func:`derive_coefficients` of the medium, computed once."""
+        return derive_coefficients(self)
+
 
 @dataclass(frozen=True)
 class DerivedCoefficients:
@@ -155,7 +161,7 @@ def eta_of_omega(p: MediumParams, omega, mode: str = "constant"):
     mode raises :class:`GuardError`.
     """
     if mode == "constant":
-        return (4.0 * p.coupling_g2n / p.omega_rabi**2) + 0j * omega
+        return p.coefficients.eta0 + 0j * omega
     if mode == "full":
         denom = p.omega_rabi**2 / 4.0 + p.delta_one * (
             p.delta_two_photon + omega + 1j * p.gamma_c

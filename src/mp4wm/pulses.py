@@ -13,7 +13,7 @@ import numpy as np
 
 from .coupling import entry_bounds, peak_entry_bounds, transfer_entries
 from .errors import AliasingError, ContainmentError, FitError, GuardError
-from .params import C_LIGHT, DerivedCoefficients, MediumParams, derive_coefficients
+from .params import C_LIGHT, MediumParams
 
 PROPAGATION_MODES = ("exact", "relative")
 
@@ -240,15 +240,13 @@ def from_spectrum(
     return env
 
 
-def _skipped_sums(p: MediumParams, band: SpectralBand, radius: float, dispersion_mode: str,
-                  c: DerivedCoefficients):
+def _skipped_sums(p: MediumParams, band: SpectralBand, radius: float, dispersion_mode: str):
     """Upper bounds on sum_k B_k |S0_k| over the bins outside `band`, for m_pp and m_cp.
 
-    `c` is ``derive_coefficients(p)``.  The bins with |dtilde + w| <=
-    `radius` Delta_R (none at radius 0) take their :func:`entry_bounds` B_k;
-    each run of bins on either side of them takes one
-    :func:`peak_entry_bounds` pair times its sum of |S0_k|, or makes both
-    sums infinite.  fl(dtilde + w) is monotone in w, so a run's
+    The bins with |dtilde + w| <= `radius` Delta_R (none at radius 0) take
+    their :func:`entry_bounds` B_k; each run of bins on either side of them
+    takes one :func:`peak_entry_bounds` pair times its sum of |S0_k|, or
+    makes both sums infinite.  fl(dtilde + w) is monotone in w, so a run's
     smallest |dtilde + w| is at its end nearer the resonance.  The sums
     carry (1 + `_PEAK_BOUND_SLACK`), so that they are at or above the
     rounded per-bin sum over every outside bin: np.dot and the running sums
@@ -258,19 +256,19 @@ def _skipped_sums(p: MediumParams, band: SpectralBand, radius: float, dispersion
     slack covers up to ~1e6.  A pair and the B_k it covers approach each
     other only at large |dtilde + w|, where both tend to 2.
     """
-    omegas, sizes = band.outside_omegas, band.outside_abs
+    omegas, sizes, c = band.outside_omegas, band.outside_abs, p.coefficients
     lo, hi = omegas.searchsorted((-c.delta_tilde - radius * c.delta_r,
                                   -c.delta_tilde + radius * c.delta_r)).tolist()
     sums = [0.0, 0.0]
     if lo < hi:
         sums = [float(np.dot(b, sizes[lo:hi]))
-                for b in entry_bounds(p, omegas[lo:hi], dispersion_mode, c)]
+                for b in entry_bounds(p, omegas[lo:hi], dispersion_mode)]
     for start, stop, inner, total in ((0, lo, lo - 1, band.outside_abs_below[lo]),
                                       (hi, omegas.size, hi, band.outside_abs_above[hi])):
         if start < stop:
             pair = peak_entry_bounds(p, abs(float(omegas[inner]) + c.delta_tilde),
                                      float(omegas[start]), float(omegas[stop - 1]),
-                                     dispersion_mode, c)
+                                     dispersion_mode)
             if not math.isfinite(pair[0] + pair[1]):
                 return [math.inf, math.inf]
             sums = [s + b * float(total) for s, b in zip(sums, pair)]
@@ -350,7 +348,7 @@ class Propagator:
         transformed again into the full-grid ones, and the bins are zeroed.
         The rows are the propagator's work arrays, which its next call
         overwrites; they come with a new |row| each and its max, from which
-        the budgets were taken.  One derivation serves the kernel and bounds.
+        the budgets were taken.
 
         The check first tries :func:`_skipped_sums` with no near bins, then
         with the bins within `_NEAR_RADIUS` Delta_R of resonance, and takes the
@@ -360,10 +358,9 @@ class Propagator:
         grid = self.pulse.grid
         band, mode = self.pulse.band, self.dispersion_mode
         specs, envs = self._buffers
-        coefficients = derive_coefficients(p)
 
         def fill(bins: np.ndarray, omegas: np.ndarray, values: np.ndarray):
-            m_pp, _, m_cp, _ = transfer_entries(p, omegas, mode, coefficients)
+            m_pp, _, m_cp, _ = transfer_entries(p, omegas, mode)
             for spec, m in zip(specs, (m_pp, m_cp)):
                 spec[bins] = np.multiply(m, values, out=m)
             outputs = from_spectrum(specs, grid, out=envs)
@@ -380,9 +377,9 @@ class Propagator:
                            for s, b in zip(sums, budgets))
 
             for radius in (0.0, _NEAR_RADIUS):
-                if passes(_skipped_sums(p, band, radius, mode, coefficients)):
+                if passes(_skipped_sums(p, band, radius, mode)):
                     return outputs, magnitudes
-            bounds = entry_bounds(p, band.outside_omegas, mode, coefficients)
+            bounds = entry_bounds(p, band.outside_omegas, mode)
             if passes(float(np.dot(b, band.outside_abs)) for b in bounds):
                 return outputs, magnitudes
             try:

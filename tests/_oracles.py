@@ -122,12 +122,8 @@ def generator_terms(p, omega, dispersion_mode="constant"):
         return direct, alpha, 0.25 * direct * direct + alpha * alpha
 
 
-def complex_entry_bounds(p, omega, dispersion_mode="constant", coefficients=None, *,
-                         principal_root=False):
+def complex_entry_bounds(p, omega, dispersion_mode="constant", *, principal_root=False):
     """Bounds on |m_pp| and |m_cp| of :func:`mp4wm.coupling.entry_bounds`, in complex arithmetic.
-
-    It takes `coefficients` where ``entry_bounds`` does, so that it can stand
-    in for it, but derives its own.
 
     g (1 + |d|/2 r) and g |alpha| r with g = e^{(Re mu - Re d/2) L} and
     r = min(L, 1/|mu|), where Re mu = sqrt((|mu^2| + Re mu^2)/2).  That sum

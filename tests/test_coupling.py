@@ -9,6 +9,7 @@ from mp4wm.coupling import (
     _SINHC_THRESHOLD,
     analytic_delays,
     entry_bounds,
+    peak_entry_bounds,
     predict_gain,
     renormalized_length,
     transfer_entries,
@@ -184,6 +185,8 @@ class TestTransferMatrix:
             transfer_entries(p, 0.0, "exact")
         with pytest.raises(GuardError, match="unknown dispersion mode 'bogus'"):
             coefficients_at(p, 0.0, "bogus")
+        with pytest.raises(GuardError, match="unknown dispersion mode 'bogus'"):
+            peak_entry_bounds(p, 1e12, -1e9, 1e9, "bogus")
 
 
 def _abs_mu(p, omega, dispersion_mode):
@@ -261,12 +264,11 @@ class TestTwoExponentialForm:
         cases = [(omega, want)] + [(w, two_exponential_entries(p, w, dispersion_mode))
                                    for w in omega.tolist()]
         for w, entries in cases:
-            for coefficients in (None, c):
-                got = transfer_entries(p, w, dispersion_mode, coefficients)
-                assert len(got) == 4
-                for g, e in zip(got, entries):  # the same bits, nan payloads too
-                    assert type(g) is type(e) and np.shape(g) == np.shape(e)
-                    assert np.asarray(g).tobytes() == np.asarray(e).tobytes()
+            got = transfer_entries(p, w, dispersion_mode)
+            assert len(got) == 4
+            for g, e in zip(got, entries):  # the same bits, nan payloads too
+                assert type(g) is type(e) and np.shape(g) == np.shape(e)
+                assert np.asarray(g).tobytes() == np.asarray(e).tobytes()
 
     def test_overflow_gives_non_finite_entries_and_bounds(self):
         # mu z / c ~ 5e6: e^{mu L} overflows, silently

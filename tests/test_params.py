@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, strategies as st
 from scipy import constants
 
 from mp4wm.errors import ConfigError, GuardError
+from mp4wm.experiments import _pump_point
 from mp4wm.params import (
     C_LIGHT,
     MediumParams,
@@ -60,6 +64,26 @@ class TestDerivedScalars:
         assert d1.alpha0 == pytest.approx(d0.alpha0 * s, rel=1e-12)
         assert d1.delta_r == d0.delta_r
         assert d1.saturation_rabi == d0.saturation_rabi
+
+    def test_cached_coefficients_follow_the_medium(self):
+        p = make_params()
+        c = p.coefficients
+        assert p.coefficients is c
+        assert astuple(c) == astuple(derive_coefficients(p))
+        # each new medium derives from its own fields, not from the cache of p
+        tracked = _pump_point(p, 2.0 * p.omega_rabi, "track")
+        for q in (p.replace(omega_rabi=2.0 * p.omega_rabi), p.scaled_density(2.0), tracked):
+            assert astuple(q.coefficients) == astuple(derive_coefficients(q))
+            assert q.coefficients != c
+        assert tracked.coefficients.delta_tilde == 0.0
+
+    def test_reading_the_coefficients_changes_no_copy_or_comparison(self):
+        read, unread = make_params(), make_params()
+        read.coefficients
+        for q in (read, pickle.loads(pickle.dumps(read)), copy.deepcopy(read),
+                  pickle.loads(pickle.dumps(unread)), copy.deepcopy(unread)):
+            assert q == unread and hash(q) == hash(unread) and repr(q) == repr(unread)
+            assert astuple(q.coefficients) == astuple(derive_coefficients(unread))
 
 
 class TestEtaOfOmega:

@@ -669,7 +669,7 @@ class TestBandLimitedKernel:
                     assert np.all(bins[side] <= b)
             else:
                 finite = False
-        sums = pulses._skipped_sums(p, band, radius, dispersion_mode, c)
+        sums = pulses._skipped_sums(p, band, radius, dispersion_mode)
         if not finite:  # an infinite pair fails the check
             assert not all(np.isfinite(sums))
         # at or above the per-bin sum over every skipped bin, which it stands for
