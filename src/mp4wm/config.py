@@ -12,13 +12,15 @@ from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError, GuardError
 from .experiments import DELTA_POLICIES, PulseConfig
-from .params import MediumParams
+from .params import DISPERSION_MODES, MediumParams
+from .pulses import PROPAGATION_MODES
 
 MHZ = 2.0 * math.pi * 1e6  # rad/s per MHz of ordinary frequency
 
-# the keys that do not parse as floats; every other key is a float
+# the keys that do not parse as floats: integers, and strings with their values
 _INT_KEYS = {"n_samples", "scan_steps"}
-_STR_KEYS = {"dispersion_mode", "propagation_mode", "delta_policy"}
+_STR_KEYS = {"dispersion_mode": DISPERSION_MODES, "propagation_mode": PROPAGATION_MODES,
+             "delta_policy": DELTA_POLICIES}
 MAX_SCAN_STEPS = 100_000  # scan_values() builds the whole grid as a list
 
 
@@ -122,10 +124,12 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key in _STR_KEYS:
+        if key not in _STR_KEYS:
+            values[key] = _parse_number(key, raw, lineno)
+        elif raw in _STR_KEYS[key]:
             values[key] = raw
         else:
-            values[key] = _parse_number(key, raw, lineno)
+            raise ConfigError(f"line {lineno}: unknown {key} {raw!r}")
 
     for key, f in keys.items():
         if f.default is MISSING and key not in values:
@@ -140,13 +144,11 @@ def parse_config(text: str) -> Config:
         raise ConfigError("scan_steps must be >= 2")
     if cfg.scan_steps is not None and cfg.scan_steps > MAX_SCAN_STEPS:
         raise ConfigError(f"scan_steps must be <= {MAX_SCAN_STEPS}")
-    if cfg.delta_policy not in DELTA_POLICIES:
-        raise ConfigError(f"unknown delta_policy {cfg.delta_policy!r}")
     for key in ("window_ns", "fwhm_ns"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be > 0")
 
-    # surface parameter, mode and grid invariant violations now
+    # surface parameter and grid invariant violations now
     cfg.to_medium_params()
     try:
         cfg.to_pulse_config().make_grid()

@@ -7,14 +7,14 @@ point is recorded with absent fields instead of aborting the scan.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 from .coupling import predict_gain, renormalized_length
 from .errors import GuardError
-from .params import C_LIGHT, DISPERSION_MODES, MediumParams
+from .params import C_LIGHT, MediumParams, raman_bandwidth
 from .pulses import (
-    PROPAGATION_MODES,
     PropagationResult,
     Propagator,
     PulseMetrics,
@@ -36,12 +36,6 @@ class PulseConfig:
     center: float = 0.0
     propagation_mode: str = "relative"
     dispersion_mode: str = "constant"
-
-    def __post_init__(self):
-        if self.dispersion_mode not in DISPERSION_MODES:
-            raise GuardError(f"unknown dispersion_mode {self.dispersion_mode!r}")
-        if self.propagation_mode not in PROPAGATION_MODES:
-            raise GuardError(f"unknown propagation_mode {self.propagation_mode!r}")
 
     def make_grid(self) -> TimeGrid:
         return TimeGrid.centered(self.window, self.n_samples, self.center)
@@ -151,10 +145,13 @@ DELTA_POLICIES = ("track", "fixed")
 
 
 def _pump_point(p: MediumParams, rabi: float, delta_policy: str) -> MediumParams:
-    q = p.replace(omega_rabi=rabi)
-    if delta_policy == "track":
-        q = q.replace(delta_two_photon=q.coefficients.delta_r)
-    return q
+    if delta_policy == "fixed":
+        return p.replace(omega_rabi=rabi)
+    try:  # delta at the new light shift, so dtilde = 0
+        shift = raman_bandwidth(rabi, p.delta_raman)
+    except OverflowError:  # MediumParams rejects this Omega and says why
+        shift = math.inf
+    return p.replace(omega_rabi=rabi, delta_two_photon=shift)
 
 
 # scan axis -> medium at one scan value (SI units) under a delta policy

@@ -134,10 +134,15 @@ class DerivedCoefficients:
     saturation_rabi: float  # 2 sqrt(Delta * gamma) (rad/s)
 
 
+def raman_bandwidth(omega_rabi: float, delta_raman: float) -> float:
+    """Delta_R = Omega^2/4Delta, also the light shift (rad/s)."""
+    return omega_rabi**2 / (4.0 * delta_raman)
+
+
 def derive_coefficients(p: MediumParams) -> DerivedCoefficients:
     """Compute every derived scalar of the model. Pure and deterministic."""
     eta0 = 4.0 * p.coupling_g2n / p.omega_rabi**2
-    delta_r = p.omega_rabi**2 / (4.0 * p.delta_raman)
+    delta_r = raman_bandwidth(p.omega_rabi, p.delta_raman)
     return DerivedCoefficients(
         eta0=eta0,
         delta_r=delta_r,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .coupling import entry_bounds, peak_entry_bounds, transfer_entries
 from .errors import AliasingError, ContainmentError, FitError, GuardError
-from .params import C_LIGHT, MediumParams
+from .params import C_LIGHT, DISPERSION_MODES, MediumParams
 
 PROPAGATION_MODES = ("exact", "relative")
 
@@ -67,20 +67,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class SpectralBand:
-    """Split of a spectrum's FFT bins at `_BAND_RATIO` of its peak magnitude."""
-
-    inside: np.ndarray     # indices where |S| > _BAND_RATIO * max |S|
-    inside_omegas: np.ndarray  # the grid's angular frequencies on `inside`
-    outside: np.ndarray    # the other indices, in ascending order of frequency
-    outside_abs: np.ndarray  # |S| on `outside`
-    # cumulative sums of `outside_abs`: sum of [:i] at i, and of [i:] at i
-    outside_abs_below: np.ndarray
-    outside_abs_above: np.ndarray
-    outside_omegas: np.ndarray  # the grid's angular frequencies on `outside`
-
-
-@dataclass(frozen=True)
 class SampledPulse:
     """Complex envelope sampled on a :class:`TimeGrid`."""
 
@@ -119,28 +105,6 @@ class SampledPulse:
     def spectrum(self) -> np.ndarray:
         """Aliasing-checked :func:`to_spectrum` of the pulse, computed once."""
         return _read_only(to_spectrum(self))
-
-    @cached_property
-    def band(self) -> SpectralBand:
-        """:class:`SpectralBand` of :attr:`spectrum`, computed once."""
-        mag = np.abs(self.spectrum)
-        kept = mag > _BAND_RATIO * mag.max()
-        outside = np.flatnonzero(~kept)
-        # in ascending frequency the FFT order's negative half comes first
-        outside = np.roll(outside, -int(np.searchsorted(outside, mag.size // 2)))
-        outside_abs = mag[outside]
-        below, above = np.zeros((2, outside.size + 1))
-        np.cumsum(outside_abs, out=below[1:])
-        np.cumsum(outside_abs[::-1], out=above[-2::-1])
-        return SpectralBand(
-            inside=_read_only(np.flatnonzero(kept)),
-            inside_omegas=_read_only(self.grid.omegas[kept]),
-            outside=_read_only(outside),
-            outside_abs=_read_only(outside_abs),
-            outside_abs_below=_read_only(below),
-            outside_abs_above=_read_only(above),
-            outside_omegas=_read_only(self.grid.omegas[outside]),
-        )
 
     @cached_property
     def energy(self) -> float:
@@ -240,35 +204,36 @@ def from_spectrum(
     return env
 
 
-def _skipped_sums(p: MediumParams, band: SpectralBand, radius: float, dispersion_mode: str):
-    """Upper bounds on sum_k B_k |S0_k| over the bins outside `band`, for m_pp and m_cp.
+def _skipped_sums(propagate: "Propagator", p: MediumParams, radius: float):
+    """Upper bounds on sum_k B_k |S0_k| over the bins outside the band of
+    `propagate`, for m_pp and m_cp in its dispersion mode.
 
-    The bins with |dtilde + w| <= `radius` Delta_R (none at radius 0) take
-    their :func:`entry_bounds` B_k; each run of bins on either side of them
-    takes one :func:`peak_entry_bounds` pair times its sum of |S0_k|, or
-    makes both sums infinite.  fl(dtilde + w) is monotone in w, so a run's
-    smallest |dtilde + w| is at its end nearer the resonance.  The sums
-    carry (1 + `_PEAK_BOUND_SLACK`), so that they are at or above the
-    rounded per-bin sum over every outside bin: np.dot and the running sums
-    of n <= 2**20 non-negative terms each round by at most n eps = 2.3e-10
-    relative, exp and sqrt round a pair by a few eps, and each B_k rounds
-    by a few eps times its exponents |Re mu| L and Re d/2 L, which the
-    slack covers up to ~1e6.  A pair and the B_k it covers approach each
-    other only at large |dtilde + w|, where both tend to 2.
+    The bins with |dtilde + w| <= `radius` Delta_R (none at radius 0, all at
+    radius inf) take their :func:`entry_bounds` B_k; each run of bins on
+    either side of them takes one :func:`peak_entry_bounds` pair times its
+    sum of |S0_k|, or makes both sums infinite.  fl(dtilde + w) is monotone
+    in w, so a run's smallest |dtilde + w| is at its end nearer the
+    resonance.  The sums carry (1 + `_PEAK_BOUND_SLACK`), so that they are
+    at or above the rounded per-bin sum over every outside bin: np.dot and
+    the running sums of n <= 2**20 non-negative terms each round by at most
+    n eps = 2.3e-10 relative, exp and sqrt round a pair by a few eps, and
+    each B_k rounds by a few eps times its exponents |Re mu| L and Re d/2 L,
+    which the slack covers up to ~1e6.  A pair and the B_k it covers
+    approach each other only at large |dtilde + w|, where both tend to 2.
     """
-    omegas, sizes, c = band.outside_omegas, band.outside_abs, p.coefficients
-    lo, hi = omegas.searchsorted((-c.delta_tilde - radius * c.delta_r,
-                                  -c.delta_tilde + radius * c.delta_r)).tolist()
+    omegas, sizes, c = propagate.outside_omegas, propagate.outside_abs, p.coefficients
+    mode = propagate.dispersion_mode
+    # every bin at radius inf: inf * Delta_R is nan where Delta_R underflows to 0
+    lo, hi = (0, omegas.size) if radius == math.inf else omegas.searchsorted(
+        (-c.delta_tilde - radius * c.delta_r, -c.delta_tilde + radius * c.delta_r)).tolist()
     sums = [0.0, 0.0]
     if lo < hi:
-        sums = [float(np.dot(b, sizes[lo:hi]))
-                for b in entry_bounds(p, omegas[lo:hi], dispersion_mode)]
-    for start, stop, inner, total in ((0, lo, lo - 1, band.outside_abs_below[lo]),
-                                      (hi, omegas.size, hi, band.outside_abs_above[hi])):
+        sums = [float(np.dot(b, sizes[lo:hi])) for b in entry_bounds(p, omegas[lo:hi], mode)]
+    for start, stop, inner, total in ((0, lo, lo - 1, propagate.outside_abs_below[lo]),
+                                      (hi, omegas.size, hi, propagate.outside_abs_above[hi])):
         if start < stop:
             pair = peak_entry_bounds(p, abs(float(omegas[inner]) + c.delta_tilde),
-                                     float(omegas[start]), float(omegas[stop - 1]),
-                                     dispersion_mode)
+                                     float(omegas[start]), float(omegas[stop - 1]), mode)
             if not math.isfinite(pair[0] + pair[1]):
                 return [math.inf, math.inf]
             sums = [s + b * float(total) for s, b in zip(sums, pair)]
@@ -285,33 +250,55 @@ class PropagationResult:
 class Propagator:
     """Propagates one input probe pulse (no seed conjugate) through any medium.
 
-    Built once per input, it checks the propagation mode and the input's
-    containment, and takes the input's spectrum, which runs the aliasing
-    guard.  Called on a :class:`MediumParams`, it returns the vacuum
-    reference, the amplified probe and the generated conjugate, all on the
-    input grid.  The conjugate is returned as E_c(t), conjugated back from
-    the E_c*(-w) solution so that its intensity is directly plottable.  The
-    reference is the input in `"relative"` mode, and in `"exact"` mode the
-    input delayed by the vacuum transit e^{-i w z/c}, which is then what the
-    cell propagates.  Every call reuses the propagator's work arrays, so
-    threads that share an input each build their own propagator.
+    Built once per input, it checks both modes and the input's containment,
+    and takes the input's spectrum, which runs the aliasing guard.  It splits
+    the spectrum's bins at `_BAND_RATIO` of its peak magnitude: the kernel
+    runs on the `inside` bins, at `inside_omegas`; the `outside` bins, in
+    ascending order of frequency at `outside_omegas`, are bounded from |S| on
+    them, `outside_abs`, and its running sums, `outside_abs_below` of [:i]
+    and `outside_abs_above` of [i:] at i.  All are read-only.  Called on a
+    :class:`MediumParams`, it returns the vacuum reference, the amplified
+    probe and the generated conjugate, all on the input grid.  The conjugate
+    is returned as E_c(t), conjugated back from the E_c*(-w) solution so
+    that its intensity is directly plottable.  The reference is the input in
+    `"relative"` mode, and in `"exact"` mode the input delayed by the vacuum
+    transit e^{-i w z/c}, which is then what the cell propagates.  Every call
+    reuses the propagator's work arrays, so threads that share an input each
+    build their own propagator.
     """
 
     def __init__(self, pulse: SampledPulse, propagation_mode: str = "relative",
                  dispersion_mode: str = "constant"):
         if propagation_mode not in PROPAGATION_MODES:
             raise GuardError(f"unknown propagation mode {propagation_mode!r}")
+        if dispersion_mode not in DISPERSION_MODES:
+            raise GuardError(f"unknown dispersion mode {dispersion_mode!r}")
         pulse.check_containment("input pulse")
         self.pulse = pulse
         self.propagation_mode = propagation_mode
         self.dispersion_mode = dispersion_mode
+        spectrum, omegas = pulse.spectrum, pulse.grid.omegas
+        mag = np.abs(spectrum)
+        kept = mag > _BAND_RATIO * mag.max()
+        outside = np.flatnonzero(~kept)
+        # in ascending frequency the FFT order's negative half comes first
+        outside = np.roll(outside, -int(np.searchsorted(outside, mag.size // 2)))
+        self.inside = _read_only(np.flatnonzero(kept))
+        self.inside_omegas = _read_only(omegas[kept])
+        self.outside = _read_only(outside)
+        self.outside_abs = _read_only(mag[outside])
+        self.outside_omegas = _read_only(omegas[outside])
+        below, above = np.zeros((2, outside.size + 1))
+        np.cumsum(self.outside_abs, out=below[1:])
+        np.cumsum(self.outside_abs[::-1], out=above[-2::-1])
+        self.outside_abs_below, self.outside_abs_above = _read_only(below), _read_only(above)
         # m_pp S and m_cp S, then their envelopes, overwritten by every call;
         # the spectra are zero outside the input's band between calls
         self._buffers = np.zeros((2, 2, pulse.grid.n_samples), dtype=complex)
         # (cell length, reference, spectrum the cell propagates, the same on
         # the band): the input's own, aliasing-checked here, until an
         # exact-mode call delays it by its cell's vacuum transit
-        self._vacuum = (None, pulse, pulse.spectrum, pulse.spectrum[pulse.band.inside])
+        self._vacuum = (None, pulse, spectrum, spectrum[self.inside])
 
     def __call__(self, p: MediumParams) -> PropagationResult:
         grid = self.pulse.grid
@@ -320,7 +307,7 @@ class Propagator:
             vac = np.exp(-1j * grid.omegas * p.cell_length / C_LIGHT)
             spectrum = _read_only(vac * self.pulse.spectrum)
             reference = SampledPulse(grid, from_spectrum(spectrum, grid))
-            self._vacuum = (p.cell_length, reference, spectrum, spectrum[self.pulse.band.inside])
+            self._vacuum = (p.cell_length, reference, spectrum, spectrum[self.inside])
         _, reference, *spectra = self._vacuum
         (probe_env, conj_star_env), (probe_mag, conj_mag) = self._output_envelopes(p, *spectra)
         # each pulse copies its envelope out of the work arrays and squares
@@ -350,17 +337,16 @@ class Propagator:
         overwrites; they come with a new |row| each and its max, from which
         the budgets were taken.
 
-        The check first tries :func:`_skipped_sums` with no near bins, then
-        with the bins within `_NEAR_RADIUS` Delta_R of resonance, and takes the
-        per-bin sum over every outside bin only when neither passes.  Both are
-        at or above that sum, so a pass of either implies its pass.
+        The check tries :func:`_skipped_sums` at three radii, which stops at
+        the first pass: no near bins, the bins within `_NEAR_RADIUS` Delta_R of
+        resonance, then every outside bin.  Each is at or above the rounded
+        per-bin sum over every outside bin, so a pass at any radius is its pass.
         """
         grid = self.pulse.grid
-        band, mode = self.pulse.band, self.dispersion_mode
         specs, envs = self._buffers
 
         def fill(bins: np.ndarray, omegas: np.ndarray, values: np.ndarray):
-            m_pp, _, m_cp, _ = transfer_entries(p, omegas, mode)
+            m_pp, _, m_cp, _ = transfer_entries(p, omegas, self.dispersion_mode)
             for spec, m in zip(specs, (m_pp, m_cp)):
                 spec[bins] = np.multiply(m, values, out=m)
             outputs = from_spectrum(specs, grid, out=envs)
@@ -368,24 +354,17 @@ class Propagator:
 
         # non-finite entries pass through silently; the output guards report them
         with np.errstate(invalid="ignore", over="ignore"):
-            outputs, magnitudes = fill(band.inside, band.inside_omegas, inside)
+            outputs, magnitudes = fill(self.inside, self.inside_omegas, inside)
             scale = 1.0 / (grid.n_samples * grid.t_step)
             budgets = [_BAND_TOLERANCE * top for _, top in magnitudes]
-
-            def passes(sums) -> bool:
-                return all(math.isfinite(s * scale) and s * scale <= b
-                           for s, b in zip(sums, budgets))
-
-            for radius in (0.0, _NEAR_RADIUS):
-                if passes(_skipped_sums(p, band, radius, mode)):
+            for radius in (0.0, _NEAR_RADIUS, math.inf):
+                if all(math.isfinite(s * scale) and s * scale <= b
+                       for s, b in zip(_skipped_sums(self, p, radius), budgets)):
                     return outputs, magnitudes
-            bounds = entry_bounds(p, band.outside_omegas, mode)
-            if passes(float(np.dot(b, band.outside_abs)) for b in bounds):
-                return outputs, magnitudes
             try:
-                return fill(band.outside, band.outside_omegas, spectrum[band.outside])
+                return fill(self.outside, self.outside_omegas, spectrum[self.outside])
             finally:
-                specs[:, band.outside] = 0.0
+                specs[:, self.outside] = 0.0
 
 
 @dataclass(frozen=True)

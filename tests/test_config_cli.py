@@ -376,6 +376,13 @@ class TestCli:
             assert len(err.splitlines()) == 1
             assert err.startswith("mp4wm: config error:")
 
+    @pytest.mark.parametrize("key", ["dispersion_mode", "propagation_mode", "delta_policy"])
+    def test_unknown_mode_is_config_error_with_its_line(self, tmp_path, capsys, key):
+        # checked as the line is read, before any later line
+        cfg = write_cfg(tmp_path, BASE + f"{key} = Full\nmystery = 1\n")
+        assert main(["derive", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"mp4wm: config error: line 7: unknown {key} 'Full'\n"
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["derive", "--config", str(tmp_path / "nope.cfg")]) == 2
 

@@ -218,7 +218,7 @@ class TestScanEngine:
         monkeypatch.setattr(pulses, "transfer_entries", counted)
         cfg = PulseConfig(n_samples=1024)
         scan(make_params(), "density", [0.2, 0.6, 1.0], cfg)
-        band_size = cfg.propagator().pulse.band.inside.size
+        band_size = cfg.propagator().inside.size
         assert band_size < cfg.n_samples
         # no point of the README medium needs the full-grid fallback
         assert sizes == [band_size] * 3
@@ -229,8 +229,10 @@ class TestScanEngine:
 
     @pytest.mark.parametrize("key", ["propagation_mode", "dispersion_mode"])
     def test_rejects_unknown_mode(self, key):
-        with pytest.raises(GuardError, match=f"unknown {key} 'warp'"):
-            scan(make_params(), "density", [1.0], PulseConfig(**{key: "warp"}))
+        # the propagator checks its modes, and the scan builds it before any point
+        cfg = PulseConfig(**{key: "warp"})
+        with pytest.raises(GuardError, match=f"unknown {key.replace('_', ' ')} 'warp'"):
+            scan(make_params(), "density", [1.0], cfg)
 
 
 class TestScanDensity:
@@ -307,6 +309,29 @@ class TestScanPump:
     def test_rejects_unknown_policy(self):
         with pytest.raises(GuardError):
             scan(make_params(), "pump", [420.0 * MHZ], CFG, delta_policy="chase")
+
+    def test_tracked_point_is_one_medium(self, monkeypatch):
+        # Omega^2/4 Delta_1 = 1470 MHz at 420 MHz but only ~83 MHz at 100 MHz:
+        # a medium with the new Omega and the old delta = 11 MHz breaks the
+        # validity limit, each medium with delta at its own light shift does not
+        cfg = parse_config("omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\n"
+                           "delta_two_photon_mhz = 11.025\neta0 = 960\ncell_length_cm = 2.5\n"
+                           "delta_one_mhz = 30\ngamma_c_over_gamma = 0.01\nn_samples = 1024\n"
+                           "scan_start = 100\nscan_stop = 120\nscan_steps = 3\n")
+        calls = []
+        derive = params.derive_coefficients
+
+        def counted(p):
+            calls.append(p)
+            return derive(p)
+        monkeypatch.setattr(params, "derive_coefficients", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = scan(cfg.to_medium_params(), "pump",
+                           [v * MHZ for v in cfg.scan_values()], cfg.to_pulse_config())
+        # one derivation per point, of the medium the point propagates
+        assert len(calls) == len(records)
+        assert [q.coefficients.delta_tilde for q in calls] == [0.0] * len(records)
 
     def test_warns_outside_validity(self):
         # with delta fixed, a weak pump moves the light shift far from delta

@@ -17,7 +17,7 @@ from mp4wm.coupling import (
 from mp4wm.config import MHZ, parse_config
 from mp4wm.errors import AliasingError, ContainmentError, FitError, GuardError
 from mp4wm.experiments import scan
-from mp4wm.params import derive_coefficients
+from mp4wm.params import MediumParams, derive_coefficients
 from mp4wm.pulses import (
     Propagator,
     SampledPulse,
@@ -379,13 +379,11 @@ class TestPropagation:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_rejects_unknown_modes(self):
-        p = make_params()
         pulse = make_gaussian_pulse(TimeGrid.centered(2048e-9, 1024), 70e-9)
         with pytest.raises(GuardError, match="unknown propagation mode 'warp'"):
             Propagator(pulse, "warp")
-        propagate = Propagator(pulse, "relative", "bogus")  # checked on the first call
         with pytest.raises(GuardError, match="unknown dispersion mode 'bogus'"):
-            propagate(p)
+            Propagator(pulse, "relative", "bogus")  # checked when built, not on a call
 
     def test_shared_input_across_threads(self, monkeypatch):
         # each thread owns a propagator of the one shared input, so its own
@@ -503,7 +501,7 @@ class TestBandLimitedKernel:
             spectrum = np.exp(-1j * self.GRID_1K.omegas * p.cell_length / C) * spectrum
         propagate = Propagator(pulse, propagation_mode, dispersion_mode)
         envelopes, magnitudes = propagate._output_envelopes(
-            p, spectrum, spectrum[pulse.band.inside])
+            p, spectrum, spectrum[propagate.inside])
         # copies: the rows are the propagator's work arrays, which its calls overwrite
         outputs = [env.copy() for env in envelopes]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -524,7 +522,7 @@ class TestBandLimitedKernel:
         else:
             assert np.array_equal(res.probe.envelope, outputs[0])
             assert np.array_equal(res.conjugate.envelope, np.conj(outputs[1]))
-        outside = pulse.band.outside
+        outside = propagate.outside
         bounds = entry_bounds(p, self.GRID_1K.omegas[outside], dispersion_mode)
         for m, bound in zip(entries, bounds):
             size = np.abs(m[outside])
@@ -545,7 +543,7 @@ class TestBandLimitedKernel:
         p = make_params(
             delta1_mhz=30.0, gamma_c_frac=gamma_c_frac, delta2_mhz=delta2_mhz
         ).scaled_density(density)
-        omegas = make_gaussian_pulse(self.GRID_1K, 70e-9).band.outside_omegas
+        omegas = Propagator(make_gaussian_pulse(self.GRID_1K, 70e-9)).outside_omegas
         m_pp, _, m_cp, _ = transfer_entries(p, omegas, dispersion_mode)
         bounds = entry_bounds(p, omegas, dispersion_mode)
         # Every form rounds in proportion to the exponent |mu| L.  Where
@@ -588,7 +586,7 @@ class TestBandLimitedKernel:
         p = make_params(
             delta1_mhz=30.0, gamma_c_frac=gamma_c_frac, delta2_mhz=delta2_mhz
         ).scaled_density(density)
-        omegas = make_gaussian_pulse(self.GRID_1K, 70e-9).band.outside_omegas
+        omegas = Propagator(make_gaussian_pulse(self.GRID_1K, 70e-9)).outside_omegas
         c = derive_coefficients(p)
         y_min = np.min(np.abs(omegas + c.delta_tilde))
         span = (y_min, omegas.min(), omegas.max())
@@ -630,7 +628,7 @@ class TestBandLimitedKernel:
         assert all(r.gain_peak is not None for r in records)
         assert len(counted) == calls
         if slack is not None:  # each point ends with one call on all skipped bins
-            outside = cfg.to_pulse_config().propagator().pulse.band.outside.size
+            outside = cfg.to_pulse_config().propagator().outside.size
             assert [args[1].size for args in counted[1::2]] == [outside] * 5
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -652,7 +650,7 @@ class TestBandLimitedKernel:
         p = make_params(
             delta1_mhz=delta1_mhz, gamma_c_frac=gamma_c_frac, delta2_mhz=delta2_mhz
         ).scaled_density(density)
-        band = make_gaussian_pulse(self.GRID_1K, 70e-9).band
+        band = Propagator(make_gaussian_pulse(self.GRID_1K, 70e-9), "relative", dispersion_mode)
         omegas, sizes = band.outside_omegas, band.outside_abs
         c = derive_coefficients(p)
         y = omegas + c.delta_tilde
@@ -669,13 +667,32 @@ class TestBandLimitedKernel:
                     assert np.all(bins[side] <= b)
             else:
                 finite = False
-        sums = pulses._skipped_sums(p, band, radius, dispersion_mode)
+        sums = pulses._skipped_sums(band, p, radius)
         if not finite:  # an infinite pair fails the check
             assert not all(np.isfinite(sums))
         # at or above the per-bin sum over every skipped bin, which it stands for
         for s, bins in zip(sums, per_bin):
             total = float(np.dot(bins, sizes))
             assert s >= total or not np.isfinite(s) or not np.isfinite(total)
+
+    @pytest.mark.parametrize("dispersion_mode", ["constant", "full"])
+    def test_every_bin_radius_is_the_per_bin_sum_with_its_slack(self, dispersion_mode):
+        # a medium off resonance, and one whose Delta_R = Omega^2/4Delta
+        # underflows to 0, where the radius inf * Delta_R would be nan
+        media = [
+            make_params(delta1_mhz=30.0, gamma_c_frac=0.5, delta2_mhz=1000.0),
+            MediumParams(omega_rabi=1e-150, delta_raman=1e300, delta_one=0.0,
+                         delta_two_photon=0.0, gamma=1e7, gamma_c=1e6,
+                         coupling_g2n=1e-300, cell_length=0.025),
+        ]
+        assert media[1].coefficients.delta_r == 0.0
+        band = Propagator(make_gaussian_pulse(self.GRID_1K, 70e-9), "relative", dispersion_mode)
+        for p in media:
+            per_bin = entry_bounds(p, band.outside_omegas, dispersion_mode)
+            want = [float(np.dot(b, band.outside_abs)) * (1.0 + pulses._PEAK_BOUND_SLACK)
+                    for b in per_bin]
+            assert all(np.isfinite(want))
+            assert pulses._skipped_sums(band, p, math.inf) == want
 
     def test_per_bin_bound_runs_only_near_resonance_on_the_benchmark_scans(self, monkeypatch):
         medium = ("omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\n"
@@ -759,13 +776,12 @@ class TestBandLimitedKernel:
                 calls.append(sizes)
             # a point falls back when the kernel also runs on the outside bins
             assert calls[0] == calls[1]
-            assert calls[0].count(pulse_cfg.propagator().pulse.band.outside.size) == fallbacks
+            assert calls[0].count(pulse_cfg.propagator().outside.size) == fallbacks
 
     def test_band_is_the_input_spectrum_above_its_cutoff(self):
         pulse = make_gaussian_pulse(GRID, 70e-9)
-        band = pulse.band
+        band = Propagator(pulse)
         mag = np.abs(pulse.spectrum)
-        assert pulse.band is band
         assert 0 < band.inside.size < GRID.n_samples
         assert np.all(mag[band.inside] > 1e-16 * mag.max())
         assert np.all(mag[band.outside] <= 1e-16 * mag.max())
@@ -794,8 +810,9 @@ class TestBandLimitedKernel:
             sizes.append(omega.size)
             return transfer_entries(p, omega, *args)
         monkeypatch.setattr(pulses, "transfer_entries", counted)
-        res = Propagator(pulse, "exact", "full")(p)
-        assert sizes == [pulse.band.inside.size, pulse.band.outside.size]
+        propagate = Propagator(pulse, "exact", "full")
+        res = propagate(p)
+        assert sizes == [propagate.inside.size, propagate.outside.size]
         m_pp, _, m_cp, _ = transfer_entries(p, GRID.omegas, "full")
         # exact mode is relative mode on the vacuum-delayed input
         delayed = np.exp(-1j * GRID.omegas * p.cell_length / C) * pulse.spectrum
@@ -822,7 +839,7 @@ class TestBandLimitedKernel:
         shared(fallback)
         second = shared(band_only)
         fresh = Propagator(pulse, "exact", "full")(band_only)
-        inside, outside = pulse.band.inside.size, pulse.band.outside.size
+        inside, outside = shared.inside.size, shared.outside.size
         assert sizes == [inside, outside, inside, inside]
         for name in ("reference", "probe", "conjugate"):
             got, want = getattr(second, name), getattr(fresh, name)
@@ -833,7 +850,8 @@ class TestBandLimitedKernel:
         # every bin is inside the band and the aliasing guard still passes
         grid = TimeGrid.centered(1024e-9, 1024)
         pulse = make_gaussian_pulse(grid, 3.2e-9)
-        assert pulse.band.outside.size == 0
+        propagate = Propagator(pulse)
+        assert propagate.outside.size == 0
         sizes = []
 
         def counted(p, omega, *args):
@@ -841,7 +859,7 @@ class TestBandLimitedKernel:
             return transfer_entries(p, omega, *args)
         monkeypatch.setattr(pulses, "transfer_entries", counted)
         p = make_params()
-        res = Propagator(pulse)(p)
+        res = propagate(p)
         assert sizes == [grid.n_samples]
         _, (probe, conj_star) = _full_grid_outputs(p, pulse, "relative", "constant")
         assert np.max(np.abs(res.probe.envelope - probe)) <= 1e-13 * np.max(np.abs(probe))
