@@ -204,42 +204,6 @@ def from_spectrum(
     return env
 
 
-def _skipped_sums(propagate: "Propagator", p: MediumParams, radius: float):
-    """Upper bounds on sum_k B_k |S0_k| over the bins outside the band of
-    `propagate`, for m_pp and m_cp in its dispersion mode.
-
-    The bins with |dtilde + w| <= `radius` Delta_R (none at radius 0, all at
-    radius inf) take their :func:`entry_bounds` B_k; each run of bins on
-    either side of them takes one :func:`peak_entry_bounds` pair times its
-    sum of |S0_k|, or makes both sums infinite.  fl(dtilde + w) is monotone
-    in w, so a run's smallest |dtilde + w| is at its end nearer the
-    resonance.  The sums carry (1 + `_PEAK_BOUND_SLACK`), so that they are
-    at or above the rounded per-bin sum over every outside bin: np.dot and
-    the running sums of n <= 2**20 non-negative terms each round by at most
-    n eps = 2.3e-10 relative, exp and sqrt round a pair by a few eps, and
-    each B_k rounds by a few eps times its exponents |Re mu| L and Re d/2 L,
-    which the slack covers up to ~1e6.  A pair and the B_k it covers
-    approach each other only at large |dtilde + w|, where both tend to 2.
-    """
-    omegas, sizes, c = propagate.outside_omegas, propagate.outside_abs, p.coefficients
-    mode = propagate.dispersion_mode
-    # every bin at radius inf: inf * Delta_R is nan where Delta_R underflows to 0
-    lo, hi = (0, omegas.size) if radius == math.inf else omegas.searchsorted(
-        (-c.delta_tilde - radius * c.delta_r, -c.delta_tilde + radius * c.delta_r)).tolist()
-    sums = [0.0, 0.0]
-    if lo < hi:
-        sums = [float(np.dot(b, sizes[lo:hi])) for b in entry_bounds(p, omegas[lo:hi], mode)]
-    for start, stop, inner, total in ((0, lo, lo - 1, propagate.outside_abs_below[lo]),
-                                      (hi, omegas.size, hi, propagate.outside_abs_above[hi])):
-        if start < stop:
-            pair = peak_entry_bounds(p, abs(float(omegas[inner]) + c.delta_tilde),
-                                     float(omegas[start]), float(omegas[stop - 1]), mode)
-            if not math.isfinite(pair[0] + pair[1]):
-                return [math.inf, math.inf]
-            sums = [s + b * float(total) for s, b in zip(sums, pair)]
-    return [s * (1.0 + _PEAK_BOUND_SLACK) for s in sums]
-
-
 @dataclass(frozen=True)
 class PropagationResult:
     reference: SampledPulse
@@ -337,7 +301,7 @@ class Propagator:
         overwrites; they come with a new |row| each and its max, from which
         the budgets were taken.
 
-        The check tries :func:`_skipped_sums` at three radii, which stops at
+        The check tries :meth:`_skipped_sums` at three radii, which stops at
         the first pass: no near bins, the bins within `_NEAR_RADIUS` Delta_R of
         resonance, then every outside bin.  Each is at or above the rounded
         per-bin sum over every outside bin, so a pass at any radius is its pass.
@@ -359,12 +323,47 @@ class Propagator:
             budgets = [_BAND_TOLERANCE * top for _, top in magnitudes]
             for radius in (0.0, _NEAR_RADIUS, math.inf):
                 if all(math.isfinite(s * scale) and s * scale <= b
-                       for s, b in zip(_skipped_sums(self, p, radius), budgets)):
+                       for s, b in zip(self._skipped_sums(p, radius), budgets)):
                     return outputs, magnitudes
             try:
                 return fill(self.outside, self.outside_omegas, spectrum[self.outside])
             finally:
                 specs[:, self.outside] = 0.0
+
+    def _skipped_sums(self, p: MediumParams, radius: float):
+        """Upper bounds on sum_k B_k |S0_k| over the bins outside the band,
+        for m_pp and m_cp in the propagator's dispersion mode.
+
+        The bins with |dtilde + w| <= `radius` Delta_R (none at radius 0, all at
+        radius inf) take their :func:`entry_bounds` B_k; each run of bins on
+        either side of them takes one :func:`peak_entry_bounds` pair times its
+        sum of |S0_k|, or makes both sums infinite.  fl(dtilde + w) is monotone
+        in w, so a run's smallest |dtilde + w| is at its end nearer the
+        resonance.  The sums carry (1 + `_PEAK_BOUND_SLACK`), so that they are
+        at or above the rounded per-bin sum over every outside bin: np.dot and
+        the running sums of n <= 2**20 non-negative terms each round by at most
+        n eps = 2.3e-10 relative, exp and sqrt round a pair by a few eps, and
+        each B_k rounds by a few eps times its exponents |Re mu| L and Re d/2 L,
+        which the slack covers up to ~1e6.  A pair and the B_k it covers
+        approach each other only at large |dtilde + w|, where both tend to 2.
+        """
+        omegas, sizes, c = self.outside_omegas, self.outside_abs, p.coefficients
+        mode = self.dispersion_mode
+        # every bin at radius inf: inf * Delta_R is nan where Delta_R underflows to 0
+        lo, hi = (0, omegas.size) if radius == math.inf else omegas.searchsorted(
+            (-c.delta_tilde - radius * c.delta_r, -c.delta_tilde + radius * c.delta_r)).tolist()
+        sums = [0.0, 0.0]
+        if lo < hi:
+            sums = [float(np.dot(b, sizes[lo:hi])) for b in entry_bounds(p, omegas[lo:hi], mode)]
+        for start, stop, inner, total in ((0, lo, lo - 1, self.outside_abs_below[lo]),
+                                          (hi, omegas.size, hi, self.outside_abs_above[hi])):
+            if start < stop:
+                pair = peak_entry_bounds(p, abs(float(omegas[inner]) + c.delta_tilde),
+                                         float(omegas[start]), float(omegas[stop - 1]), mode)
+                if not math.isfinite(pair[0] + pair[1]):
+                    return [math.inf, math.inf]
+                sums = [s + b * float(total) for s, b in zip(sums, pair)]
+        return [s * (1.0 + _PEAK_BOUND_SLACK) for s in sums]
 
 
 @dataclass(frozen=True)

@@ -601,35 +601,42 @@ class TestBandLimitedKernel:
                 for b, bins in zip(pair, entry_bounds(p, omegas, dispersion_mode)):
                     assert np.all(bins <= b)
 
-    # closed forms made to fail by a huge slack defer to the per-bin bound on
-    # the bins near resonance, then on every skipped bin; with Delta_1 = 0,
-    # eta(w) is flat in full mode too, and the closed forms pass in both modes
-    @pytest.mark.parametrize("dispersion_mode, slack, calls", [
-        ("constant", None, 0), ("constant", 1e6, 10), ("full", None, 0),
+    # closed forms made infinite defer to the per-bin bound on the bins near
+    # resonance, then on every skipped bin, which passes with no full-grid
+    # fallback; with Delta_1 = 0, eta(w) is flat in full mode too, and the
+    # closed forms pass in both modes
+    @pytest.mark.parametrize("dispersion_mode, infinite, calls", [
+        ("constant", False, 0), ("constant", True, 10), ("full", False, 0), ("full", True, 10),
     ])
     def test_per_bin_bound_runs_only_where_the_peak_bound_does_not_pass(
-        self, monkeypatch, dispersion_mode, slack, calls
+        self, monkeypatch, dispersion_mode, infinite, calls
     ):
-        if slack is not None:
-            monkeypatch.setattr(pulses, "_PEAK_BOUND_SLACK", slack)
+        if infinite:
+            monkeypatch.setattr(pulses, "peak_entry_bounds", lambda *args: (math.inf, math.inf))
         cfg = parse_config(
             "omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\ndelta_two_photon_mhz = 11.025\n"
             "eta0 = 960\ncell_length_cm = 2.5\ngamma_c_over_gamma = 0\n"
             f"dispersion_mode = {dispersion_mode}\n"
             "scan_start = 0.2\nscan_stop = 1.5\nscan_steps = 5\n"
         )
-        counted = []
+        counted, filled = [], []
 
         def bound(*args):
             counted.append(args)
             return entry_bounds(*args)
+
+        def kernel(p, omegas, *args):
+            filled.append(omegas.size)
+            return transfer_entries(p, omegas, *args)
         monkeypatch.setattr(pulses, "entry_bounds", bound)
+        monkeypatch.setattr(pulses, "transfer_entries", kernel)
         records = scan(cfg.to_medium_params(), "density", cfg.scan_values(), cfg.to_pulse_config())
         assert all(r.gain_peak is not None for r in records)
         assert len(counted) == calls
-        if slack is not None:  # each point ends with one call on all skipped bins
-            outside = cfg.to_pulse_config().propagator().outside.size
-            assert [args[1].size for args in counted[1::2]] == [outside] * 5
+        propagate = cfg.to_pulse_config().propagator()
+        assert filled == [propagate.inside.size] * 5  # the band only, never the full grid
+        if infinite:  # each point ends with one call on all skipped bins
+            assert [args[1].size for args in counted[1::2]] == [propagate.outside.size] * 5
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -644,14 +651,17 @@ class TestBandLimitedKernel:
     # skipped bin 255 (124.5 MHz), where the per-bin bound is nan
     @example(delta2_mhz=-1594.51171875, density=1.0, gamma_c_frac=0.0,
              dispersion_mode="full", delta1_mhz=30.0, radius=0.0)
+    # infinite per-bin bounds next to the pole, one on a bin with |S0| = 0
+    @example(delta2_mhz=-1158.0, density=1.0, gamma_c_frac=0.5,
+             dispersion_mode="full", delta1_mhz=30.0, radius=0.0)
     def test_far_bound_covers_every_bin_on_its_side(
         self, delta2_mhz, density, gamma_c_frac, dispersion_mode, delta1_mhz, radius
     ):
         p = make_params(
             delta1_mhz=delta1_mhz, gamma_c_frac=gamma_c_frac, delta2_mhz=delta2_mhz
         ).scaled_density(density)
-        band = Propagator(make_gaussian_pulse(self.GRID_1K, 70e-9), "relative", dispersion_mode)
-        omegas, sizes = band.outside_omegas, band.outside_abs
+        propagate = Propagator(make_gaussian_pulse(self.GRID_1K, 70e-9), "relative", dispersion_mode)
+        omegas, sizes = propagate.outside_omegas, propagate.outside_abs
         c = derive_coefficients(p)
         y = omegas + c.delta_tilde
         per_bin = entry_bounds(p, omegas, dispersion_mode)
@@ -667,12 +677,14 @@ class TestBandLimitedKernel:
                     assert np.all(bins[side] <= b)
             else:
                 finite = False
-        sums = pulses._skipped_sums(band, p, radius)
+        sums = propagate._skipped_sums(p, radius)
         if not finite:  # an infinite pair fails the check
             assert not all(np.isfinite(sums))
-        # at or above the per-bin sum over every skipped bin, which it stands for
+        # at or above the per-bin sum over every skipped bin, which it stands
+        # for; an infinite B_k on a bin with |S0_k| = 0 makes that sum nan
         for s, bins in zip(sums, per_bin):
-            total = float(np.dot(bins, sizes))
+            with np.errstate(invalid="ignore"):
+                total = float(np.dot(bins, sizes))
             assert s >= total or not np.isfinite(s) or not np.isfinite(total)
 
     @pytest.mark.parametrize("dispersion_mode", ["constant", "full"])
@@ -686,13 +698,13 @@ class TestBandLimitedKernel:
                          coupling_g2n=1e-300, cell_length=0.025),
         ]
         assert media[1].coefficients.delta_r == 0.0
-        band = Propagator(make_gaussian_pulse(self.GRID_1K, 70e-9), "relative", dispersion_mode)
+        propagate = Propagator(make_gaussian_pulse(self.GRID_1K, 70e-9), "relative", dispersion_mode)
         for p in media:
-            per_bin = entry_bounds(p, band.outside_omegas, dispersion_mode)
-            want = [float(np.dot(b, band.outside_abs)) * (1.0 + pulses._PEAK_BOUND_SLACK)
+            per_bin = entry_bounds(p, propagate.outside_omegas, dispersion_mode)
+            want = [float(np.dot(b, propagate.outside_abs)) * (1.0 + pulses._PEAK_BOUND_SLACK)
                     for b in per_bin]
             assert all(np.isfinite(want))
-            assert pulses._skipped_sums(band, p, math.inf) == want
+            assert propagate._skipped_sums(p, math.inf) == want
 
     def test_per_bin_bound_runs_only_near_resonance_on_the_benchmark_scans(self, monkeypatch):
         medium = ("omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\n"
