@@ -15,7 +15,6 @@ from .errors import (
     Mp4wmError,
 )
 from .experiments import (
-    PulseConfig,
     ScanRecord,
     SingleRunResult,
     infer_eta_xi,

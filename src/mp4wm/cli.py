@@ -103,7 +103,7 @@ def _cmd_derive(cfg: Config, args) -> int:
 
 def _cmd_run(cfg: Config, args) -> int:
     p = cfg.to_medium_params()
-    res = run_single(p, cfg.to_pulse_config().propagator())
+    res = run_single(p, cfg.propagator())
     tr = res.traces
     norm = tr.reference.peak
     cols = np.column_stack((
@@ -147,7 +147,7 @@ def _cmd_scan(cfg: Config, args) -> int:
         cfg.to_medium_params(),
         axis,
         [v * unit for v in values],
-        cfg.to_pulse_config(),
+        cfg.propagator(),
         cfg.delta_policy,
     )
     rows = []

@@ -11,9 +11,9 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError, GuardError
-from .experiments import DELTA_POLICIES, PulseConfig
+from .experiments import DELTA_POLICIES
 from .params import DISPERSION_MODES, MediumParams
-from .pulses import PROPAGATION_MODES
+from .pulses import PROPAGATION_MODES, Propagator, TimeGrid, make_gaussian_pulse
 
 MHZ = 2.0 * math.pi * 1e6  # rad/s per MHz of ordinary frequency
 
@@ -72,15 +72,15 @@ class Config:
             cell_length=self.cell_length_cm * 1e-2,
         )
 
-    def to_pulse_config(self) -> PulseConfig:
-        return PulseConfig(
-            fwhm=self.fwhm_ns * 1e-9,
-            window=self.window_ns * 1e-9,
-            n_samples=self.n_samples,
-            center=self.pulse_center_ns * 1e-9,
-            propagation_mode=self.propagation_mode,
-            dispersion_mode=self.dispersion_mode,
-        )
+    def grid(self) -> TimeGrid:
+        return TimeGrid.centered(self.window_ns * 1e-9, self.n_samples,
+                                 self.pulse_center_ns * 1e-9)
+
+    def propagator(self) -> Propagator:
+        """A :class:`Propagator` of a newly built Gaussian input pulse."""
+        center = self.pulse_center_ns * 1e-9
+        pulse = make_gaussian_pulse(self.grid(), self.fwhm_ns * 1e-9, center)
+        return Propagator(pulse, self.propagation_mode, self.dispersion_mode)
 
     def scan_values(self):
         """The scan grid in config units (MHz or dimensionless scale)."""
@@ -151,7 +151,7 @@ def parse_config(text: str) -> Config:
     # surface parameter and grid invariant violations now
     cfg.to_medium_params()
     try:
-        cfg.to_pulse_config().make_grid()
+        cfg.grid()
     except GuardError as exc:
         raise ConfigError(str(exc)) from None
     return cfg

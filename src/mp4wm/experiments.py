@@ -14,36 +14,9 @@ from dataclasses import dataclass
 from .coupling import predict_gain, renormalized_length
 from .errors import GuardError
 from .params import C_LIGHT, MediumParams, raman_bandwidth
-from .pulses import (
-    PropagationResult,
-    Propagator,
-    PulseMetrics,
-    TimeGrid,
-    make_gaussian_pulse,
-    pulse_metrics,
-)
+from .pulses import PropagationResult, Propagator, PulseMetrics, pulse_metrics
 
 _ZERO_CONJUGATE_ENERGY = 1e-30  # relative to reference energy
-
-
-@dataclass(frozen=True)
-class PulseConfig:
-    """Input pulse and solver settings shared by all experiment runs."""
-
-    fwhm: float = 70e-9
-    window: float = 2e-6
-    n_samples: int = 4096
-    center: float = 0.0
-    propagation_mode: str = "relative"
-    dispersion_mode: str = "constant"
-
-    def make_grid(self) -> TimeGrid:
-        return TimeGrid.centered(self.window, self.n_samples, self.center)
-
-    def propagator(self) -> Propagator:
-        """A :class:`Propagator` of a newly built Gaussian input pulse."""
-        pulse = make_gaussian_pulse(self.make_grid(), self.fwhm, self.center)
-        return Propagator(pulse, self.propagation_mode, self.dispersion_mode)
 
 
 @dataclass(frozen=True)
@@ -166,7 +139,7 @@ def scan(
     p: MediumParams,
     axis: str,
     values,
-    pulse_cfg: PulseConfig,
+    propagate: Propagator,
     delta_policy: str = "track",
 ) -> list[ScanRecord]:
     """Run one pulse per scan value; records follow the order of `values`.
@@ -175,8 +148,8 @@ def scan(
     multiplies g^2 N by the value and `"pump"` sets the Rabi frequency
     (rad/s).  For the pump axis, `delta_policy="track"` makes the
     two-photon detuning follow the moving light shift (dtilde pinned to
-    0) and `"fixed"` keeps the configured value.  The recorded var is the
-    scan value as given.
+    0) and `"fixed"` keeps the configured value.  Every point propagates
+    the one input of `propagate`; the recorded var is the scan value as given.
     """
     if axis not in _AXES:
         raise GuardError(f"unknown scan axis {axis!r}")
@@ -184,9 +157,6 @@ def scan(
         raise GuardError(f"unknown delta policy {delta_policy!r}")
     point_at = _AXES[axis]
     points = [(point_at(p, float(v), delta_policy), float(v)) for v in values]
-    # every point propagates this input: a bad one fails the scan here
-    # instead of blanking every row
-    propagate = pulse_cfg.propagator()
     records = [_record_for(q, v, propagate) for q, v in points]
     if not all(r.approx_valid for r in records):
         warnings.warn(

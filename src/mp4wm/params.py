@@ -83,6 +83,8 @@ class MediumParams:
             raise ConfigError("gamma_c must be >= 0")
         if self.coupling_g2n <= 0:
             raise ConfigError("coupling_g2n must be > 0")
+        if 4.0 * self.coupling_g2n / self.omega_rabi**2 == 0.0:  # eta0, as derived
+            raise ConfigError("coupling_g2n is too small: 4 g^2 N / Omega^2 underflows to 0")
         # z = 0 is a legal degenerate run (identity propagation)
         if self.cell_length < 0:
             raise ConfigError("cell_length must be >= 0")
@@ -120,6 +122,10 @@ class MediumParams:
     def coefficients(self) -> "DerivedCoefficients":
         """:func:`derive_coefficients` of the medium, computed once."""
         return derive_coefficients(self)
+
+    def __getstate__(self):
+        # the fields only: a copy or an unpickled medium derives its own coefficients
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

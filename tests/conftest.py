@@ -4,6 +4,7 @@ import numpy as np
 
 from mp4wm.coupling import transfer_entries
 from mp4wm.params import MediumParams
+from mp4wm.pulses import Propagator, TimeGrid, make_gaussian_pulse
 
 MHZ = 2.0 * math.pi * 1e6
 C = 299792458.0
@@ -47,3 +48,10 @@ def transfer_array(p, omega, z=None, **kwargs):
     if z is not None:
         p = p.replace(cell_length=z)
     return np.array(transfer_entries(p, omega, **kwargs)).reshape(2, 2)
+
+
+def gaussian_propagator(*, fwhm=70e-9, window=2e-6, n_samples=4096, center=0.0,
+                        propagation_mode="relative", dispersion_mode="constant"):
+    """:class:`Propagator` of a Gaussian input, by default the config's 70 ns pulse."""
+    pulse = make_gaussian_pulse(TimeGrid.centered(window, n_samples, center), fwhm, center)
+    return Propagator(pulse, propagation_mode, dispersion_mode)

@@ -17,7 +17,6 @@ from mp4wm.coupling import (
     transfer_entries,
 )
 from mp4wm.experiments import (
-    PulseConfig,
     infer_eta_xi,
     run_single,
     scan,
@@ -32,7 +31,7 @@ from mp4wm.pulses import (
 )
 
 from _oracles import coefficients_at, ivp_transfer
-from conftest import C, MHZ, make_params, transfer_array
+from conftest import C, MHZ, gaussian_propagator, make_params, transfer_array
 
 DERIVE_CONFIG = """\
 omega_rabi_mhz = 420
@@ -89,7 +88,7 @@ def test_acceptance_3_saturation(capsys):
 
 def test_acceptance_4_slowdown(capsys):
     p = make_params(gamma_c_frac=0.0)
-    res = run_single(p, PulseConfig().propagator())
+    res = run_single(p, gaussian_propagator())
     delay = res.conjugate_metrics.delay_vs_reference
     slowdown = C * delay / p.cell_length
     ok = abs(delay - 40e-9) <= 0.5e-9 and abs(round(slowdown / 100) * 100 / 500 - 1) <= 0.05
@@ -106,7 +105,7 @@ def test_acceptance_5_matched_pulse_locking(capsys):
     p = make_params(gamma_c_frac=0.0)
     base_l = _xi0(p) * p.cell_length / C
     targets = np.linspace(0.1, 5.0, 50)
-    records = scan(p, "density", targets / base_l, PulseConfig())
+    records = scan(p, "density", targets / base_l, gaussian_propagator())
     ells = np.array([
         _xi0(p.scaled_density(s)) * p.cell_length / C for s in targets / base_l
     ])
@@ -149,7 +148,7 @@ def test_acceptance_6_distortion_bound(capsys):
     best = None
     for eta_scale in (0.85, 1.0, 1.15):
         p = base.scaled_density(eta_scale)
-        res = run_single(p, PulseConfig().propagator())
+        res = run_single(p, gaussian_propagator())
         pm = res.probe_metrics
         cand = (pm.fractional_delay, pm.broadening_fraction, eta_scale)
         if pm.broadening_fraction <= 0.10 and (best is None or cand[0] > best[0]):
@@ -273,7 +272,7 @@ def test_acceptance_8_invariant_suite(capsys):
     # simulate -> fit -> infer roundtrip within 2% at xi z / c >= 3
     pr = make_params(gamma_c_frac=0.01)
     assert abs(coefficients_at(pr, 0.0).xi) * pr.cell_length / C >= 3.0
-    res = run_single(pr, PulseConfig().propagator())
+    res = run_single(pr, gaussian_propagator())
     dtau = (
         res.probe_metrics.delay_vs_reference
         - res.conjugate_metrics.delay_vs_reference
@@ -298,8 +297,7 @@ def test_acceptance_8_invariant_suite(capsys):
 
 def test_acceptance_9_renormalized_length(capsys):
     p = make_params(gamma_c_frac=0.0).scaled_density(0.3)
-    cfg = PulseConfig(fwhm=400e-9, window=8192e-9, n_samples=8192)
-    res = run_single(p, cfg.propagator())
+    res = run_single(p, gaussian_propagator(fwhm=400e-9, window=8192e-9, n_samples=8192))
     gain = res.probe_metrics.gain_peak
     ell = renormalized_length(gain)
     ell_direct = _xi0(p) * p.cell_length / C

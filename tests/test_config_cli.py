@@ -225,7 +225,7 @@ class TestCli:
         assert main(["run", "--config", cfg, "--out", str(out_csv)]) == 0
         capsys.readouterr()
         config = parse_config(BASE + "n_samples = 1024\n")
-        propagate = config.to_pulse_config().propagator()
+        propagate = config.propagator()
         tr = mp4wm.run_single(config.to_medium_params(), propagate).traces
         norm = tr.reference.intensity.max()
         columns = (tr.reference.grid.times * 1e9, tr.reference.intensity / norm,
@@ -462,6 +462,25 @@ class TestCli:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fwhm_ns, code, message", [
+        ("900", 3, "mp4wm: error: gaussian of fwhm 9e-07 s centered at 0 s needs a window"),
+        ("70", 2, "mp4wm: config error: density scale must be > 0"),
+    ])
+    def test_input_pulse_is_built_before_the_scan_points(
+        self, tmp_path, capsys, fwhm_ns, code, message
+    ):
+        # scale -1 is no density, and a 900 ns pulse does not fit the 2000 ns
+        # window: with both faults the input fails first, as it is built first
+        cfg = write_cfg(
+            tmp_path,
+            BASE + f"fwhm_ns = {fwhm_ns}\nscan_start = -1\nscan_stop = 1.0\nscan_steps = 2\n",
+        )
+        out = tmp_path / "d.csv"
+        assert main(["scan-density", "--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert not out.exists()
+
     def test_intensity_overflow_is_one_line_guard_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE.replace("eta0 = 960", "eta0 = 100000"))
         with warnings.catch_warnings():
@@ -561,11 +580,17 @@ def test_sweep_ordinary_values_cover_every_key():
 @example(command="run", overrides=[("delta_raman_mhz", "1"), ("delta_two_photon_mhz", "1e9")])
 @example(command="run", overrides=[("pulse_center_ns", "1e9")])
 @example(command="run", overrides=[("delta_raman_mhz", "60"), ("gamma_mhz", "30")])
+# g^2 N > 0 whose eta0 = 4 g^2 N / Omega^2 underflows to 0, given or at a scan point
+@example(command="derive", overrides=[("eta0", None), ("g2n_mhz2", "5e-324")])
+@example(command="run", overrides=[("eta0", None), ("g2n_mhz2", "5e-324")])
+@example(command="scan-density",
+         overrides=[("eta0", None), ("g2n_mhz2", "1e-20"), ("scan_start", "1e-300")])
 def test_every_input_exits_0_2_or_3_with_one_line(tmp_path_factory, command, overrides):
     values = dict(line.split(" = ") for line in SWEEP_BASE.splitlines())
     values.update(overrides)
     tmp = tmp_path_factory.mktemp("sweep")
-    cfg = write_cfg(tmp, "".join(f"{k} = {v}\n" for k, v in values.items()))
+    # an example's None drops the key, as eta0 must go for g2n_mhz2 to be read
+    cfg = write_cfg(tmp, "".join(f"{k} = {v}\n" for k, v in values.items() if v is not None))
     argv = [command, "--config", cfg]
     if command != "derive":
         argv += ["--out", str(tmp / "out.csv")]

@@ -7,23 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from mp4wm import experiments, params, pulses
+from mp4wm import config, params, pulses
 from mp4wm.config import parse_config
 from mp4wm.coupling import analytic_delays
 from mp4wm.errors import GuardError
-from mp4wm.experiments import (
-    PulseConfig,
-    infer_eta_xi,
-    predict_gain,
-    run_single,
-    scan,
-)
+from mp4wm.experiments import infer_eta_xi, predict_gain, run_single, scan
 from mp4wm.params import derive_coefficients
 
 from _oracles import coefficients_at
-from conftest import C, MHZ, make_params
-
-CFG = PulseConfig()
+from conftest import C, MHZ, gaussian_propagator, make_params
 
 
 def _xi_z_over_c(p):
@@ -34,7 +26,7 @@ class TestRunSingle:
     def test_locked_differential_delay(self):
         p = make_params(gamma_c_frac=0.0)
         assert _xi_z_over_c(p) > 3.0  # deep in the locked regime
-        res = run_single(p, CFG.propagator())
+        res = run_single(p, gaussian_propagator())
         dtau = (
             res.probe_metrics.delay_vs_reference
             - res.conjugate_metrics.delay_vs_reference
@@ -45,7 +37,7 @@ class TestRunSingle:
         base = make_params(gamma_c_frac=0.0)
         scale = math.acosh(math.sqrt(13.0)) / _xi_z_over_c(base)
         p = base.scaled_density(scale)
-        res = run_single(p, CFG.propagator())
+        res = run_single(p, gaussian_propagator())
         assert res.probe_metrics.gain_peak == pytest.approx(13.0, rel=0.05)
         assert (
             res.conjugate_metrics.delay_vs_reference
@@ -54,12 +46,12 @@ class TestRunSingle:
 
     def test_no_conjugate_at_vanishing_density(self):
         p = make_params(gamma_c_frac=0.0).scaled_density(1e-16)
-        res = run_single(p, CFG.propagator())
+        res = run_single(p, gaussian_propagator())
         assert res.conjugate_metrics is None
         assert res.probe_metrics.gain_peak == pytest.approx(1.0, rel=1e-9)
 
     def test_pulses_and_results_survive_pickle_and_deepcopy(self):
-        propagate = CFG.propagator()
+        propagate = gaussian_propagator()
         res = run_single(make_params(gamma_c_frac=0.5), propagate)
         for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
             pulse, again = clone(propagate.pulse), clone(res)
@@ -80,7 +72,7 @@ class TestScanDelta:
         p = make_params(gamma_c_frac=0.0)
         shift = derive_coefficients(p).delta_r  # the light shift Omega^2/4Delta
         deltas = shift + np.linspace(-1.0, 1.0, 9) * 2.0 * MHZ
-        records = scan(p, "delta", deltas, CFG)
+        records = scan(p, "delta", deltas, gaussian_propagator())
         gains = [r.gain_peak for r in records]
         assert int(np.argmax(gains)) == 4  # the dtilde = 0 point
 
@@ -88,7 +80,7 @@ class TestScanDelta:
         p = make_params(gamma_c_frac=0.0)
         d = derive_coefficients(p)
         with pytest.warns(UserWarning, match="dtilde"):
-            scan(p, "delta", [6.0 * d.delta_r], CFG)  # dtilde = 5 Delta_R
+            scan(p, "delta", [6.0 * d.delta_r], gaussian_propagator())  # dtilde = 5 Delta_R
 
 
 class TestScanEngine:
@@ -103,7 +95,7 @@ class TestScanEngine:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(experiments, "make_gaussian_pulse")
+        counted(config, "make_gaussian_pulse")
         counted(pulses, "to_spectrum")
         counted(pulses, "fit_gaussian")
         labels = []
@@ -113,17 +105,20 @@ class TestScanEngine:
             labels.append(label)
             return check(pulse, label)
         monkeypatch.setattr(pulses.SampledPulse, "check_containment", checked)
-        cfg = PulseConfig(n_samples=1024)
-        records = scan(make_params(), "density", [0.2, 0.6, 1.0, 1.4], cfg)
+        cfg = parse_config("omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\n"
+                           "eta0 = 960\ncell_length_cm = 2.5\nn_samples = 1024\n")
+        propagate = cfg.propagator()
+        # the input is checked where it is built and where its propagator is
+        assert calls == {"make_gaussian_pulse": 1, "to_spectrum": 1, "fit_gaussian": 0}
+        assert labels == ["input pulse"] * 2
+        records = scan(make_params(), "density", [0.2, 0.6, 1.0, 1.4], propagate)
         assert len(records) == 4
-        # the shared input is the relative-mode reference: fitted once, then
-        # the probe and the conjugate of each point
+        # the scan builds, transforms and checks no input; it fits the shared
+        # relative-mode reference once, then the probe and the conjugate of each point
         assert calls == {"make_gaussian_pulse": 1, "to_spectrum": 1, "fit_gaussian": 9}
-        # the input is checked where it is built and where its propagator
-        # is, not at every point
         assert labels.count("input pulse") == 2
-        pulse = cfg.propagator().pulse
-        for arr in (pulse.envelope, pulse.intensity, pulse.spectrum):
+        for arr in (propagate.pulse.envelope, propagate.pulse.intensity,
+                    propagate.pulse.spectrum):
             assert not arr.flags.writeable
 
     # the benchmark media: every density point passes the band check at
@@ -161,7 +156,7 @@ class TestScanEngine:
         values = [v * unit for v in cfg.scan_values()]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            scan(cfg.to_medium_params(), axis, values, cfg.to_pulse_config())
+            scan(cfg.to_medium_params(), axis, values, cfg.propagator())
         points = len(values)
         assert calls["transfer_entries"] == points  # no point falls back
         assert calls["entry_bounds"] == near_bounds * points
@@ -181,8 +176,8 @@ class TestScanEngine:
 
         counted("from_spectrum")
         counted("fit_gaussian")
-        cfg = PulseConfig(n_samples=1024, propagation_mode="exact")
-        records = scan(make_params(), "density", [0.2, 0.6, 1.0, 1.4], cfg)
+        propagate = gaussian_propagator(n_samples=1024, propagation_mode="exact")
+        records = scan(make_params(), "density", [0.2, 0.6, 1.0, 1.4], propagate)
         assert all(r.conj_delay is not None for r in records)
         # one transform of the probe and the conjugate together per point (no
         # band fallback), and one vacuum reference for the scan's one cell length
@@ -196,13 +191,13 @@ class TestScanEngine:
             built.append(magnitude is not None)
             post_init(pulse, magnitude)
         monkeypatch.setattr(pulses.SampledPulse, "__post_init__", counted)
-        cfg = PulseConfig(n_samples=1024)
-        scan(make_params(), "density", [0.2, 0.6, 1.0], cfg)
+        propagate = gaussian_propagator(n_samples=1024)
+        scan(make_params(), "density", [0.2, 0.6, 1.0], propagate)
         # the shared input, then the probe and the conjugate of each point,
         # which take over the |E| their band budgets were read from
         assert len(built) == 1 + 2 * 3
         assert built == [False] + [True] * (2 * 3)
-        grid = cfg.propagator().pulse.grid
+        grid = propagate.pulse.grid
         for name in ("times", "omegas"):
             arr = getattr(grid, name)
             assert getattr(grid, name) is arr
@@ -216,29 +211,22 @@ class TestScanEngine:
             sizes.append(omega.size)
             return transfer_entries(p, omega, *args)
         monkeypatch.setattr(pulses, "transfer_entries", counted)
-        cfg = PulseConfig(n_samples=1024)
-        scan(make_params(), "density", [0.2, 0.6, 1.0], cfg)
-        band_size = cfg.propagator().inside.size
-        assert band_size < cfg.n_samples
+        propagate = gaussian_propagator(n_samples=1024)
+        scan(make_params(), "density", [0.2, 0.6, 1.0], propagate)
+        band_size = propagate.inside.size
+        assert band_size < 1024
         # no point of the README medium needs the full-grid fallback
         assert sizes == [band_size] * 3
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(GuardError, match="axis"):
-            scan(make_params(), "length", [1.0], CFG)
-
-    @pytest.mark.parametrize("key", ["propagation_mode", "dispersion_mode"])
-    def test_rejects_unknown_mode(self, key):
-        # the propagator checks its modes, and the scan builds it before any point
-        cfg = PulseConfig(**{key: "warp"})
-        with pytest.raises(GuardError, match=f"unknown {key.replace('_', ' ')} 'warp'"):
-            scan(make_params(), "density", [1.0], cfg)
+            scan(make_params(), "length", [1.0], gaussian_propagator())
 
 
 class TestScanDensity:
     def test_gain_monotone_in_density(self):
         p = make_params(gamma_c_frac=0.0)
-        records = scan(p, "density", np.linspace(0.05, 1.0, 8), CFG)
+        records = scan(p, "density", np.linspace(0.05, 1.0, 8), gaussian_propagator())
         gains = [r.gain_peak for r in records]
         assert all(b > a for a, b in zip(gains, gains[1:]))
 
@@ -246,16 +234,16 @@ class TestScanDensity:
         # at small xi z / c the probe delay is twice the conjugate delay
         p = make_params(gamma_c_frac=0.0)
         scale = 0.2 / _xi_z_over_c(p)
-        (rec,) = scan(p, "density", [scale], CFG)
+        (rec,) = scan(p, "density", [scale], gaussian_propagator())
         assert rec.probe_delay / rec.conj_delay == pytest.approx(2.0, abs=0.05)
 
     def test_density_scale_matches_length_scale(self):
         # in relative mode, scaling g^2 N is equivalent to scaling z
         p = make_params(gamma_c_frac=0.5)
         s = 0.43
-        (by_density,) = scan(p, "density", [s], CFG)
+        (by_density,) = scan(p, "density", [s], gaussian_propagator())
         (by_length,) = scan(
-            p.replace(cell_length=s * p.cell_length), "density", [1.0], CFG
+            p.replace(cell_length=s * p.cell_length), "density", [1.0], gaussian_propagator()
         )
         for field in (
             "gain_peak",
@@ -275,7 +263,7 @@ class TestScanDensity:
         p = make_params(gamma_c_frac=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            records = scan(p, "density", [1.0, 100.0, 1e6], CFG)
+            records = scan(p, "density", [1.0, 100.0, 1e6], gaussian_propagator())
         assert records[0].gain_peak is not None
         assert records[1].gain_peak is None
         assert records[2].gain_peak is None
@@ -295,20 +283,20 @@ class TestScanPump:
 
     def test_delay_grows_as_pump_weakens(self):
         p = make_params(gamma_c_frac=0.0)
-        records = scan(p, "pump", np.array([600.0, 420.0, 300.0]) * MHZ, CFG)
+        records = scan(p, "pump", np.array([600.0, 420.0, 300.0]) * MHZ, gaussian_propagator())
         delays = [r.conj_delay for r in records]
         assert delays[0] < delays[1] < delays[2]
 
     def test_fixed_policy_detunes(self):
         p = make_params(gamma_c_frac=0.0)
-        tracked = scan(p, "pump", [300.0 * MHZ], CFG, delta_policy="track")
-        fixed = scan(p, "pump", [300.0 * MHZ], CFG, delta_policy="fixed")
+        tracked = scan(p, "pump", [300.0 * MHZ], gaussian_propagator(), delta_policy="track")
+        fixed = scan(p, "pump", [300.0 * MHZ], gaussian_propagator(), delta_policy="fixed")
         # moving the pump with delta fixed leaves dtilde != 0 -> lower gain
         assert fixed[0].gain_peak < tracked[0].gain_peak
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(GuardError):
-            scan(make_params(), "pump", [420.0 * MHZ], CFG, delta_policy="chase")
+            scan(make_params(), "pump", [420.0 * MHZ], gaussian_propagator(), delta_policy="chase")
 
     def test_tracked_point_is_one_medium(self, monkeypatch):
         # Omega^2/4 Delta_1 = 1470 MHz at 420 MHz but only ~83 MHz at 100 MHz:
@@ -328,7 +316,7 @@ class TestScanPump:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             records = scan(cfg.to_medium_params(), "pump",
-                           [v * MHZ for v in cfg.scan_values()], cfg.to_pulse_config())
+                           [v * MHZ for v in cfg.scan_values()], cfg.propagator())
         # one derivation per point, of the medium the point propagates
         assert len(calls) == len(records)
         assert [q.coefficients.delta_tilde for q in calls] == [0.0] * len(records)
@@ -337,7 +325,7 @@ class TestScanPump:
         # with delta fixed, a weak pump moves the light shift far from delta
         p = make_params(gamma_c_frac=0.0)
         with pytest.warns(UserWarning, match="dtilde"):
-            scan(p, "pump", [100.0 * MHZ], CFG, delta_policy="fixed")
+            scan(p, "pump", [100.0 * MHZ], gaussian_propagator(), delta_policy="fixed")
 
     def test_gain_curvature_changes_near_saturation(self):
         # G(pump) turns from convex (loss-dominated recovery) to concave
@@ -346,7 +334,7 @@ class TestScanPump:
         p = make_params(gamma_c_frac=0.5)
         sat = derive_coefficients(p).saturation_rabi
         rabis = np.linspace(0.4, 4.0, 60) * sat
-        records = scan(p, "pump", rabis, CFG)
+        records = scan(p, "pump", rabis, gaussian_propagator())
         gains = np.array([r.gain_peak for r in records])
         curv = np.diff(gains, 2)
         sign_changes = np.flatnonzero(np.sign(curv[1:]) != np.sign(curv[:-1]))
@@ -371,7 +359,7 @@ class TestInference:
     def test_simulate_fit_infer(self):
         p = make_params(gamma_c_frac=0.01)
         assert _xi_z_over_c(p) > 3.0
-        res = run_single(p, CFG.propagator())
+        res = run_single(p, gaussian_propagator())
         dtau = (
             res.probe_metrics.delay_vs_reference
             - res.conjugate_metrics.delay_vs_reference
@@ -429,8 +417,7 @@ class TestGainPrediction:
         p = make_params(gamma_c_frac=0.0).scaled_density(0.3)
         eta = derive_coefficients(p).eta0
         xi = abs(coefficients_at(p, 0.0).xi)
-        cfg = PulseConfig(fwhm=400e-9, window=8192e-9, n_samples=8192)
-        res = run_single(p, cfg.propagator())
+        res = run_single(p, gaussian_propagator(fwhm=400e-9, window=8192e-9, n_samples=8192))
         assert res.probe_metrics.gain_peak == pytest.approx(
             predict_gain(eta, xi, 0.0, p.cell_length), rel=0.03
         )

@@ -79,7 +79,10 @@ class TestDerivedScalars:
 
     def test_reading_the_coefficients_changes_no_copy_or_comparison(self):
         read, unread = make_params(), make_params()
+        before = pickle.dumps(read)
         read.coefficients
+        # the cached scalars travel in no pickle: a loaded medium derives its own
+        assert pickle.dumps(read) == before == pickle.dumps(unread)
         for q in (read, pickle.loads(pickle.dumps(read)), copy.deepcopy(read),
                   pickle.loads(pickle.dumps(unread)), copy.deepcopy(unread)):
             assert q == unread and hash(q) == hash(unread) and repr(q) == repr(unread)
@@ -143,6 +146,14 @@ class TestValidation:
             make_params().replace(gamma_c=-1.0)
         with pytest.raises(ConfigError):
             make_params().replace(cell_length=-0.01)
+
+    def test_rejects_coupling_whose_eta0_underflows(self):
+        # g^2 N > 0 whose 4 g^2 N / Omega^2 rounds to 0 would make v_group = c / 0
+        p = make_params()
+        with pytest.raises(ConfigError, match="4 g\\^2 N / Omega\\^2 underflows to 0"):
+            p.replace(coupling_g2n=5e-324)
+        # the least eta0 derives: its v_group overflows, which derive reports as exit 3
+        assert p.replace(coupling_g2n=p.omega_rabi**2 / 4.0 * 5e-324).coefficients.eta0 > 0.0
 
     def test_zero_length_allowed(self):
         assert make_params().replace(cell_length=0.0).cell_length == 0.0

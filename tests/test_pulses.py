@@ -630,10 +630,10 @@ class TestBandLimitedKernel:
             return transfer_entries(p, omegas, *args)
         monkeypatch.setattr(pulses, "entry_bounds", bound)
         monkeypatch.setattr(pulses, "transfer_entries", kernel)
-        records = scan(cfg.to_medium_params(), "density", cfg.scan_values(), cfg.to_pulse_config())
+        propagate = cfg.propagator()
+        records = scan(cfg.to_medium_params(), "density", cfg.scan_values(), propagate)
         assert all(r.gain_peak is not None for r in records)
         assert len(counted) == calls
-        propagate = cfg.to_pulse_config().propagator()
         assert filled == [propagate.inside.size] * 5  # the band only, never the full grid
         if infinite:  # each point ends with one call on all skipped bins
             assert [args[1].size for args in counted[1::2]] == [propagate.outside.size] * 5
@@ -734,11 +734,10 @@ class TestBandLimitedKernel:
             monkeypatch.setattr(pulses, "entry_bounds", bound)
             monkeypatch.setattr(pulses, "transfer_entries", kernel)
             unit = MHZ if axis == "delta" else 1.0
-            pulse_cfg = cfg.to_pulse_config()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 scan(cfg.to_medium_params(), axis, [v * unit for v in cfg.scan_values()],
-                     pulse_cfg)
+                     cfg.propagator())
             # each detuning point bounds only bins near resonance, the density scan none
             assert near == [True] * (steps if axis == "delta" else 0)
             assert len(kernel_sizes) == steps  # no point falls back
@@ -781,14 +780,14 @@ class TestBandLimitedKernel:
                     return kernel(p, omega, *args)
                 monkeypatch.setattr(pulses, "transfer_entries", counted)
                 monkeypatch.setattr(pulses, "entry_bounds", bound)
-                pulse_cfg = cfg.to_pulse_config()
+                propagate = cfg.propagator()
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)
-                    scan(cfg.to_medium_params(), axis, values, pulse_cfg)
+                    scan(cfg.to_medium_params(), axis, values, propagate)
                 calls.append(sizes)
             # a point falls back when the kernel also runs on the outside bins
             assert calls[0] == calls[1]
-            assert calls[0].count(pulse_cfg.propagator().outside.size) == fallbacks
+            assert calls[0].count(propagate.outside.size) == fallbacks
 
     def test_band_is_the_input_spectrum_above_its_cutoff(self):
         pulse = make_gaussian_pulse(GRID, 70e-9)
