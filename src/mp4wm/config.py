@@ -70,6 +70,7 @@ class Config:
             gamma_c=self.gamma_c_over_gamma * gamma,
             coupling_g2n=g2n,
             cell_length=self.cell_length_cm * 1e-2,
+            dispersion_mode=self.dispersion_mode,
         )
 
     def grid(self) -> TimeGrid:
@@ -80,7 +81,7 @@ class Config:
         """A :class:`Propagator` of a newly built Gaussian input pulse."""
         center = self.pulse_center_ns * 1e-9
         pulse = make_gaussian_pulse(self.grid(), self.fwhm_ns * 1e-9, center)
-        return Propagator(pulse, self.propagation_mode, self.dispersion_mode)
+        return Propagator(pulse, self.propagation_mode)
 
     def scan_values(self):
         """The scan grid in config units (MHz or dimensionless scale)."""

@@ -46,26 +46,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError
-from .params import C_LIGHT, DISPERSION_MODES, MediumParams, eta_of_omega
+from .params import C_LIGHT, MediumParams, eta_of_omega
 
 # below this |mu L| the sinh(mu L)/mu factor switches to its series
 _SINHC_THRESHOLD = 1e-6
 
 
-def _generator_terms(p: MediumParams, omega: np.ndarray, dispersion_mode: str):
+def _generator_terms(p: MediumParams, omega: np.ndarray):
     """d, alpha and mu^2 = d^2/4 + alpha^2 at each frequency.
 
     Extreme inputs overflow to non-finite values, so callers run this under
     ``np.errstate``.
     """
     d = p.coefficients
-    eta = eta_of_omega(p, omega, dispersion_mode)
+    eta = eta_of_omega(p, omega)
     alpha = eta * d.delta_r
     direct = eta * (1j * (d.delta_tilde + omega) + p.gamma_c)
     return direct, alpha, 0.25 * direct * direct + alpha * alpha
 
 
-def transfer_entries(p: MediumParams, omega, dispersion_mode: str = "constant"):
+def transfer_entries(p: MediumParams, omega):
     """Vectorized transfer-matrix entries (m_pp, m_pc, m_cp, m_cc) of exp(N L).
 
     `omega` may be a scalar or ndarray; entries broadcast with it.  The
@@ -77,7 +77,7 @@ def transfer_entries(p: MediumParams, omega, dispersion_mode: str = "constant"):
     # overflow at extreme gain-length products degrades a point to
     # non-finite entries, which downstream guards turn into absent results
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode)
+        direct, alpha, mu_sq = _generator_terms(p, omega)
         mu = np.sqrt(mu_sq)
         x = mu * big_l
         pref = np.exp(-0.5 * direct * big_l)  # P = e^{-d L/2}
@@ -105,7 +105,7 @@ def transfer_entries(p: MediumParams, omega, dispersion_mode: str = "constant"):
         return pref - half_d_shc, -m_cp, m_cp, pref + half_d_shc
 
 
-def entry_bounds(p: MediumParams, omega: np.ndarray, dispersion_mode: str = "constant"):
+def entry_bounds(p: MediumParams, omega: np.ndarray):
     """Upper bounds on |m_pp| and |m_cp| (= |m_pc|) at each frequency of `omega`.
 
     With g = e^{(|Re mu| - Re d/2) L} and r = min(L, 1/|mu|),
@@ -124,7 +124,7 @@ def entry_bounds(p: MediumParams, omega: np.ndarray, dispersion_mode: str = "con
     """
     big_l = p.cell_length / C_LIGHT
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        direct, alpha, mu_sq = _generator_terms(p, omega, dispersion_mode)
+        direct, alpha, mu_sq = _generator_terms(p, omega)
         abs_d, abs_alpha = np.abs(direct), np.abs(alpha)
         half_re_d = 0.5 * direct.real
         r = np.abs(mu_sq)  # |mu^2| until it becomes r
@@ -152,13 +152,7 @@ def entry_bounds(p: MediumParams, omega: np.ndarray, dispersion_mode: str = "con
         return abs_d, r
 
 
-def peak_entry_bounds(
-    p: MediumParams,
-    y_min: float,
-    omega_lo: float,
-    omega_hi: float,
-    dispersion_mode: str = "constant",
-):
+def peak_entry_bounds(p: MediumParams, y_min: float, omega_lo: float, omega_hi: float):
     """Two scalars at or above :func:`entry_bounds` at every frequency w in
     [omega_lo, omega_hi] with |dtilde + w| >= y_min.
 
@@ -185,18 +179,15 @@ def peak_entry_bounds(
     K = Omega^2/4 + Delta_1 Delta_R is at most
     gamma_c max(0, K - 2 u_min) |eta|_max^2 / g^2 N.  The pair is infinite
     where rho >= 1 or is nan, and where the interval reaches the pole of
-    eta(w); it is nan where the exponent is.  Any other dispersion mode
-    raises :class:`GuardError`.
+    eta(w); it is nan where the exponent is.
     """
-    if dispersion_mode not in DISPERSION_MODES:
-        raise GuardError(f"unknown dispersion mode {dispersion_mode!r}")
     c = p.coefficients
     if not y_min > 2.0 * c.delta_r:
         return math.inf, math.inf
     rho = 2.0 * c.delta_r / y_min
     root = math.sqrt(1.0 - rho * rho)
     shift = 2.0 * c.delta_r * c.delta_r
-    if dispersion_mode == "constant":
+    if p.dispersion_mode == "constant":
         exponent = shift * c.eta0 / y_min
     else:
         g2n, quarter = p.coupling_g2n, 0.25 * p.omega_rabi**2

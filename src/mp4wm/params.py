@@ -15,9 +15,11 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
-from .errors import ConfigError, GuardError
+from .errors import ConfigError
 
 C_LIGHT = 299_792_458.0  # m/s, exact
+
+DISPERSION_MODES = ("constant", "full")
 
 # "much greater than" threshold for the model-validity warnings
 _VALIDITY_FACTOR = 10.0
@@ -52,6 +54,9 @@ class MediumParams:
         may be set directly or derived from a target slow-down factor.
     cell_length : float
         Propagation distance through the medium (m).
+    dispersion_mode : str
+        The slow-down factor of :func:`eta_of_omega`: ``"constant"``, the
+        flat 4 g^2 N / Omega^2, or ``"full"``, its dispersive form.
     """
 
     omega_rabi: float
@@ -62,6 +67,7 @@ class MediumParams:
     gamma_c: float
     coupling_g2n: float
     cell_length: float
+    dispersion_mode: str = "constant"
 
     def __post_init__(self):
         # Omega first: an overflowing Omega^2 also makes a g^2 N from eta0 infinite
@@ -71,7 +77,7 @@ class MediumParams:
             raise ConfigError(
                 f"omega_rabi squared must be finite and > 0, got {self.omega_rabi!r} rad/s"
             )
-        for f in fields(self):
+        for f in fields(self)[:-1]:  # the numeric fields, all but the mode
             value = float(getattr(self, f.name))
             if not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
@@ -88,6 +94,8 @@ class MediumParams:
         # z = 0 is a legal degenerate run (identity propagation)
         if self.cell_length < 0:
             raise ConfigError("cell_length must be >= 0")
+        if self.dispersion_mode not in DISPERSION_MODES:
+            raise ConfigError(f"unknown dispersion mode {self.dispersion_mode!r}")
         self._check_validity()
 
     def _check_validity(self):
@@ -159,23 +167,17 @@ def derive_coefficients(p: MediumParams) -> DerivedCoefficients:
     )
 
 
-DISPERSION_MODES = ("constant", "full")
+def eta_of_omega(p: MediumParams, omega):
+    """Slow-down factor at envelope frequency `omega`, in the medium's dispersion mode.
 
-
-def eta_of_omega(p: MediumParams, omega, mode: str = "constant"):
-    """Slow-down factor at envelope frequency `omega`.
-
-    `mode="full"` evaluates the dispersive form
+    ``"full"`` evaluates the dispersive form
     g^2 N / [Omega^2/4 + Delta_1 (delta + omega + i gamma_c)];
-    `mode="constant"` returns the flat approximation 4 g^2 N / Omega^2.
-    Accepts scalar or ndarray `omega`; returns complex values.  Any other
-    mode raises :class:`GuardError`.
+    ``"constant"`` returns the flat approximation 4 g^2 N / Omega^2.
+    Accepts scalar or ndarray `omega`; returns complex values.
     """
-    if mode == "constant":
+    if p.dispersion_mode == "constant":
         return p.coefficients.eta0 + 0j * omega
-    if mode == "full":
-        denom = p.omega_rabi**2 / 4.0 + p.delta_one * (
-            p.delta_two_photon + omega + 1j * p.gamma_c
-        )
-        return p.coupling_g2n / denom
-    raise GuardError(f"unknown dispersion mode {mode!r}")
+    denom = p.omega_rabi**2 / 4.0 + p.delta_one * (
+        p.delta_two_photon + omega + 1j * p.gamma_c
+    )
+    return p.coupling_g2n / denom

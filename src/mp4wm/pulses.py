@@ -13,7 +13,7 @@ import numpy as np
 
 from .coupling import entry_bounds, peak_entry_bounds, transfer_entries
 from .errors import AliasingError, ContainmentError, FitError, GuardError
-from .params import C_LIGHT, DISPERSION_MODES, MediumParams
+from .params import C_LIGHT, MediumParams
 
 PROPAGATION_MODES = ("exact", "relative")
 
@@ -214,33 +214,29 @@ class PropagationResult:
 class Propagator:
     """Propagates one input probe pulse (no seed conjugate) through any medium.
 
-    Built once per input, it checks both modes and the input's containment,
-    and takes the input's spectrum, which runs the aliasing guard.  It splits
-    the spectrum's bins at `_BAND_RATIO` of its peak magnitude: the kernel
-    runs on the `inside` bins, at `inside_omegas`; the `outside` bins, in
-    ascending order of frequency at `outside_omegas`, are bounded from |S| on
-    them, `outside_abs`, and its running sums, `outside_abs_below` of [:i]
-    and `outside_abs_above` of [i:] at i.  All are read-only.  Called on a
-    :class:`MediumParams`, it returns the vacuum reference, the amplified
-    probe and the generated conjugate, all on the input grid.  The conjugate
-    is returned as E_c(t), conjugated back from the E_c*(-w) solution so
-    that its intensity is directly plottable.  The reference is the input in
-    `"relative"` mode, and in `"exact"` mode the input delayed by the vacuum
-    transit e^{-i w z/c}, which is then what the cell propagates.  Every call
-    reuses the propagator's work arrays, so threads that share an input each
-    build their own propagator.
+    Built once per input, it checks its propagation mode and the input's
+    containment, and takes the input's spectrum, which runs the aliasing
+    guard.  It splits the spectrum's bins at `_BAND_RATIO` of its peak
+    magnitude: the kernel runs on the `inside` bins, at `inside_omegas`; the
+    `outside` bins, in ascending order of frequency at `outside_omegas`, are
+    bounded from |S| on them, `outside_abs`, and its running sums,
+    `outside_abs_below` of [:i] and `outside_abs_above` of [i:] at i.  All are
+    read-only.  Called on a :class:`MediumParams`, it returns the vacuum
+    reference, the amplified probe and the generated conjugate, all on the
+    input grid.  The conjugate is returned as E_c(t), conjugated back from the
+    E_c*(-w) solution so that its intensity is directly plottable.  The
+    reference is the input in `"relative"` mode, and in `"exact"` mode the
+    input delayed by the vacuum transit e^{-i w z/c}, which is then what the
+    cell propagates.  Every call reuses the propagator's work arrays, so
+    threads that share an input each build their own propagator.
     """
 
-    def __init__(self, pulse: SampledPulse, propagation_mode: str = "relative",
-                 dispersion_mode: str = "constant"):
+    def __init__(self, pulse: SampledPulse, propagation_mode: str = "relative"):
         if propagation_mode not in PROPAGATION_MODES:
             raise GuardError(f"unknown propagation mode {propagation_mode!r}")
-        if dispersion_mode not in DISPERSION_MODES:
-            raise GuardError(f"unknown dispersion mode {dispersion_mode!r}")
         pulse.check_containment("input pulse")
         self.pulse = pulse
         self.propagation_mode = propagation_mode
-        self.dispersion_mode = dispersion_mode
         spectrum, omegas = pulse.spectrum, pulse.grid.omegas
         mag = np.abs(spectrum)
         kept = mag > _BAND_RATIO * mag.max()
@@ -310,7 +306,7 @@ class Propagator:
         specs, envs = self._buffers
 
         def fill(bins: np.ndarray, omegas: np.ndarray, values: np.ndarray):
-            m_pp, _, m_cp, _ = transfer_entries(p, omegas, self.dispersion_mode)
+            m_pp, _, m_cp, _ = transfer_entries(p, omegas)
             for spec, m in zip(specs, (m_pp, m_cp)):
                 spec[bins] = np.multiply(m, values, out=m)
             outputs = from_spectrum(specs, grid, out=envs)
@@ -332,7 +328,7 @@ class Propagator:
 
     def _skipped_sums(self, p: MediumParams, radius: float):
         """Upper bounds on sum_k B_k |S0_k| over the bins outside the band,
-        for m_pp and m_cp in the propagator's dispersion mode.
+        for m_pp and m_cp in the medium's dispersion mode.
 
         The bins with |dtilde + w| <= `radius` Delta_R (none at radius 0, all at
         radius inf) take their :func:`entry_bounds` B_k; each run of bins on
@@ -348,18 +344,17 @@ class Propagator:
         approach each other only at large |dtilde + w|, where both tend to 2.
         """
         omegas, sizes, c = self.outside_omegas, self.outside_abs, p.coefficients
-        mode = self.dispersion_mode
         # every bin at radius inf: inf * Delta_R is nan where Delta_R underflows to 0
         lo, hi = (0, omegas.size) if radius == math.inf else omegas.searchsorted(
             (-c.delta_tilde - radius * c.delta_r, -c.delta_tilde + radius * c.delta_r)).tolist()
         sums = [0.0, 0.0]
         if lo < hi:
-            sums = [float(np.dot(b, sizes[lo:hi])) for b in entry_bounds(p, omegas[lo:hi], mode)]
+            sums = [float(np.dot(b, sizes[lo:hi])) for b in entry_bounds(p, omegas[lo:hi])]
         for start, stop, inner, total in ((0, lo, lo - 1, self.outside_abs_below[lo]),
                                           (hi, omegas.size, hi, self.outside_abs_above[hi])):
             if start < stop:
                 pair = peak_entry_bounds(p, abs(float(omegas[inner]) + c.delta_tilde),
-                                         float(omegas[start]), float(omegas[stop - 1]), mode)
+                                         float(omegas[start]), float(omegas[stop - 1]))
                 if not math.isfinite(pair[0] + pair[1]):
                     return [math.inf, math.inf]
                 sums = [s + b * float(total) for s, b in zip(sums, pair)]

@@ -38,20 +38,20 @@ class CouplingCoefficients:
     xi: complex      # principal sqrt(alpha^2 - sigma^2)
 
 
-def coefficients_at(p, omega, dispersion_mode="constant"):
+def coefficients_at(p, omega):
     """Evaluate eta, sigma, alpha and xi at a single envelope frequency."""
     d = derive_coefficients(p)
-    eta = complex(eta_of_omega(p, omega, dispersion_mode))
+    eta = complex(eta_of_omega(p, omega))
     sigma = 0.5 * eta * (d.delta_tilde + omega + 1j * p.gamma_c)
     alpha = eta * d.delta_r
     xi = cmath.sqrt(alpha * alpha - sigma * sigma)
     return CouplingCoefficients(eta=eta, sigma=sigma, alpha=alpha, xi=xi)
 
 
-def generator(p, omega, dispersion_mode="constant", include_vacuum=True):
+def generator(p, omega, include_vacuum=True):
     """2x2 spatial generator dv/dz = A v for state (E_p(w), E_c*(-w))."""
     d = derive_coefficients(p)
-    eta = complex(eta_of_omega(p, omega, dispersion_mode))
+    eta = complex(eta_of_omega(p, omega))
     alpha = eta * d.delta_r
     direct = eta * (1j * (d.delta_tilde + omega) + p.gamma_c)
     a = np.array([[-direct, 1j * alpha], [-1j * alpha, 0.0]], dtype=complex)
@@ -60,14 +60,14 @@ def generator(p, omega, dispersion_mode="constant", include_vacuum=True):
     return a / C_LIGHT
 
 
-def cosh_sinh_entries(p, omega, z, dispersion_mode="constant"):
+def cosh_sinh_entries(p, omega, z):
     """(m_pp, m_pc, m_cp, m_cc) as exp(-d L/2) [cosh(mu L) I + sinh(mu L)/mu D].
 
     Below |mu L| = 1e-6 sinh(mu L)/mu is the series L (1 + (mu L)^2 / 6).
     """
     omega = np.asarray(omega, dtype=float)
     d = derive_coefficients(p)
-    eta = eta_of_omega(p, omega, dispersion_mode)
+    eta = eta_of_omega(p, omega)
     alpha = eta * d.delta_r
     direct = eta * (1j * (d.delta_tilde + omega) + p.gamma_c)
     big_l = z / C_LIGHT
@@ -83,7 +83,7 @@ def cosh_sinh_entries(p, omega, z, dispersion_mode="constant"):
             pref * (-1j * alpha * shc), pref * (ch + 0.5 * direct * shc))
 
 
-def two_exponential_entries(p, omega, dispersion_mode="constant"):
+def two_exponential_entries(p, omega):
     """(m_pp, m_pc, m_cp, m_cc) in the package's two-exponential form, step by step.
 
     Plain expressions, one new value per step, the series taken on every
@@ -93,7 +93,7 @@ def two_exponential_entries(p, omega, dispersion_mode="constant"):
     big_l = p.cell_length / C_LIGHT
     omega = np.asarray(omega, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        direct, alpha, mu_sq = generator_terms(p, omega, dispersion_mode)
+        direct, alpha, mu_sq = generator_terms(p, omega)
         mu = np.sqrt(mu_sq)
         x = mu * big_l
         pref = np.exp(-0.5 * direct * big_l)
@@ -111,18 +111,18 @@ def two_exponential_entries(p, omega, dispersion_mode="constant"):
         return pref_ch - half_d_shc, -m_cp, m_cp, pref_ch + half_d_shc
 
 
-def generator_terms(p, omega, dispersion_mode="constant"):
+def generator_terms(p, omega):
     """d, alpha and mu^2 = d^2/4 + alpha^2 of the generator, complex, at each frequency."""
     omega = np.asarray(omega, dtype=float)
     d = derive_coefficients(p)
-    eta = eta_of_omega(p, omega, dispersion_mode)
+    eta = eta_of_omega(p, omega)
     alpha = eta * d.delta_r
     direct = eta * (1j * (d.delta_tilde + omega) + p.gamma_c)
     with np.errstate(invalid="ignore", over="ignore"):
         return direct, alpha, 0.25 * direct * direct + alpha * alpha
 
 
-def complex_entry_bounds(p, omega, dispersion_mode="constant", *, principal_root=False):
+def complex_entry_bounds(p, omega, *, principal_root=False):
     """Bounds on |m_pp| and |m_cp| of :func:`mp4wm.coupling.entry_bounds`, in complex arithmetic.
 
     g (1 + |d|/2 r) and g |alpha| r with g = e^{(Re mu - Re d/2) L} and
@@ -131,7 +131,7 @@ def complex_entry_bounds(p, omega, dispersion_mode="constant", *, principal_root
     sqrt(eps |mu^2|) there.  With `principal_root`, Re mu is instead the
     real part of numpy's complex sqrt of mu^2, which does not cancel.
     """
-    direct, alpha, mu_sq = generator_terms(p, omega, dispersion_mode)
+    direct, alpha, mu_sq = generator_terms(p, omega)
     big_l = p.cell_length / C_LIGHT
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         abs_mu_sq = np.abs(mu_sq)
@@ -163,17 +163,15 @@ def rk4_transfer_batch(mats, zs, n_steps=10_000):
     return m
 
 
-def rk4_transfer(p, omega, z=None, n_steps=10_000, dispersion_mode="constant",
-                 include_vacuum=True):
+def rk4_transfer(p, omega, z=None, n_steps=10_000, include_vacuum=True):
     """Single-draw convenience wrapper around :func:`rk4_transfer_batch`."""
     if z is None:
         z = p.cell_length
-    a = generator(p, omega, dispersion_mode, include_vacuum)
+    a = generator(p, omega, include_vacuum)
     return rk4_transfer_batch(a[None], [z], n_steps)[0]
 
 
-def pulse_oracle(p, envelope, t_step, propagation_mode="relative",
-                 dispersion_mode="constant", n_steps=2000):
+def pulse_oracle(p, envelope, t_step, propagation_mode="relative", n_steps=2000):
     """Probe and conjugate envelopes after the cell, rebuilt bin by bin by RK4.
 
     Only the bins where |fft(E)| exceeds 1e-16 of its peak are integrated;
@@ -187,7 +185,7 @@ def pulse_oracle(p, envelope, t_step, propagation_mode="relative",
     omegas = 2.0 * np.pi * np.fft.fftfreq(env.size, t_step)
     band = np.flatnonzero(np.abs(spec) > 1e-16 * np.abs(spec).max())
     include_vacuum = propagation_mode == "exact"
-    mats = [generator(p, w, dispersion_mode, include_vacuum) for w in omegas[band]]
+    mats = [generator(p, w, include_vacuum) for w in omegas[band]]
     m = rk4_transfer_batch(mats, np.full(band.size, p.cell_length), n_steps)
     probe = np.zeros_like(spec)
     conj_star = np.zeros_like(spec)
@@ -196,8 +194,7 @@ def pulse_oracle(p, envelope, t_step, propagation_mode="relative",
     return np.fft.ifft(probe), np.conj(np.fft.ifft(conj_star))
 
 
-def ivp_transfer(p, omega, z=None, dispersion_mode="constant",
-                 include_vacuum=True, rtol=1e-11):
+def ivp_transfer(p, omega, z=None, include_vacuum=True, rtol=1e-11):
     """Transfer matrix by adaptive high-order ODE integration (DOP853).
 
     Unlike the fixed-step RK4 oracle this stays accurate when the
@@ -207,7 +204,7 @@ def ivp_transfer(p, omega, z=None, dispersion_mode="constant",
 
     if z is None:
         z = p.cell_length
-    a = generator(p, omega, dispersion_mode, include_vacuum)
+    a = generator(p, omega, include_vacuum)
 
     def rhs(_, y):
         return (a @ y.reshape(2, 2)).ravel()

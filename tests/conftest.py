@@ -19,6 +19,7 @@ def make_params(
     gamma_c_frac=0.0,
     z=0.025,
     delta2_mhz=None,
+    dispersion_mode="constant",
 ):
     """Reference parameter set; delta2 defaults to the light shift."""
     omega_rabi = omega_mhz * MHZ
@@ -37,21 +38,22 @@ def make_params(
         gamma_c=gamma_c_frac * gamma_mhz * MHZ,
         coupling_g2n=eta0 * omega_rabi**2 / 4.0,
         cell_length=z,
+        dispersion_mode=dispersion_mode,
     )
 
 
-def transfer_array(p, omega, z=None, **kwargs):
+def transfer_array(p, omega, z=None):
     """:func:`transfer_entries` at one frequency as [[m_pp, m_pc], [m_cp, m_cc]].
 
     `z`, when given, replaces the cell length of `p`.
     """
     if z is not None:
         p = p.replace(cell_length=z)
-    return np.array(transfer_entries(p, omega, **kwargs)).reshape(2, 2)
+    return np.array(transfer_entries(p, omega)).reshape(2, 2)
 
 
 def gaussian_propagator(*, fwhm=70e-9, window=2e-6, n_samples=4096, center=0.0,
-                        propagation_mode="relative", dispersion_mode="constant"):
+                        propagation_mode="relative"):
     """:class:`Propagator` of a Gaussian input, by default the config's 70 ns pulse."""
     pulse = make_gaussian_pulse(TimeGrid.centered(window, n_samples, center), fwhm, center)
-    return Propagator(pulse, propagation_mode, dispersion_mode)
+    return Propagator(pulse, propagation_mode)

@@ -17,7 +17,7 @@ import mp4wm
 from mp4wm.cli import SCAN_HEADER, TRACE_HEADER, main
 from mp4wm.config import MAX_SCAN_STEPS, MHZ, Config, parse_config
 from mp4wm.errors import ConfigError
-from mp4wm.params import ModelValidityWarning
+from mp4wm.params import MediumParams, ModelValidityWarning
 
 BASE = """\
 omega_rabi_mhz = 420
@@ -147,6 +147,17 @@ scan_steps = 9
         table = readme.split("| key | meaning | default |", 1)[1].split("\n\n", 1)[0]
         keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
         assert keys == [f.name for f in dataclasses.fields(Config)]
+        defaults = re.findall(r"^\| `\w+` \|.*\| (.+) \|$", table, flags=re.M)
+        for f, default in zip(dataclasses.fields(Config), defaults, strict=True):
+            if default == "required":
+                assert f.default is dataclasses.MISSING, f.name
+            elif default == "scans only" or default.startswith("one of "):
+                assert f.default is None, f.name
+            else:  # a backticked value in config units
+                value = re.fullmatch(r"`([^`]+)`", default).group(1)
+                assert type(f.default)(value) == f.default, f.name
+        # the library's medium starts from the config's default mode
+        assert MediumParams.dispersion_mode == Config.dispersion_mode == "constant"
 
     def test_readme_entry_points_are_exported(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -170,8 +181,14 @@ scan_steps = 9
         assert cfg.scan_values() == pytest.approx([1.0, 1.5, 2.0, 2.5, 3.0])
 
     def test_scan_keys_required_for_scans(self):
-        with pytest.raises(ConfigError, match="scan_start"):
+        message = "^scan_start, scan_stop and scan_steps are required for scans$"
+        with pytest.raises(ConfigError, match=message):
             parse_config(BASE).scan_values()
+        keys = ["scan_start = 0", "scan_stop = 1", "scan_steps = 5"]
+        for dropped in range(3):  # any one of the three missing
+            text = BASE + "".join(f"{k}\n" for i, k in enumerate(keys) if i != dropped)
+            with pytest.raises(ConfigError, match=message):
+                parse_config(text).scan_values()
 
 
 class TestCli:
@@ -539,6 +556,14 @@ class TestCli:
             "mp4wm: error: envelope must be finite everywhere"
         ]
 
+    @pytest.mark.parametrize("value", ["0", "-70"])
+    @pytest.mark.parametrize("key", ["fwhm_ns", "window_ns"])
+    def test_nonpositive_pulse_size_is_config_error(self, tmp_path, capsys, key, value):
+        # checked before the grid and the Gaussian are built, whose guards say otherwise
+        cfg = write_cfg(tmp_path, BASE + f"{key} = {value}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == f"mp4wm: config error: {key} must be > 0\n"
+
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         # pulse too wide for the window -> containment guard -> exit 3
         cfg = write_cfg(tmp_path, BASE + "fwhm_ns = 900\n")
@@ -547,8 +572,9 @@ class TestCli:
 
 
 # Exit-contract sweep: a small grid and three scan steps keep each command
-# cheap; every key may take an extreme value or a valid one.
+# cheap; every key may take an extreme value or a valid one, or be dropped (None).
 SWEEP_BASE = BASE + "n_samples = 256\nscan_start = 0.5\nscan_stop = 1.0\nscan_steps = 3\n"
+SCAN_KEYS = ("scan_start", "scan_stop", "scan_steps")
 SWEEP_EXTREMES = ["0", "1", "-1", "1e9", "-1e9", "1e300", "1e-300"]
 SWEEP_ORDINARY = {
     "omega_rabi_mhz": "300", "delta_raman_mhz": "2000", "cell_length_cm": "1",
@@ -560,7 +586,8 @@ SWEEP_ORDINARY = {
     "scan_steps": "4",
 }
 SWEEP_OVERRIDE = st.sampled_from(sorted(SWEEP_ORDINARY)).flatmap(
-    lambda key: st.tuples(st.just(key), st.sampled_from([*SWEEP_EXTREMES, SWEEP_ORDINARY[key]]))
+    lambda key: st.tuples(st.just(key),
+                          st.sampled_from([*SWEEP_EXTREMES, SWEEP_ORDINARY[key], None]))
 )
 
 
@@ -585,11 +612,14 @@ def test_sweep_ordinary_values_cover_every_key():
 @example(command="run", overrides=[("eta0", None), ("g2n_mhz2", "5e-324")])
 @example(command="scan-density",
          overrides=[("eta0", None), ("g2n_mhz2", "1e-20"), ("scan_start", "1e-300")])
+# one scan key missing: its check is the scan's first step
+@example(command="scan-density", overrides=[("scan_start", None)])
 def test_every_input_exits_0_2_or_3_with_one_line(tmp_path_factory, command, overrides):
     values = dict(line.split(" = ") for line in SWEEP_BASE.splitlines())
+    if any(key == "g2n_mhz2" and value is not None for key, value in overrides):
+        values["eta0"] = None  # g2n_mhz2 replaces eta0, unless eta0 is overridden too
     values.update(overrides)
     tmp = tmp_path_factory.mktemp("sweep")
-    # an example's None drops the key, as eta0 must go for g2n_mhz2 to be read
     cfg = write_cfg(tmp, "".join(f"{k} = {v}\n" for k, v in values.items() if v is not None))
     argv = [command, "--config", cfg]
     if command != "derive":
@@ -601,6 +631,8 @@ def test_every_input_exits_0_2_or_3_with_one_line(tmp_path_factory, command, ove
     stderr = err.getvalue()
     assert "Traceback" not in stderr
     assert sum(line.startswith("mp4wm:") for line in stderr.splitlines()) <= 1
+    if command.startswith("scan-") and None in (values[key] for key in SCAN_KEYS):
+        assert code == 2  # a config error, or then the missing scan key
     if code == 0:
         if out.getvalue():
             strict_json(out.getvalue())

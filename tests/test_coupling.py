@@ -9,7 +9,6 @@ from mp4wm.coupling import (
     _SINHC_THRESHOLD,
     analytic_delays,
     entry_bounds,
-    peak_entry_bounds,
     predict_gain,
     renormalized_length,
     transfer_entries,
@@ -75,9 +74,8 @@ class TestCoefficients:
 
     def test_full_mode_uses_dispersive_eta(self):
         p = make_params(delta1_mhz=850.0, gamma_c_frac=0.5, delta2_mhz=15.0)
-        assert coefficients_at(p, 1e8, "full").eta != coefficients_at(
-            p, 1e8, "constant"
-        ).eta
+        full = p.replace(dispersion_mode="full")
+        assert coefficients_at(full, 1e8).eta != coefficients_at(p, 1e8).eta
 
 
 def _manual_entries(p, omega, z, flip_branch=False):
@@ -178,21 +176,11 @@ class TestTransferMatrix:
                 inv = abs(v[0]) ** 2 - abs(v[1]) ** 2
                 assert inv == pytest.approx(inv0, rel=1e-10, abs=1e-10)
 
-    def test_rejects_bad_inputs(self):
-        p = make_params()
-        # the kernel has no propagation mode: a stale call names a dispersion mode
-        with pytest.raises(GuardError, match="unknown dispersion mode 'exact'"):
-            transfer_entries(p, 0.0, "exact")
-        with pytest.raises(GuardError, match="unknown dispersion mode 'bogus'"):
-            coefficients_at(p, 0.0, "bogus")
-        with pytest.raises(GuardError, match="unknown dispersion mode 'bogus'"):
-            peak_entry_bounds(p, 1e12, -1e9, 1e9, "bogus")
 
-
-def _abs_mu(p, omega, dispersion_mode):
+def _abs_mu(p, omega):
     """|mu| = |sqrt(d^2/4 + alpha^2)| at one frequency."""
     d = derive_coefficients(p)
-    eta = complex(eta_of_omega(p, omega, dispersion_mode))
+    eta = complex(eta_of_omega(p, omega))
     direct = eta * (1j * (d.delta_tilde + omega) + p.gamma_c)
     return abs(cmath.sqrt(0.25 * direct * direct + (eta * d.delta_r) ** 2))
 
@@ -209,11 +197,12 @@ class TestTwoExponentialForm:
                 gamma_c_frac=float(rng.uniform(0.0, 0.5)),
                 delta2_mhz=float(rng.uniform(-3000.0, 3000.0)),
                 delta1_mhz=30.0,
+                dispersion_mode=dispersion_mode,
             )
             for w in rng.uniform(-6e9, 6e9, size=6):
-                z = mu_l * C / _abs_mu(p, w, dispersion_mode)
-                got = transfer_entries(p.replace(cell_length=z), w, dispersion_mode)
-                want = np.array(cosh_sinh_entries(p, w, z, dispersion_mode))
+                z = mu_l * C / _abs_mu(p, w)
+                got = transfer_entries(p.replace(cell_length=z), w)
+                want = np.array(cosh_sinh_entries(p, w, z))
                 # m_pp and m_cc cancel by design, so they are held to the matrix
                 # scale; m_cp does not, so it is held to its own size
                 assert np.max(np.abs(np.array(got) - want)) <= 1e-14 * np.max(np.abs(want))
@@ -243,28 +232,29 @@ class TestTwoExponentialForm:
         # to exactly 0 at w = +-2 Delta_R, where the series takes over
         p = make_params(eta0=eta0, delta1_mhz=30.0,
                         gamma_c_frac=0.0 if small_bins else gamma_c_frac,
-                        delta2_mhz=None if small_bins else delta2_mhz)
+                        delta2_mhz=None if small_bins else delta2_mhz,
+                        dispersion_mode=dispersion_mode)
         c = derive_coefficients(p)
         # a spread of frequencies and some within 3 Delta_R of the gain peak,
         # whose largest |mu L| is 10^log_mu_l
         omega = np.concatenate([rng.uniform(-6e9, 6e9, 48),
                                 -c.delta_tilde + c.delta_r * rng.uniform(-3.0, 3.0, 16)])
-        _, _, mu_sq = generator_terms(p, omega, dispersion_mode)
+        _, _, mu_sq = generator_terms(p, omega)
         p = p.replace(cell_length=10.0**log_mu_l * C / np.max(np.sqrt(np.abs(mu_sq))))
         if small_bins:
             near = np.array([1.0, -1.0, 1.0 + 1e-12, 1.0 - 1e-10, 1.0 + 1e-8])
             omega = np.concatenate([omega, 2.0 * c.delta_r * near])
-            _, _, mu_sq = generator_terms(p, omega, dispersion_mode)
+            _, _, mu_sq = generator_terms(p, omega)
             assert np.any(np.abs(np.sqrt(mu_sq) * (p.cell_length / C)) < _SINHC_THRESHOLD)
-        want = two_exponential_entries(p, omega, dispersion_mode)
+        want = two_exponential_entries(p, omega)
         if log_mu_l > 3.0:
             assert not np.all(np.isfinite(want[0]))
         # the array, then each frequency alone as a Python float, whose
         # entries are numpy scalars
-        cases = [(omega, want)] + [(w, two_exponential_entries(p, w, dispersion_mode))
+        cases = [(omega, want)] + [(w, two_exponential_entries(p, w))
                                    for w in omega.tolist()]
         for w, entries in cases:
-            got = transfer_entries(p, w, dispersion_mode)
+            got = transfer_entries(p, w)
             assert len(got) == 4
             for g, e in zip(got, entries):  # the same bits, nan payloads too
                 assert type(g) is type(e) and np.shape(g) == np.shape(e)
@@ -290,10 +280,11 @@ class TestEntryBounds:
                 gamma_c_frac=float(RNG.uniform(0.0, 0.5)),
                 delta2_mhz=float(RNG.uniform(-3000.0, 3000.0)),
                 delta1_mhz=30.0,
+                dispersion_mode=dispersion_mode,
             )
             p = p.replace(cell_length=float(RNG.uniform(0.0, 0.03)))
-            m_pp, m_pc, m_cp, _ = transfer_entries(p, w, dispersion_mode)
-            b_pp, b_cp = entry_bounds(p, w, dispersion_mode)
+            m_pp, m_pc, m_cp, _ = transfer_entries(p, w)
+            b_pp, b_cp = entry_bounds(p, w)
             finite = np.isfinite(m_pp) & np.isfinite(m_cp)
             assert np.all(np.abs(m_pp[finite]) <= b_pp[finite])
             assert np.all(np.abs(m_cp[finite]) <= b_cp[finite])
@@ -303,11 +294,11 @@ class TestEntryBounds:
     def test_overflowing_mu_squared_gives_non_finite_bounds(self, dispersion_mode):
         # |Im d|^2 overflows where alpha^2 does not, so Re mu^2 = -inf; with
         # no loss Im mu^2 = 0, and Re mu must come out non-finite, not 0
-        p = make_params(eta0=1e150, omega_mhz=1.0)
+        p = make_params(eta0=1e150, omega_mhz=1.0, dispersion_mode=dispersion_mode)
         w = np.array([-1e10, 1e10])
-        for entry in transfer_entries(p, w, dispersion_mode):
+        for entry in transfer_entries(p, w):
             assert not np.any(np.isfinite(entry))
-        for bound in entry_bounds(p, w, dispersion_mode):
+        for bound in entry_bounds(p, w):
             assert not np.any(np.isfinite(bound))
 
     def test_zero_length_bounds_are_exact(self):

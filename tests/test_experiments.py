@@ -371,10 +371,16 @@ class TestInference:
         assert xi == pytest.approx(abs(coefficients_at(p, 0.0).xi), rel=0.02)
 
     def test_rejects_nonpositive_inputs(self):
-        with pytest.raises(GuardError):
-            infer_eta_xi(-1e-9, 7e-9, 0.025, 0.0)
-        with pytest.raises(GuardError):
-            infer_eta_xi(40e-9, 7e-9, 0.0, 0.0)
+        for args, message in [
+            ((-1e-9, 7e-9, 0.025, 0.0), "delays must be > 0 to invert"),
+            ((0.0, 7e-9, 0.025, 0.0), "delays must be > 0 to invert"),
+            ((40e-9, 0.0, 0.025, 0.0), "delays must be > 0 to invert"),
+            ((40e-9, -7e-9, 0.025, 0.0), "delays must be > 0 to invert"),
+            ((40e-9, 7e-9, 0.0, 0.0), "z must be > 0 to invert"),
+            ((40e-9, 7e-9, -0.025, 0.0), "z must be > 0 to invert"),
+        ]:
+            with pytest.raises(GuardError, match=f"^{message}$"):
+                infer_eta_xi(*args)
 
 
 class TestGainPrediction:
@@ -400,6 +406,18 @@ class TestGainPrediction:
             rel=1e-12,
         )
         assert pred < math.cosh(arg) ** 2
+
+    @pytest.mark.parametrize("eta, xi, gamma_c, z", [
+        (0.0, 1e9, 0.0, 0.025), (-960.0, 1e9, 0.0, 0.025), (960.0, 0.0, 0.0, 0.025),
+        (960.0, -1e9, 0.0, 0.025), (960.0, 1e9, -1.0, 0.025), (960.0, 1e9, 0.0, -0.025),
+    ], ids=["eta=0", "eta<0", "xi=0", "xi<0", "gamma_c<0", "z<0"])
+    def test_rejects_bad_arguments(self, eta, xi, gamma_c, z):
+        with pytest.raises(GuardError,
+                           match="^predict_gain needs eta, xi > 0 and z, gamma_c >= 0$"):
+            predict_gain(eta, xi, gamma_c, z)
+
+    def test_zero_length_is_unit_gain(self):
+        assert predict_gain(960.0, 1e9, 0.0, 0.0) == 1.0
 
     def test_rejects_loss_exceeding_gain(self):
         with pytest.raises(GuardError):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import constants
 
-from mp4wm.errors import ConfigError, GuardError
+from mp4wm.errors import ConfigError
 from mp4wm.experiments import _pump_point
 from mp4wm.params import (
     C_LIGHT,
@@ -91,22 +91,23 @@ class TestDerivedScalars:
 
 class TestEtaOfOmega:
     def test_delta1_zero_reduces_to_constant(self):
-        p = make_params(delta1_mhz=0.0)
+        p = make_params(delta1_mhz=0.0, dispersion_mode="full")
         const = 4.0 * p.coupling_g2n / p.omega_rabi**2
         for w in (-1e9, 0.0, 3e8, 1e9):
-            assert eta_of_omega(p, w, "full") == pytest.approx(const, rel=1e-15)
+            assert eta_of_omega(p, w) == pytest.approx(const, rel=1e-15)
 
     def test_real_at_omega_minus_delta(self):
-        p = make_params(delta1_mhz=850.0, gamma_c_frac=0.0, delta2_mhz=15.0)
-        eta = eta_of_omega(p, -p.delta_two_photon, "full")
+        p = make_params(delta1_mhz=850.0, gamma_c_frac=0.0, delta2_mhz=15.0,
+                        dispersion_mode="full")
+        eta = eta_of_omega(p, -p.delta_two_photon)
         assert eta.imag == 0.0
         assert eta.real == pytest.approx(4.0 * p.coupling_g2n / p.omega_rabi**2)
 
     def test_dispersive_ratio_identity(self):
         # |eta(0)| / eta_const == |1 + 4 Delta_1 (delta + i gamma_c)/Omega^2|^-1
         p = make_params(delta1_mhz=850.0, gamma_c_frac=0.5, delta2_mhz=15.0)
-        eta_full = eta_of_omega(p, 0.0, "full")
-        eta_const = eta_of_omega(p, 0.0, "constant")
+        eta_full = eta_of_omega(p.replace(dispersion_mode="full"), 0.0)
+        eta_const = eta_of_omega(p, 0.0)
         ratio = abs(eta_full) / abs(eta_const)
         expected = 1.0 / abs(
             1.0
@@ -120,20 +121,23 @@ class TestEtaOfOmega:
     def test_uniform_convergence_small_delta1(self):
         p = make_params(delta1_mhz=1e-6, delta2_mhz=15.0, gamma_c_frac=0.5)
         omegas = np.linspace(-1e9, 1e9, 101)
-        full = eta_of_omega(p, omegas, "full")
-        const = eta_of_omega(p, omegas, "constant")
+        full = eta_of_omega(p.replace(dispersion_mode="full"), omegas)
+        const = eta_of_omega(p, omegas)
         assert np.max(np.abs(full - const) / np.abs(const)) < 1e-6
-
-    def test_unknown_mode(self):
-        with pytest.raises(GuardError, match="unknown dispersion mode 'bogus'"):
-            eta_of_omega(make_params(), 0.0, "bogus")
 
 
 class TestValidation:
     def test_rejects_nonpositive(self):
         for field in ("omega_rabi", "delta_raman", "gamma", "coupling_g2n"):
-            with pytest.raises(ConfigError):
-                make_params().replace(**{field: 0.0})
+            for value in (0.0, -1.0):
+                with pytest.raises(ConfigError, match=f"^{field} must be > 0$"):
+                    make_params().replace(**{field: value})
+
+    @pytest.mark.parametrize("mode", ["bogus", "exact"])
+    def test_rejects_unknown_dispersion_mode(self, mode):
+        # "exact" names a propagation mode, not a dispersion mode
+        with pytest.raises(ConfigError, match=f"^unknown dispersion mode '{mode}'$"):
+            make_params(dispersion_mode=mode)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ConfigError):

@@ -62,6 +62,19 @@ class TestGrid:
         with pytest.raises(GuardError):
             TimeGrid(n_samples=128, t_start=0.0, t_step=1e-9)
 
+    @pytest.mark.parametrize("build, message", [
+        *[(lambda step=step: TimeGrid(n_samples=256, t_start=0.0, t_step=step),
+           "t_step must be positive and finite") for step in (0.0, -1e-9, np.nan, np.inf)],
+        (lambda: SampledPulse(GRID, np.ones(GRID.n_samples - 1)),
+         "envelope length must match the grid"),
+        *[(lambda fwhm=fwhm: make_gaussian_pulse(GRID, fwhm), "fwhm must be > 0")
+          for fwhm in (0.0, -70e-9)],
+    ], ids=["t_step=0", "t_step<0", "t_step=nan", "t_step=inf", "short_envelope",
+            "fwhm=0", "fwhm<0"])
+    def test_rejects_bad_arguments(self, build, message):
+        with pytest.raises(GuardError, match=f"^{message}$"):
+            build()
+
     @pytest.mark.parametrize(
         "value, message",
         [(np.nan, "finite"), (complex(0.0, np.inf), "finite"),
@@ -333,13 +346,11 @@ class TestPropagation:
         "propagation_mode, dispersion_mode", [("relative", "constant"), ("exact", "full")]
     )
     def test_matches_rk4_pulse_oracle(self, propagation_mode, dispersion_mode):
-        p = make_params(delta1_mhz=30.0, gamma_c_frac=0.01)
+        p = make_params(delta1_mhz=30.0, gamma_c_frac=0.01, dispersion_mode=dispersion_mode)
         grid = TimeGrid.centered(2048e-9, 1024)
         pulse = make_gaussian_pulse(grid, 70e-9)
-        res = Propagator(pulse, propagation_mode, dispersion_mode)(p)
-        probe, conj = pulse_oracle(
-            p, pulse.envelope, grid.t_step, propagation_mode, dispersion_mode
-        )
+        res = Propagator(pulse, propagation_mode)(p)
+        probe, conj = pulse_oracle(p, pulse.envelope, grid.t_step, propagation_mode)
         for out, expected in ((res.probe, probe), (res.conjugate, conj)):
             peak = np.max(np.abs(expected))
             assert np.max(np.abs(out.envelope - expected)) <= 1e-9 * peak
@@ -347,12 +358,12 @@ class TestPropagation:
     def test_exact_reference_follows_the_cell_length(self):
         grid = TimeGrid.centered(2048e-9, 1024)
         shared = make_gaussian_pulse(grid, 70e-9)
-        p1 = make_params(delta1_mhz=30.0, gamma_c_frac=0.01)
+        p1 = make_params(delta1_mhz=30.0, gamma_c_frac=0.01, dispersion_mode="full")
         p2 = p1.replace(cell_length=0.015)
-        propagate = Propagator(shared, "exact", "full")
+        propagate = Propagator(shared, "exact")
         for p in (p1, p2, p1):
             res = propagate(p)
-            fresh = Propagator(make_gaussian_pulse(grid, 70e-9), "exact", "full")(p)
+            fresh = Propagator(make_gaussian_pulse(grid, 70e-9), "exact")(p)
             for name in ("reference", "probe", "conjugate"):
                 assert np.array_equal(
                     getattr(res, name).envelope, getattr(fresh, name).envelope
@@ -362,11 +373,11 @@ class TestPropagation:
         assert again.reference is res.reference
 
     def test_modes_differ_only_by_vacuum_phase(self):
-        p = make_params(delta1_mhz=30.0, gamma_c_frac=0.01)
+        p = make_params(delta1_mhz=30.0, gamma_c_frac=0.01, dispersion_mode="full")
         grid = TimeGrid.centered(2048e-9, 1024)
         pulse = make_gaussian_pulse(grid, 70e-9)
-        rel = Propagator(pulse, "relative", "full")(p)
-        exact = Propagator(pulse, "exact", "full")(p)
+        rel = Propagator(pulse, "relative")(p)
+        exact = Propagator(pulse, "exact")(p)
         assert rel.reference is pulse
         vac = np.exp(-1j * grid.omegas * p.cell_length / C)
         for name in ("reference", "probe"):
@@ -381,9 +392,7 @@ class TestPropagation:
     def test_rejects_unknown_modes(self):
         pulse = make_gaussian_pulse(TimeGrid.centered(2048e-9, 1024), 70e-9)
         with pytest.raises(GuardError, match="unknown propagation mode 'warp'"):
-            Propagator(pulse, "warp")
-        with pytest.raises(GuardError, match="unknown dispersion mode 'bogus'"):
-            Propagator(pulse, "relative", "bogus")  # checked when built, not on a call
+            Propagator(pulse, "warp")  # checked when built, not on a call
 
     def test_shared_input_across_threads(self, monkeypatch):
         # each thread owns a propagator of the one shared input, so its own
@@ -391,7 +400,8 @@ class TestPropagation:
         # once however the threads' two cell lengths interleave.  Four
         # threads on two cores, switching often.
         grid = TimeGrid.centered(2048e-9, 1024)
-        media = [make_params(delta1_mhz=30.0, gamma_c_frac=0.01, z=z) for z in (0.025, 0.015)]
+        media = [make_params(delta1_mhz=30.0, gamma_c_frac=0.01, z=z, dispersion_mode="full")
+                 for z in (0.025, 0.015)]
         builds = []  # the vacuum references: 1-D inverse transforms into a new array
 
         def counted(spectrum, grid, out=None):
@@ -404,13 +414,13 @@ class TestPropagation:
         try:
             for mode in ("relative", "exact"):
                 shared = make_gaussian_pulse(grid, 70e-9)
-                serial = [Propagator(make_gaussian_pulse(grid, 70e-9), mode, "full")(p)
+                serial = [Propagator(make_gaussian_pulse(grid, 70e-9), mode)(p)
                           for p in media]
                 mismatches, done = [], []
                 builds.clear()
 
                 def work(p, want):
-                    propagate = Propagator(shared, mode, "full")
+                    propagate = Propagator(shared, mode)
                     for _ in range(100):
                         res = propagate(p)
                         for name in ("reference", "probe", "conjugate"):
@@ -437,10 +447,11 @@ class TestPropagation:
         # the second medium falls back to the full grid; the first runs on the
         # band before and after it, so both paths reuse written work arrays
         pulse = make_gaussian_pulse(GRID, 70e-9)
-        media = [make_params(delta1_mhz=30.0, gamma_c_frac=0.01),
-                 make_params(delta1_mhz=30.0, gamma_c_frac=0.5, delta2_mhz=1000.0)]
+        media = [make_params(delta1_mhz=30.0, gamma_c_frac=0.01, dispersion_mode="full"),
+                 make_params(delta1_mhz=30.0, gamma_c_frac=0.5, delta2_mhz=1000.0,
+                             dispersion_mode="full")]
         names = ("reference", "probe", "conjugate")
-        propagate = Propagator(pulse, propagation_mode, "full")
+        propagate = Propagator(pulse, propagation_mode)
         work = propagate._buffers
         first = propagate(media[0])
         kept = {name: getattr(first, name).envelope.copy() for name in names}
@@ -464,13 +475,13 @@ class TestPropagation:
             Propagator(pulse)(p)
 
 
-def _full_grid_outputs(p, pulse, propagation_mode, dispersion_mode):
+def _full_grid_outputs(p, pulse, propagation_mode):
     """ifft(m_pp fft(E)) and ifft(m_cp fft(E)) with the kernel on every bin.
 
     The exact kernel is the relative one times the vacuum transit e^{-i w L}.
     """
     omegas = pulse.grid.omegas
-    m_pp, _, m_cp, _ = transfer_entries(p, omegas, dispersion_mode)
+    m_pp, _, m_cp, _ = transfer_entries(p, omegas)
     if propagation_mode == "exact":
         vac = np.exp(-1j * omegas * p.cell_length / C)
         m_pp, m_cp = m_pp * vac, m_cp * vac
@@ -493,13 +504,14 @@ class TestBandLimitedKernel:
         self, delta2_mhz, density, gamma_c_frac, dispersion_mode, propagation_mode
     ):
         p = make_params(
-            delta1_mhz=30.0, gamma_c_frac=gamma_c_frac, delta2_mhz=delta2_mhz
+            delta1_mhz=30.0, gamma_c_frac=gamma_c_frac, delta2_mhz=delta2_mhz,
+            dispersion_mode=dispersion_mode,
         ).scaled_density(density)
         pulse = make_gaussian_pulse(self.GRID_1K, 70e-9)
         spectrum = pulse.spectrum
         if propagation_mode == "exact":
             spectrum = np.exp(-1j * self.GRID_1K.omegas * p.cell_length / C) * spectrum
-        propagate = Propagator(pulse, propagation_mode, dispersion_mode)
+        propagate = Propagator(pulse, propagation_mode)
         envelopes, magnitudes = propagate._output_envelopes(
             p, spectrum, spectrum[propagate.inside])
         # copies: the rows are the propagator's work arrays, which its calls overwrite
@@ -508,7 +520,7 @@ class TestBandLimitedKernel:
             for out, (mag, top) in zip(outputs, magnitudes):  # what the output pulses square
                 assert np.array_equal(mag, np.abs(out), equal_nan=True)
                 assert np.array_equal(top, mag.max(), equal_nan=True)
-        entries, expected = _full_grid_outputs(p, pulse, propagation_mode, dispersion_mode)
+        entries, expected = _full_grid_outputs(p, pulse, propagation_mode)
         for out, want in zip(outputs, expected):
             # near the pole of the full eta(w) the kernel overflows on some
             # bins; the band path must then overflow too, not hide it
@@ -523,7 +535,7 @@ class TestBandLimitedKernel:
             assert np.array_equal(res.probe.envelope, outputs[0])
             assert np.array_equal(res.conjugate.envelope, np.conj(outputs[1]))
         outside = propagate.outside
-        bounds = entry_bounds(p, self.GRID_1K.omegas[outside], dispersion_mode)
+        bounds = entry_bounds(p, self.GRID_1K.omegas[outside])
         for m, bound in zip(entries, bounds):
             size = np.abs(m[outside])
             finite = np.isfinite(size)
@@ -541,24 +553,25 @@ class TestBandLimitedKernel:
         self, delta2_mhz, density, gamma_c_frac, dispersion_mode
     ):
         p = make_params(
-            delta1_mhz=30.0, gamma_c_frac=gamma_c_frac, delta2_mhz=delta2_mhz
+            delta1_mhz=30.0, gamma_c_frac=gamma_c_frac, delta2_mhz=delta2_mhz,
+            dispersion_mode=dispersion_mode,
         ).scaled_density(density)
         omegas = Propagator(make_gaussian_pulse(self.GRID_1K, 70e-9)).outside_omegas
-        m_pp, _, m_cp, _ = transfer_entries(p, omegas, dispersion_mode)
-        bounds = entry_bounds(p, omegas, dispersion_mode)
+        m_pp, _, m_cp, _ = transfer_entries(p, omegas)
+        bounds = entry_bounds(p, omegas)
         # Every form rounds in proportion to the exponent |mu| L.  Where
         # Re mu^2 < 0 the complex form's |mu^2| + Re mu^2 cancels, which
         # leaves its Re mu off by up to sqrt(eps |mu^2|), so its bound by a
         # factor e^{+/- L sqrt(eps |mu^2|)}; the principal root's does not.
-        _, _, mu_sq = generator_terms(p, omegas, dispersion_mode)
+        _, _, mu_sq = generator_terms(p, omegas)
         big_l, eps = p.cell_length / C, np.finfo(float).eps
         with np.errstate(over="ignore", invalid="ignore"):
             abs_mu_sq = np.abs(mu_sq)
             rounding = 8.0 * eps * (1.0 + big_l * np.sqrt(abs_mu_sq))
             cancelling = np.where(mu_sq.real < 0.0, big_l * np.sqrt(eps * abs_mu_sq), 0.0)
         oracles = [
-            (complex_entry_bounds(p, omegas, dispersion_mode), rounding + cancelling),
-            (complex_entry_bounds(p, omegas, dispersion_mode, principal_root=True), rounding),
+            (complex_entry_bounds(p, omegas), rounding + cancelling),
+            (complex_entry_bounds(p, omegas, principal_root=True), rounding),
         ]
         for i, (m, bound) in enumerate(zip((m_pp, m_cp), bounds)):
             size = np.abs(m)
@@ -595,10 +608,10 @@ class TestBandLimitedKernel:
         if abs(delta2_mhz) > 1e9:
             assert peak[0] <= (1.0 + 1e-7) * entry_bounds(p, omegas)[0].max()
         # full mode is also infinite where the span reaches the pole of eta(w)
-        for dispersion_mode in ("constant", "full"):
-            pair = peak_entry_bounds(p, *span, dispersion_mode)
+        for q in (p, p.replace(dispersion_mode="full")):
+            pair = peak_entry_bounds(q, *span)
             if np.all(np.isfinite(pair)):
-                for b, bins in zip(pair, entry_bounds(p, omegas, dispersion_mode)):
+                for b, bins in zip(pair, entry_bounds(q, omegas)):
                     assert np.all(bins <= b)
 
     # closed forms made infinite defer to the per-bin bound on the bins near
@@ -658,20 +671,21 @@ class TestBandLimitedKernel:
         self, delta2_mhz, density, gamma_c_frac, dispersion_mode, delta1_mhz, radius
     ):
         p = make_params(
-            delta1_mhz=delta1_mhz, gamma_c_frac=gamma_c_frac, delta2_mhz=delta2_mhz
+            delta1_mhz=delta1_mhz, gamma_c_frac=gamma_c_frac, delta2_mhz=delta2_mhz,
+            dispersion_mode=dispersion_mode,
         ).scaled_density(density)
-        propagate = Propagator(make_gaussian_pulse(self.GRID_1K, 70e-9), "relative", dispersion_mode)
+        propagate = Propagator(make_gaussian_pulse(self.GRID_1K, 70e-9))
         omegas, sizes = propagate.outside_omegas, propagate.outside_abs
         c = derive_coefficients(p)
         y = omegas + c.delta_tilde
-        per_bin = entry_bounds(p, omegas, dispersion_mode)
+        per_bin = entry_bounds(p, omegas)
         near = np.abs(y) <= radius * c.delta_r
         finite = True
         for side in (~near & (y < 0.0), ~near & (y > 0.0)):
             if not side.any():
                 continue
             pair = peak_entry_bounds(p, np.abs(y[side]).min(), omegas[side].min(),
-                                     omegas[side].max(), dispersion_mode)
+                                     omegas[side].max())
             if np.all(np.isfinite(pair)):
                 for b, bins in zip(pair, per_bin):
                     assert np.all(bins[side] <= b)
@@ -692,15 +706,17 @@ class TestBandLimitedKernel:
         # a medium off resonance, and one whose Delta_R = Omega^2/4Delta
         # underflows to 0, where the radius inf * Delta_R would be nan
         media = [
-            make_params(delta1_mhz=30.0, gamma_c_frac=0.5, delta2_mhz=1000.0),
+            make_params(delta1_mhz=30.0, gamma_c_frac=0.5, delta2_mhz=1000.0,
+                        dispersion_mode=dispersion_mode),
             MediumParams(omega_rabi=1e-150, delta_raman=1e300, delta_one=0.0,
                          delta_two_photon=0.0, gamma=1e7, gamma_c=1e6,
-                         coupling_g2n=1e-300, cell_length=0.025),
+                         coupling_g2n=1e-300, cell_length=0.025,
+                         dispersion_mode=dispersion_mode),
         ]
         assert media[1].coefficients.delta_r == 0.0
-        propagate = Propagator(make_gaussian_pulse(self.GRID_1K, 70e-9), "relative", dispersion_mode)
+        propagate = Propagator(make_gaussian_pulse(self.GRID_1K, 70e-9))
         for p in media:
-            per_bin = entry_bounds(p, propagate.outside_omegas, dispersion_mode)
+            per_bin = entry_bounds(p, propagate.outside_omegas)
             want = [float(np.dot(b, propagate.outside_abs)) * (1.0 + pulses._PEAK_BOUND_SLACK)
                     for b in per_bin]
             assert all(np.isfinite(want))
@@ -813,7 +829,8 @@ class TestBandLimitedKernel:
     def test_point_that_fails_the_bound_is_the_full_grid_path(self, monkeypatch):
         # heavy loss far off the light shift: the output peak is too small
         # for the bound on 4096 - 356 skipped bins
-        p = make_params(delta1_mhz=30.0, gamma_c_frac=0.5, delta2_mhz=1000.0)
+        p = make_params(delta1_mhz=30.0, gamma_c_frac=0.5, delta2_mhz=1000.0,
+                        dispersion_mode="full")
         pulse = make_gaussian_pulse(GRID, 70e-9)
         sizes = []
 
@@ -821,10 +838,10 @@ class TestBandLimitedKernel:
             sizes.append(omega.size)
             return transfer_entries(p, omega, *args)
         monkeypatch.setattr(pulses, "transfer_entries", counted)
-        propagate = Propagator(pulse, "exact", "full")
+        propagate = Propagator(pulse, "exact")
         res = propagate(p)
         assert sizes == [propagate.inside.size, propagate.outside.size]
-        m_pp, _, m_cp, _ = transfer_entries(p, GRID.omegas, "full")
+        m_pp, _, m_cp, _ = transfer_entries(p, GRID.omegas)
         # exact mode is relative mode on the vacuum-delayed input
         delayed = np.exp(-1j * GRID.omegas * p.cell_length / C) * pulse.spectrum
         assert np.array_equal(res.reference.envelope, from_spectrum(delayed, GRID))
@@ -837,8 +854,9 @@ class TestBandLimitedKernel:
         # the first medium fails the bound, so its call also fills the
         # outside bins of the work spectra; the next medium passes it, and
         # its call must find them zero, as a new propagator does
-        fallback = make_params(delta1_mhz=30.0, gamma_c_frac=0.5, delta2_mhz=1000.0)
-        band_only = make_params(delta1_mhz=30.0, gamma_c_frac=0.01)
+        fallback = make_params(delta1_mhz=30.0, gamma_c_frac=0.5, delta2_mhz=1000.0,
+                               dispersion_mode="full")
+        band_only = make_params(delta1_mhz=30.0, gamma_c_frac=0.01, dispersion_mode="full")
         pulse = make_gaussian_pulse(GRID, 70e-9)
         sizes = []
 
@@ -846,10 +864,10 @@ class TestBandLimitedKernel:
             sizes.append(omega.size)
             return transfer_entries(p, omega, *args)
         monkeypatch.setattr(pulses, "transfer_entries", counted)
-        shared = Propagator(pulse, "exact", "full")
+        shared = Propagator(pulse, "exact")
         shared(fallback)
         second = shared(band_only)
-        fresh = Propagator(pulse, "exact", "full")(band_only)
+        fresh = Propagator(pulse, "exact")(band_only)
         inside, outside = shared.inside.size, shared.outside.size
         assert sizes == [inside, outside, inside, inside]
         for name in ("reference", "probe", "conjugate"):
@@ -872,7 +890,7 @@ class TestBandLimitedKernel:
         p = make_params()
         res = propagate(p)
         assert sizes == [grid.n_samples]
-        _, (probe, conj_star) = _full_grid_outputs(p, pulse, "relative", "constant")
+        _, (probe, conj_star) = _full_grid_outputs(p, pulse, "relative")
         assert np.max(np.abs(res.probe.envelope - probe)) <= 1e-13 * np.max(np.abs(probe))
         conj = np.conj(conj_star)
         assert np.max(np.abs(res.conjugate.envelope - conj)) <= 1e-13 * np.max(np.abs(conj))
