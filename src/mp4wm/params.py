@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 
@@ -57,6 +56,8 @@ class MediumParams:
     dispersion_mode : str
         The slow-down factor of :func:`eta_of_omega`: ``"constant"``, the
         flat 4 g^2 N / Omega^2, or ``"full"``, its dispersive form.
+    coefficients : DerivedCoefficients
+        :func:`derive_coefficients` of the medium, derived as it is built.
     """
 
     omega_rabi: float
@@ -68,6 +69,7 @@ class MediumParams:
     coupling_g2n: float
     cell_length: float
     dispersion_mode: str = "constant"
+    coefficients: DerivedCoefficients = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Omega first: an overflowing Omega^2 also makes a g^2 N from eta0 infinite
@@ -77,10 +79,10 @@ class MediumParams:
             raise ConfigError(
                 f"omega_rabi squared must be finite and > 0, got {self.omega_rabi!r} rad/s"
             )
-        for f in fields(self)[:-1]:  # the numeric fields, all but the mode
-            value = float(getattr(self, f.name))
+        for name in [f.name for f in fields(self) if f.type == "float"]:  # the numeric ones
+            value = float(getattr(self, name))
             if not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.delta_raman <= 0:
             raise ConfigError("delta_raman must be > 0")
         if self.gamma <= 0:
@@ -89,8 +91,7 @@ class MediumParams:
             raise ConfigError("gamma_c must be >= 0")
         if self.coupling_g2n <= 0:
             raise ConfigError("coupling_g2n must be > 0")
-        if 4.0 * self.coupling_g2n / self.omega_rabi**2 == 0.0:  # eta0, as derived
-            raise ConfigError("coupling_g2n is too small: 4 g^2 N / Omega^2 underflows to 0")
+        object.__setattr__(self, "coefficients", derive_coefficients(self))
         # z = 0 is a legal degenerate run (identity propagation)
         if self.cell_length < 0:
             raise ConfigError("cell_length must be >= 0")
@@ -126,15 +127,6 @@ class MediumParams:
     def replace(self, **kwargs) -> "MediumParams":
         return replace(self, **kwargs)
 
-    @cached_property
-    def coefficients(self) -> "DerivedCoefficients":
-        """:func:`derive_coefficients` of the medium, computed once."""
-        return derive_coefficients(self)
-
-    def __getstate__(self):
-        # the fields only: a copy or an unpickled medium derives its own coefficients
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class DerivedCoefficients:
@@ -156,6 +148,8 @@ def raman_bandwidth(omega_rabi: float, delta_raman: float) -> float:
 def derive_coefficients(p: MediumParams) -> DerivedCoefficients:
     """Compute every derived scalar of the model. Pure and deterministic."""
     eta0 = 4.0 * p.coupling_g2n / p.omega_rabi**2
+    if eta0 == 0.0:  # v_group would be c / 0
+        raise ConfigError("coupling_g2n is too small: 4 g^2 N / Omega^2 underflows to 0")
     delta_r = raman_bandwidth(p.omega_rabi, p.delta_raman)
     return DerivedCoefficients(
         eta0=eta0,

@@ -102,11 +102,6 @@ class SampledPulse:
         object.__setattr__(self, "peak", peak)
 
     @cached_property
-    def spectrum(self) -> np.ndarray:
-        """Aliasing-checked :func:`to_spectrum` of the pulse, computed once."""
-        return _read_only(to_spectrum(self))
-
-    @cached_property
     def energy(self) -> float:
         with np.errstate(over="ignore"):
             energy = float(self.intensity.sum() * self.grid.t_step)
@@ -215,13 +210,13 @@ class Propagator:
     """Propagates one input probe pulse (no seed conjugate) through any medium.
 
     Built once per input, it checks its propagation mode and the input's
-    containment, and takes the input's spectrum, which runs the aliasing
-    guard.  It splits the spectrum's bins at `_BAND_RATIO` of its peak
-    magnitude: the kernel runs on the `inside` bins, at `inside_omegas`; the
-    `outside` bins, in ascending order of frequency at `outside_omegas`, are
-    bounded from |S| on them, `outside_abs`, and its running sums,
-    `outside_abs_below` of [:i] and `outside_abs_above` of [i:] at i.  All are
-    read-only.  Called on a :class:`MediumParams`, it returns the vacuum
+    containment, and takes the input's :func:`to_spectrum` once, `spectrum`,
+    which runs the aliasing guard.  It splits the spectrum's bins at
+    `_BAND_RATIO` of its peak magnitude: the kernel runs on the `inside` bins,
+    at `inside_omegas`; the `outside` bins, in ascending order of frequency at
+    `outside_omegas`, are bounded from |S| on them, `outside_abs`, and its
+    running sums, `outside_abs_below` of [:i] and `outside_abs_above` of [i:]
+    at i.  All are read-only.  Called on a :class:`MediumParams`, it returns the vacuum
     reference, the amplified probe and the generated conjugate, all on the
     input grid.  The conjugate is returned as E_c(t), conjugated back from the
     E_c*(-w) solution so that its intensity is directly plottable.  The
@@ -237,8 +232,8 @@ class Propagator:
         pulse.check_containment("input pulse")
         self.pulse = pulse
         self.propagation_mode = propagation_mode
-        spectrum, omegas = pulse.spectrum, pulse.grid.omegas
-        mag = np.abs(spectrum)
+        self.spectrum = spectrum = _read_only(to_spectrum(pulse))
+        omegas, mag = pulse.grid.omegas, np.abs(spectrum)
         kept = mag > _BAND_RATIO * mag.max()
         outside = np.flatnonzero(~kept)
         # in ascending frequency the FFT order's negative half comes first
@@ -265,7 +260,7 @@ class Propagator:
         # a scan changes no cell length, so its points share one vacuum-delayed input
         if self.propagation_mode == "exact" and self._vacuum[0] != p.cell_length:
             vac = np.exp(-1j * grid.omegas * p.cell_length / C_LIGHT)
-            spectrum = _read_only(vac * self.pulse.spectrum)
+            spectrum = _read_only(vac * self.spectrum)
             reference = SampledPulse(grid, from_spectrum(spectrum, grid))
             self._vacuum = (p.cell_length, reference, spectrum, spectrum[self.inside])
         _, reference, *spectra = self._vacuum
@@ -285,7 +280,7 @@ class Propagator:
     ) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
         """Rows ifft(m_pp S) and ifft(m_cp S) as envelopes, the kernel run on the band.
 
-        `spectrum` is S0 = the input's :attr:`~SampledPulse.spectrum`, or phi S0
+        `spectrum` is S0 = the input's :attr:`spectrum`, or phi S0
         for a phase factor |phi| = 1, so the input's band and its bound serve
         for both; `inside` is `spectrum` on the band.  The bins outside the
         band add at most sum_k B_k |S0_k| / (N dt) to any output sample, with

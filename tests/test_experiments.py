@@ -13,6 +13,7 @@ from mp4wm.coupling import analytic_delays
 from mp4wm.errors import GuardError
 from mp4wm.experiments import infer_eta_xi, predict_gain, run_single, scan
 from mp4wm.params import derive_coefficients
+from mp4wm.pulses import PropagationResult, SampledPulse, TimeGrid, make_gaussian_pulse
 
 from _oracles import coefficients_at
 from conftest import C, MHZ, gaussian_propagator, make_params
@@ -23,6 +24,24 @@ def _xi_z_over_c(p):
 
 
 class TestRunSingle:
+    @pytest.mark.parametrize("ratio, measured", [(0.9e-30, False), (1e-30, False),
+                                                 (1.2e-30, True)])
+    def test_conjugate_is_measured_above_1e_30_of_the_reference_energy(self, ratio, measured):
+        # a stub propagation returns the reference as the probe and a conjugate
+        # of `ratio` times its energy; at the limit one sample wide, whose
+        # energy is then the limit to the bit, and which no fit could measure
+        grid = TimeGrid.centered(256.0, 256)  # dt = 1
+        reference = make_gaussian_pulse(grid, 20.0)
+        env = reference.envelope * math.sqrt(ratio)
+        if ratio == 1e-30:
+            env = np.zeros(grid.n_samples)
+            env[10] = math.sqrt(1e-30 * reference.energy)
+        conjugate = SampledPulse(grid, env)
+        assert ratio != 1e-30 or conjugate.energy == 1e-30 * reference.energy
+        res = run_single(make_params(),
+                         lambda p: PropagationResult(reference, reference, conjugate))
+        assert (res.conjugate_metrics is not None) == measured
+
     def test_locked_differential_delay(self):
         p = make_params(gamma_c_frac=0.0)
         assert _xi_z_over_c(p) > 3.0  # deep in the locked regime
@@ -82,8 +101,28 @@ class TestScanDelta:
         with pytest.warns(UserWarning, match="dtilde"):
             scan(p, "delta", [6.0 * d.delta_r], gaussian_propagator())  # dtilde = 5 Delta_R
 
+    @pytest.mark.parametrize("delta_over_dr, warns", [(-1.0, False), (3.0, False), (3.5, True)])
+    def test_warns_beyond_twice_the_raman_bandwidth(self, delta_over_dr, warns):
+        # Omega = 2^31 and Delta = 2^35 rad/s: Delta_R = 2^25 rad/s, so that
+        # dtilde = delta - Delta_R is exactly -2 Delta_R or 2 Delta_R at the limit
+        p = make_params(gamma_c_frac=0.0).replace(omega_rabi=2.0**31, delta_raman=2.0**35)
+        assert p.coefficients.delta_r == 2.0**25
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scan(p, "delta", [delta_over_dr * 2.0**25], gaussian_propagator())
+        assert any("dtilde" in str(w.message) for w in caught) == warns
+
 
 class TestScanEngine:
+    def test_unit_gain_has_zero_renormalized_length(self):
+        # a stub propagation returns the input as the probe, at gain 1 to the bit
+        reference = gaussian_propagator().pulse
+        silent = SampledPulse(reference.grid, np.zeros(reference.grid.n_samples))
+        (record,) = scan(make_params(), "density", [1.0],
+                         lambda p: PropagationResult(reference, reference, silent))
+        assert record.gain_peak == 1.0 and record.renorm_length == 0.0
+        assert record.conj_delay is None
+
     def test_input_pulse_built_and_transformed_once(self, monkeypatch):
         calls = {"make_gaussian_pulse": 0, "to_spectrum": 0, "fit_gaussian": 0}
 
@@ -117,8 +156,7 @@ class TestScanEngine:
         # relative-mode reference once, then the probe and the conjugate of each point
         assert calls == {"make_gaussian_pulse": 1, "to_spectrum": 1, "fit_gaussian": 9}
         assert labels.count("input pulse") == 2
-        for arr in (propagate.pulse.envelope, propagate.pulse.intensity,
-                    propagate.pulse.spectrum):
+        for arr in (propagate.pulse.envelope, propagate.pulse.intensity, propagate.spectrum):
             assert not arr.flags.writeable
 
     # the benchmark media: every density point passes the band check at
@@ -150,17 +188,19 @@ class TestScanEngine:
         bound = [name for name, module in sys.modules.items()
                  if name.startswith("mp4wm.") and "derive_coefficients" in vars(module)]
         assert bound == ["mp4wm.params"]
-        counted(params, "derive_coefficients")
-        counted(pulses, "entry_bounds")
-        counted(pulses, "transfer_entries")
         values = [v * unit for v in cfg.scan_values()]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            scan(cfg.to_medium_params(), axis, values, cfg.propagator())
+            base, propagate = cfg.to_medium_params(), cfg.propagator()  # derived as built
+            counted(params, "derive_coefficients")
+            counted(pulses, "entry_bounds")
+            counted(pulses, "transfer_entries")
+            scan(base, axis, values, propagate)
         points = len(values)
         assert calls["transfer_entries"] == points  # no point falls back
         assert calls["entry_bounds"] == near_bounds * points
-        # the record, the kernel and the bounds share one derivation
+        # the record, the kernel and the bounds share the one derivation of
+        # each point's medium, made when it is built
         assert calls["derive_coefficients"] == points
 
     def test_exact_reference_built_and_fitted_once(self, monkeypatch):
@@ -312,11 +352,11 @@ class TestScanPump:
         def counted(p):
             calls.append(p)
             return derive(p)
-        monkeypatch.setattr(params, "derive_coefficients", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            records = scan(cfg.to_medium_params(), "pump",
-                           [v * MHZ for v in cfg.scan_values()], cfg.propagator())
+            base, propagate = cfg.to_medium_params(), cfg.propagator()  # derived as built
+            monkeypatch.setattr(params, "derive_coefficients", counted)
+            records = scan(base, "pump", [v * MHZ for v in cfg.scan_values()], propagate)
         # one derivation per point, of the medium the point propagates
         assert len(calls) == len(records)
         assert [q.coefficients.delta_tilde for q in calls] == [0.0] * len(records)

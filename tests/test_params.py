@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import constants
 
+from mp4wm import params
 from mp4wm.errors import ConfigError
 from mp4wm.experiments import _pump_point
 from mp4wm.params import (
@@ -65,28 +67,33 @@ class TestDerivedScalars:
         assert d1.delta_r == d0.delta_r
         assert d1.saturation_rabi == d0.saturation_rabi
 
-    def test_cached_coefficients_follow_the_medium(self):
+    def test_coefficients_follow_the_medium(self):
         p = make_params()
         c = p.coefficients
-        assert p.coefficients is c
         assert astuple(c) == astuple(derive_coefficients(p))
-        # each new medium derives from its own fields, not from the cache of p
+        # each new medium derives from its own fields as it is built, not from p's
         tracked = _pump_point(p, 2.0 * p.omega_rabi, "track")
         for q in (p.replace(omega_rabi=2.0 * p.omega_rabi), p.scaled_density(2.0), tracked):
             assert astuple(q.coefficients) == astuple(derive_coefficients(q))
             assert q.coefficients != c
         assert tracked.coefficients.delta_tilde == 0.0
 
-    def test_reading_the_coefficients_changes_no_copy_or_comparison(self):
+    def test_reading_the_coefficients_changes_no_copy_or_comparison(self, monkeypatch):
         read, unread = make_params(), make_params()
         before = pickle.dumps(read)
         read.coefficients
-        # the cached scalars travel in no pickle: a loaded medium derives its own
+        # the scalars were derived as the medium was built and travel in its pickle
         assert pickle.dumps(read) == before == pickle.dumps(unread)
-        for q in (read, pickle.loads(pickle.dumps(read)), copy.deepcopy(read),
-                  pickle.loads(pickle.dumps(unread)), copy.deepcopy(unread)):
+        fresh = derive_coefficients(unread)
+
+        def derive(p):
+            raise AssertionError("a copy carries its medium's coefficients")
+        monkeypatch.setattr(params, "derive_coefficients", derive)
+        for q in (read, pickle.loads(before), copy.deepcopy(read), copy.copy(read)):
             assert q == unread and hash(q) == hash(unread) and repr(q) == repr(unread)
-            assert astuple(q.coefficients) == astuple(derive_coefficients(unread))
+            assert astuple(q.coefficients) == astuple(fresh)
+        monkeypatch.undo()
+        assert astuple(read.replace(cell_length=read.cell_length).coefficients) == astuple(fresh)
 
 
 class TestEtaOfOmega:
@@ -133,6 +140,11 @@ class TestValidation:
                 with pytest.raises(ConfigError, match=f"^{field} must be > 0$"):
                     make_params().replace(**{field: value})
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_rejects_nonpositive_density_scale(self, scale):
+        with pytest.raises(ConfigError, match="^density scale must be > 0$"):
+            make_params().scaled_density(scale)
+
     @pytest.mark.parametrize("mode", ["bogus", "exact"])
     def test_rejects_unknown_dispersion_mode(self, mode):
         # "exact" names a propagation mode, not a dispersion mode
@@ -156,12 +168,40 @@ class TestValidation:
         p = make_params()
         with pytest.raises(ConfigError, match="4 g\\^2 N / Omega\\^2 underflows to 0"):
             p.replace(coupling_g2n=5e-324)
+        # checked before the cell length, as the derivation that needs it
+        with pytest.raises(ConfigError, match="4 g\\^2 N / Omega\\^2 underflows to 0"):
+            p.replace(coupling_g2n=5e-324, cell_length=-1.0)
         # the least eta0 derives: its v_group overflows, which derive reports as exit 3
         assert p.replace(coupling_g2n=p.omega_rabi**2 / 4.0 * 5e-324).coefficients.eta0 > 0.0
 
     def test_zero_length_allowed(self):
         assert make_params().replace(cell_length=0.0).cell_length == 0.0
 
+    # SI values for which each limit is exact in binary floating point
+    @pytest.mark.parametrize("times, warns", [(8, True), (10, False), (12, False)])
+    def test_pump_coupling_must_be_ten_times_the_two_photon_detuning(self, times, warns):
+        # Omega^2 / 4 Delta_1 = 81920^2 / 40 = 10 * 2^24 rad/s, exactly
+        assert _validity_warnings(
+            omega_rabi=81920.0, delta_raman=1e3, delta_one=10.0,
+            delta_two_photon=10 * 2.0**24 / times, gamma=1.0,
+        ) == ["pump Rabi"] * warns
+
+    @pytest.mark.parametrize("times, warns", [(8, True), (10, False), (12, False)])
+    def test_raman_detuning_must_be_ten_times_the_linewidth(self, times, warns):
+        assert _validity_warnings(
+            omega_rabi=81920.0, delta_raman=2.0 * times, delta_one=0.0,
+            delta_two_photon=0.0, gamma=2.0,
+        ) == ["upper-lambda detuning"] * warns
+
     def test_validity_warnings_outside_asymptotic_regime(self):
         with pytest.warns(ModelValidityWarning):
             make_params(delta1_mhz=850.0, delta2_mhz=15.0, gamma_c_frac=0.5)
+
+
+def _validity_warnings(**fields) -> list[str]:
+    """The first two words of each validity warning a medium of `fields` gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        MediumParams(gamma_c=0.0, coupling_g2n=1.0, cell_length=0.01, **fields)
+    return [" ".join(str(w.message).split()[:2]) for w in caught
+            if issubclass(w.category, ModelValidityWarning)]

@@ -161,6 +161,19 @@ class TestGaussianSynthesis:
         with pytest.raises(FitError):
             fit_gaussian(pulse)
 
+    @pytest.mark.parametrize("edge, contained", [(0.99, True), (1.0, False)])
+    def test_containment_limit_is_one_millionth_of_the_peak(self, edge, contained):
+        # peak intensity 1000^2 = 1e6 and edge intensity edge^2: at the limit
+        # exactly for edge = 1, as 1e-6 * 1e6 rounds to 1
+        env = np.zeros(256)
+        env[128], env[0] = 1000.0, edge
+        pulse = SampledPulse(TimeGrid(256, 0.0, 1.0), env)
+        if contained:
+            pulse.check_containment("pulse")
+        else:
+            with pytest.raises(ContainmentError, match="window edge is 1.00e-06 of the peak"):
+                pulse.check_containment("pulse")
+
     def test_containment_violation_reports_window(self):
         with pytest.raises(ContainmentError, match="window"):
             make_gaussian_pulse(GRID, 900e-9)
@@ -174,7 +187,8 @@ class TestSpectrum:
 
     def test_stacked_spectra_match_one_at_a_time(self):
         pulse = make_gaussian_pulse(GRID, 70e-9, center=40e-9)
-        specs = np.stack([pulse.spectrum, 1j * np.roll(pulse.spectrum, 3)])
+        spectrum = to_spectrum(pulse)
+        specs = np.stack([spectrum, 1j * np.roll(spectrum, 3)])
         rows = from_spectrum(specs, GRID)
         assert rows.shape == (2, GRID.n_samples)
         for row, spec in zip(rows, specs):
@@ -261,6 +275,17 @@ class TestSpectrum:
         dw = 2.0 * math.pi / (GRID.n_samples * GRID.t_step)
         e_freq = np.sum(np.abs(spec) ** 2) * dw / (2.0 * math.pi)
         assert e_freq == pytest.approx(e_time, rel=1e-12)
+
+    @pytest.mark.parametrize("edge, aliased", [(0.99, False), (1.0, True), (1.2, True)])
+    def test_aliasing_limit_is_one_millionth_of_the_peak(self, edge, aliased):
+        # E_k = 1e6 + edge (-1)^k with dt = 1: spectral peak 256e6 at w = 0 and
+        # 256 edge at the Nyquist bin, exact for edge = 1, at the limit itself
+        pulse = SampledPulse(TimeGrid(256, 0.0, 1.0), 1e6 + edge * (-1.0) ** np.arange(256))
+        if aliased:
+            with pytest.raises(AliasingError, match=f"grid edge is {edge * 1e-6:.2e} of the peak"):
+                to_spectrum(pulse)
+        else:
+            assert np.abs(to_spectrum(pulse)).max() == 256e6
 
     def test_aliasing_guard(self):
         coarse = TimeGrid.centered(2048e-9, 256)  # dt = 8 ns
@@ -508,10 +533,10 @@ class TestBandLimitedKernel:
             dispersion_mode=dispersion_mode,
         ).scaled_density(density)
         pulse = make_gaussian_pulse(self.GRID_1K, 70e-9)
-        spectrum = pulse.spectrum
+        propagate = Propagator(pulse, propagation_mode)
+        spectrum = propagate.spectrum
         if propagation_mode == "exact":
             spectrum = np.exp(-1j * self.GRID_1K.omegas * p.cell_length / C) * spectrum
-        propagate = Propagator(pulse, propagation_mode)
         envelopes, magnitudes = propagate._output_envelopes(
             p, spectrum, spectrum[propagate.inside])
         # copies: the rows are the propagator's work arrays, which its calls overwrite
@@ -808,7 +833,9 @@ class TestBandLimitedKernel:
     def test_band_is_the_input_spectrum_above_its_cutoff(self):
         pulse = make_gaussian_pulse(GRID, 70e-9)
         band = Propagator(pulse)
-        mag = np.abs(pulse.spectrum)
+        # the input's spectrum, taken once, bit for bit
+        assert band.spectrum.tobytes() == to_spectrum(pulse).tobytes()
+        mag = np.abs(band.spectrum)
         assert 0 < band.inside.size < GRID.n_samples
         assert np.all(mag[band.inside] > 1e-16 * mag.max())
         assert np.all(mag[band.outside] <= 1e-16 * mag.max())
@@ -822,7 +849,7 @@ class TestBandLimitedKernel:
         sizes = mag[band.outside]
         assert np.array_equal(band.outside_abs_below, np.r_[0.0, np.cumsum(sizes)])
         assert np.array_equal(band.outside_abs_above, np.r_[np.cumsum(sizes[::-1])[::-1], 0.0])
-        for arr in (band.inside, band.inside_omegas, band.outside, band.outside_abs,
+        for arr in (band.spectrum, band.inside, band.inside_omegas, band.outside, band.outside_abs,
                     band.outside_omegas, band.outside_abs_below, band.outside_abs_above):
             assert not arr.flags.writeable
 
@@ -843,7 +870,7 @@ class TestBandLimitedKernel:
         assert sizes == [propagate.inside.size, propagate.outside.size]
         m_pp, _, m_cp, _ = transfer_entries(p, GRID.omegas)
         # exact mode is relative mode on the vacuum-delayed input
-        delayed = np.exp(-1j * GRID.omegas * p.cell_length / C) * pulse.spectrum
+        delayed = np.exp(-1j * GRID.omegas * p.cell_length / C) * propagate.spectrum
         assert np.array_equal(res.reference.envelope, from_spectrum(delayed, GRID))
         probe = from_spectrum(m_pp * delayed, GRID)
         conj_star = from_spectrum(m_cp * delayed, GRID)
