@@ -2,7 +2,7 @@ import copy
 import math
 import pickle
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -152,10 +152,15 @@ class TestValidation:
             make_params(dispersion_mode=mode)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ConfigError):
-            make_params().replace(delta_two_photon=math.nan)
-        with pytest.raises(ConfigError):
-            make_params().replace(coupling_g2n=math.inf)
+        # every numeric field, whatever form its annotation takes; omega_rabi
+        # meets the check on its square first
+        numeric = [f.name for f in fields(MediumParams) if f.init and f.name != "dispersion_mode"]
+        assert len(numeric) == 8
+        for name in numeric:
+            message = "omega_rabi squared" if name == "omega_rabi" else name
+            for value in (math.nan, math.inf):
+                with pytest.raises(ConfigError, match=f"^{message} must be finite"):
+                    make_params().replace(**{name: value})
 
     def test_rejects_negative_gamma_c_and_length(self):
         with pytest.raises(ConfigError):

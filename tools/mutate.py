@@ -20,15 +20,12 @@ change twice.
 Usage::
 
     python tools/mutate.py src/mp4wm/params.py src/mp4wm/experiments.py
-    python tools/mutate.py --list src/mp4wm/params.py    # the keys, nothing run
-    python tools/mutate.py --root ../other-checkout src/mp4wm/params.py
 
-Only the standard library is used; at most ``--jobs`` (default
-``os.cpu_count()``) pytest processes run at a time.
+Only the standard library is used; at most ``os.cpu_count()`` pytest
+processes run at a time.
 """
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import os
@@ -126,12 +123,12 @@ def read_equivalents(path: Path) -> dict[str, str]:
     return listed
 
 
-def run_suite(root: Path, mutated: tuple[str, str] | None) -> str:
-    """"pass", "fail" or "timeout" of tier-1 on a copy of `root`, with the
-    file at `mutated[0]` (relative to `root`) replaced by `mutated[1]`."""
+def run_suite(mutated: tuple[str, str] | None) -> str:
+    """"pass", "fail" or "timeout" of tier-1 on a copy of this tree, with the
+    file at `mutated[0]` (relative to the tree) replaced by `mutated[1]`."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "tree"
-        shutil.copytree(root, copy, ignore=_SKIP)
+        shutil.copytree(ROOT, copy, ignore=_SKIP)
         if mutated is not None:
             (copy / mutated[0]).write_text(mutated[1], encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -146,25 +143,17 @@ def run_suite(root: Path, mutated: tuple[str, str] | None) -> str:
         return "pass" if proc.returncode == 0 else "fail"
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("files", nargs="+", type=Path, help="modules under src/ to mutate")
-    ap.add_argument("--root", type=Path, default=ROOT, help="tree to copy (default: this one)")
-    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="pytest processes at a time, at most os.cpu_count()")
-    ap.add_argument("--list", action="store_true", help="print the keys and run nothing")
-    args = ap.parse_args(argv)
-
-    root = args.root.resolve()
+def main(files: list[str]) -> int:
+    """Sweep the modules at `files` (paths under this tree); the exit status."""
+    if not files:
+        print("usage: python tools/mutate.py MODULE.py ...", file=sys.stderr)
+        return 2
     work = []
-    for path in args.files:
-        rel = (root / path).resolve().relative_to(root)
+    for path in files:
+        rel = (ROOT / path).resolve().relative_to(ROOT)
         work += [(key, (str(rel), src))
-                 for key, src in mutants((root / rel).read_text(encoding="utf-8"), rel.name)]
-    if args.list:
-        print("\n".join(key for key, _ in work))
-        return 0
-    if run_suite(root, None) != "pass":
+                 for key, src in mutants((ROOT / rel).read_text(encoding="utf-8"), rel.name)]
+    if run_suite(None) != "pass":
         print("the suite fails on the unmutated tree", file=sys.stderr)
         return 2
 
@@ -173,9 +162,8 @@ def main(argv: list[str] | None = None) -> int:
     stale = [key for key in listed
              if key.split(":")[0] in {k.split(":")[0] for k in keys} and key not in keys]
     start, tally, unlisted = time.monotonic(), {}, 0  # tally: module -> [survived, mutants]
-    workers = max(1, min(args.jobs, os.cpu_count() or 1))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = pool.map(lambda item: run_suite(root, item[1]), work)
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        outcomes = pool.map(lambda item: run_suite(item[1]), work)
         for (key, (rel, _)), outcome in zip(work, outcomes):
             status = {"pass": "EQUIVALENT" if key in listed else "SURVIVED",
                       "fail": "killed", "timeout": "killed (timeout)"}[outcome]
@@ -194,4 +182,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
