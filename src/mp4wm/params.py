@@ -79,7 +79,7 @@ class MediumParams:
             raise ConfigError(
                 f"omega_rabi squared must be finite and > 0, got {self.omega_rabi!r} rad/s"
             )
-        for name in [f.name for f in fields(self) if f.type == "float"]:  # the numeric ones
+        for name in _NUMERIC_FIELDS:
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -126,6 +126,9 @@ class MediumParams:
 
     def replace(self, **kwargs) -> "MediumParams":
         return replace(self, **kwargs)
+
+
+_NUMERIC_FIELDS = tuple(f.name for f in fields(MediumParams) if f.type == "float")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +31,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _memo:
+    """A value computed on first read and kept in the instance's ``__dict__``,
+    which later reads find first: :func:`functools.cached_property` without
+    the class-wide lock that Python 3.11's takes on every first read.  Threads
+    that read first at once may each compute it, to the same value."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 def _check_sample_count(n: int):
     if not 256 <= n <= 2**20 or (n & (n - 1)) != 0:
         raise GuardError(f"n_samples must be a power of two in [256, 2**20], got {n}")
@@ -50,11 +65,11 @@ class TimeGrid:
         if not (self.t_step > 0 and math.isfinite(self.t_step)):
             raise GuardError("t_step must be positive and finite")
 
-    @cached_property
+    @_memo
     def times(self) -> np.ndarray:
         return _read_only(self.t_start + self.t_step * np.arange(self.n_samples))
 
-    @cached_property
+    @_memo
     def omegas(self) -> np.ndarray:
         """Angular frequency bins in FFT order."""
         return _read_only(2.0 * math.pi * np.fft.fftfreq(self.n_samples, self.t_step))
@@ -101,7 +116,7 @@ class SampledPulse:
         object.__setattr__(self, "intensity", _read_only(inten))
         object.__setattr__(self, "peak", peak)
 
-    @cached_property
+    @_memo
     def energy(self) -> float:
         with np.errstate(over="ignore"):
             energy = float(self.intensity.sum() * self.grid.t_step)
@@ -109,7 +124,7 @@ class SampledPulse:
             raise GuardError("energy overflows double precision; the gain is too large")
         return energy
 
-    @cached_property
+    @_memo
     def fit(self) -> "GaussianFit":
         """:func:`fit_gaussian` of the pulse, computed once."""
         return fit_gaussian(self)
@@ -191,11 +206,13 @@ def from_spectrum(
     # per-call scratch buffers that glibc can return to the OS and fault in
     # again at every call (~40 pages per call at 4096 samples)
     for row, env_row in zip(spec.reshape(-1, n), env.reshape(-1, n)):
-        np.fft.ifft(row, out=env_row)
-    # numpy divides a complex by a real dt as (x + 0) * (1 / dt) part by
-    # part, so one multiply over a float view gives the same bits for every
-    # nonzero finite part
-    np.multiply(env.view(float), 1.0 / grid.t_step, out=env.view(float))
+        np.fft.ifft(row, out=env_row, norm="forward")  # the sums x, unscaled
+    # ifft(S) / dt in one pass: the default ifft scales x by 1/N, exactly as N
+    # is a power of two (unless x/N is subnormal), and numpy divides a complex
+    # by a real dt as (x/N + 0) * (1/dt) part by part, so it rounds the exact
+    # x (1/dt) / N once; (1/dt) / N is exact too, so this multiply rounds the
+    # same product once, to the same bits
+    np.multiply(env.view(float), (1.0 / grid.t_step) / n, out=env.view(float))
     return env
 
 
@@ -305,7 +322,8 @@ class Propagator:
             for spec, m in zip(specs, (m_pp, m_cp)):
                 spec[bins] = np.multiply(m, values, out=m)
             outputs = from_spectrum(specs, grid, out=envs)
-            return outputs, [(mag, float(mag.max())) for mag in map(np.abs, outputs)]
+            mags = np.abs(outputs)
+            return outputs, list(zip(mags, mags.max(axis=1).tolist()))
 
         # non-finite entries pass through silently; the output guards report them
         with np.errstate(invalid="ignore", over="ignore"):
@@ -363,13 +381,32 @@ class GaussianFit:
     peak: float  # peak *intensity*
 
 
+def _solve_3x3(m: np.ndarray, r: np.ndarray) -> tuple[float, float, float]:
+    """x with m x = r, as adj(m) r / det m in Python floats, the determinant
+    expanded along m's first row; a zero determinant or a non-finite x is a
+    :class:`FitError`."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
+    r0, r1, r2 = r.tolist()
+    c00, c01, c02 = m11 * m22 - m12 * m21, m12 * m20 - m10 * m22, m10 * m21 - m11 * m20
+    det = (m00 * c00 + m01 * c01 + m02 * c02) or math.nan  # singular: no solution
+    x = ((c00 * r0 + (m02 * m21 - m01 * m22) * r1 + (m01 * m12 - m02 * m11) * r2) / det,
+         (c01 * r0 + (m00 * m22 - m02 * m20) * r1 + (m02 * m10 - m00 * m12) * r2) / det,
+         (c02 * r0 + (m01 * m20 - m00 * m21) * r1 + (m00 * m11 - m01 * m10) * r2) / det)
+    if not math.isfinite(sum(x)):
+        raise FitError("fitted sample times do not determine a parabola")
+    return x
+
+
 def fit_gaussian(pulse: SampledPulse) -> GaussianFit:
     """Fit a Gaussian to the pulse intensity.
 
     Weighted linear least squares of a parabola on log-intensity over the
     samples within 1/e^2 of the peak, with weight (I / peak)^2; exact for
     noiseless Gaussians.  The fitted times are mapped onto [-1, 1] and the
-    3x3 normal equations solved directly.  Errors out when no unique
+    3x3 normal equations solved in closed form, by the adjugate over the
+    determinant in Python floats: they are well conditioned on [-1, 1], so
+    this agrees with an LU solve within a few ulps times the condition
+    number, without its call overhead.  Errors out when no unique
     dominant peak exists, when the threshold underflows or fewer than 8
     samples lie above it, when the samples do not determine a parabola
     (times that round to too few distinct values), when the curvature is
@@ -403,10 +440,7 @@ def fit_gaussian(pulse: SampledPulse) -> GaussianFit:
     v = np.empty((3, u.size))
     v[0], v[1], v[2] = u * u, u, 1.0
     wv = v * w
-    try:
-        a, b, c = np.linalg.solve(wv @ v.T, wv @ np.log(y)).tolist()
-    except np.linalg.LinAlgError:
-        raise FitError("fitted sample times do not determine a parabola") from None
+    a, b, c = _solve_3x3(wv @ v.T, wv @ np.log(y))
     if a >= 0.0:
         raise FitError("non-negative log-intensity curvature: not a pulse")
     try:

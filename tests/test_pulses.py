@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import sys
 import threading
@@ -61,6 +63,10 @@ class TestGrid:
             TimeGrid(n_samples=1000, t_start=0.0, t_step=1e-9)
         with pytest.raises(GuardError):
             TimeGrid(n_samples=128, t_start=0.0, t_step=1e-9)
+
+    def test_largest_size_is_accepted(self):
+        # the grid builds its arrays only when they are read
+        assert TimeGrid(n_samples=2**20, t_start=0.0, t_step=1e-9).n_samples == 2**20
 
     @pytest.mark.parametrize("build, message", [
         *[(lambda step=step: TimeGrid(n_samples=256, t_start=0.0, t_step=step),
@@ -126,6 +132,21 @@ class TestGrid:
         with np.errstate(all="raise"), pytest.raises(GuardError, match="energy overflows"):
             pulse.energy
 
+    def test_read_fit_and_energy_survive_pickle_and_deepcopy(self, monkeypatch):
+        calls = []
+        fit = pulses.fit_gaussian
+        monkeypatch.setattr(pulses, "fit_gaussian", lambda pulse: calls.append(pulse) or fit(pulse))
+        pulse = make_gaussian_pulse(GRID, 70e-9)
+        read = (pulse.fit, pulse.energy)
+        assert (pulse.fit, pulse.energy) == read
+        assert len(calls) == 1 and calls[0] is pulse  # one fit over two reads
+        for clone in (pickle.loads(pickle.dumps(pulse)), copy.deepcopy(pulse)):
+            assert (clone.fit, clone.energy) == read
+            assert clone.grid == pulse.grid and clone.peak == pulse.peak
+            assert np.array_equal(clone.envelope, pulse.envelope)
+            assert np.array_equal(clone.intensity, pulse.intensity)
+        assert len(calls) == 1  # the copies carry the values they were read with
+
     def test_pulse_keeps_its_own_copy_of_the_envelope(self):
         env = make_gaussian_pulse(GRID, 70e-9).envelope.copy()
         pulse = SampledPulse(GRID, env)
@@ -158,7 +179,7 @@ class TestGaussianSynthesis:
 
     def test_zero_amplitude_cannot_be_fit(self):
         pulse = SampledPulse(GRID, np.zeros(GRID.n_samples))
-        with pytest.raises(FitError):
+        with pytest.raises(FitError, match="^cannot fit an all-zero pulse$"):
             fit_gaussian(pulse)
 
     @pytest.mark.parametrize("edge, contained", [(0.99, True), (1.0, False)])
@@ -210,6 +231,34 @@ class TestSpectrum:
         for row, spec_row in zip(env, spec):
             want = np.fft.ifft(spec_row) / GRID.t_step
             assert np.ascontiguousarray(row).tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        log2_n=st.integers(8, 16),
+        rows=st.integers(1, 3),
+        # a config's window / n_samples, and spectra of any magnitude whose
+        # inverse sums stay above N times the smallest normal double
+        log_dt=st.floats(-300.0, 295.0),
+        log_scale=st.floats(-200.0, 200.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_scaling_pass_keeps_the_bits_of_ifft_then_the_step(
+        self, log2_n, rows, log_dt, log_scale, seed
+    ):
+        n = 2**log2_n
+        grid = TimeGrid(n_samples=n, t_start=0.0, t_step=10.0**log_dt)
+        # band-limited like a propagator's spectra: one run of bins, zero elsewhere
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(1, n + 1))
+        bins = (int(rng.integers(0, n)) + np.arange(width)) % n
+        spec = np.zeros((rows, n), dtype=complex)
+        spec[:, bins] = (rng.standard_normal((rows, width))
+                         + 1j * rng.standard_normal((rows, width))) * 10.0**log_scale
+        want = np.array([np.fft.ifft(row) for row in spec])  # 1/N inside ifft, then 1/dt
+        with np.errstate(over="ignore"):  # both overflow to the same infinities
+            np.multiply(want.view(float), 1.0 / grid.t_step, out=want.view(float))
+            got = from_spectrum(spec, grid)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("spec_shape, out", [
         # a zip over the rows would stop at the shorter stack, untransformed
@@ -295,6 +344,20 @@ class TestSpectrum:
 
 
 class TestPropagation:
+    def test_all_zero_input_propagates_as_zeros_on_no_bin(self, monkeypatch):
+        # a zero spectrum has no bin above the band cutoff and no peak for the
+        # aliasing guard, and its skipped bins' bound of 0 fits a zero output
+        propagate = Propagator(SampledPulse(GRID, np.zeros(GRID.n_samples)))
+        assert propagate.inside.size == 0 and not np.any(propagate.spectrum)
+        sizes = []
+        kernel = pulses.transfer_entries
+        monkeypatch.setattr(pulses, "transfer_entries",
+                            lambda p, omega: sizes.append(omega.size) or kernel(p, omega))
+        res = propagate(make_params())
+        assert sizes == [0]  # no fallback onto the outside bins
+        for out in (res.probe, res.conjugate):
+            assert out.peak == 0.0 and not np.any(out.envelope)
+
     def test_zero_length_identity(self):
         p = make_params().replace(cell_length=0.0)
         pulse = make_gaussian_pulse(GRID, 70e-9)
@@ -478,18 +541,29 @@ class TestPropagation:
         names = ("reference", "probe", "conjugate")
         propagate = Propagator(pulse, propagation_mode)
         work = propagate._buffers
+
+        def rows(res):
+            return [(getattr(res, name).envelope.copy(), getattr(res, name).intensity.copy())
+                    for name in names]
         first = propagate(media[0])
-        kept = {name: getattr(first, name).envelope.copy() for name in names}
+        results = [(first, rows(first))]
+        # a band call, a fallback call, a band call again
         for p in (*media, media[0]):
             res = propagate(p)
             for name in names:
                 out = getattr(res, name)
                 for arr in (out.envelope, out.intensity):
                     assert not np.shares_memory(arr, work)
+            # every earlier result keeps its envelopes and intensities
+            for earlier, kept in results:
+                for (envelope, intensity), name in zip(kept, names):
+                    assert np.array_equal(getattr(earlier, name).envelope, envelope)
+                    assert np.array_equal(getattr(earlier, name).intensity, intensity)
+            results.append((res, rows(res)))
         assert propagate._buffers is work
-        for name, envelope in kept.items():
-            assert np.array_equal(getattr(first, name).envelope, envelope)
+        for (envelope, intensity), name in zip(rows(first), names):
             assert np.array_equal(getattr(res, name).envelope, envelope)
+            assert np.array_equal(getattr(res, name).intensity, intensity)
 
     def test_output_containment_guard(self):
         # delayed, strongly broadened output must not wrap the window
@@ -1001,6 +1075,54 @@ class TestFitRobustness:
         assert pulse.intensity.max() * math.exp(-2.0) == 0.0
         with pytest.raises(FitError, match="too small to fit"):
             fit_gaussian(pulse)
+
+    def test_flat_top_has_no_negative_curvature(self):
+        # intensity exactly 1 on 8 samples and 0 elsewhere: log I = 0 on every
+        # fitted sample, so the solve gives a = b = c = 0 exactly
+        env = np.zeros(256)
+        env[100:108] = 1.0
+        with pytest.raises(FitError, match="^non-negative log-intensity curvature"):
+            fit_gaussian(SampledPulse(TimeGrid(n_samples=256, t_start=0.0, t_step=1e-9), env))
+
+    def test_sample_exactly_at_the_threshold_is_fitted(self):
+        # a unit peak, 6 more samples above its 1/e^2 level and one exactly at
+        # it: 8 samples of log I = -2 ((k - 104) / 4)^2, a parabola
+        edge = math.exp(-1.0)
+        assert edge * edge == math.exp(-2.0)
+        k = np.arange(256)
+        env = np.where((k > 100) & (k < 108), np.exp(-(((k - 104) / 4.0) ** 2)), 0.0)
+        env[100], env[108] = edge, 0.3  # 0.3^2 is below the level
+        pulse = SampledPulse(TimeGrid(n_samples=256, t_start=0.0, t_step=1e-9), env)
+        assert pulse.intensity[100] == pulse.peak * math.exp(-2.0)
+        fit = fit_gaussian(pulse)
+        assert fit.center == pytest.approx(104e-9, rel=1e-12)
+        assert fit.fwhm == pytest.approx(4e-9 * math.sqrt(2.0 * math.log(2.0)), rel=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(8, 3000),
+        curved=st.booleans(),
+        log_amplitude=st.floats(-230.0, 230.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_solve_agrees_with_lu(self, n, curved, log_amplitude, seed):
+        # fit_gaussian's normal equations: n evenly spaced times onto [-1, 1],
+        # log-intensities within 2 of the peak's, weights (I / peak)^2
+        rng = np.random.default_rng(seed)
+        x = np.arange(n) * 1e-9
+        u = (x - 0.5 * (x[-1] + x[0])) / (0.5 * (x[-1] - x[0]))
+        if curved:
+            shape = np.maximum(-2.0 * ((u - rng.uniform(-1.0, 1.0)) / rng.uniform(0.3, 3.0)) ** 2,
+                               -2.0)
+        else:
+            shape = rng.uniform(-2.0, 0.0, n)
+        w = np.exp(2.0 * (shape - shape.max()))
+        v = np.stack([u * u, u, np.ones(n)])
+        m, r = (v * w) @ v.T, (v * w) @ (log_amplitude + shape)
+        want = np.linalg.solve(m, r)
+        got = np.array(pulses._solve_3x3(m, r))
+        bound = 8.0 * np.finfo(float).eps * np.linalg.cond(m, np.inf) * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= bound
 
     def test_too_few_samples(self):
         grid = TimeGrid.centered(65536e-9, 256)  # dt = 256 ns
