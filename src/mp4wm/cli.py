@@ -86,7 +86,7 @@ def _metrics_dict(m, pulse) -> dict:
 
 
 def _cmd_derive(cfg: Config, args) -> int:
-    d = cfg.to_medium_params().coefficients
+    d = cfg.medium.coefficients
     out = {
         "eta0": _round9(d.eta0),
         "delta_r_mhz": _round9(d.delta_r / MHZ),
@@ -102,7 +102,7 @@ def _cmd_derive(cfg: Config, args) -> int:
 
 
 def _cmd_run(cfg: Config, args) -> int:
-    p = cfg.to_medium_params()
+    p = cfg.medium
     res = run_single(p, cfg.propagator())
     tr = res.traces
     norm = tr.reference.peak
@@ -144,7 +144,7 @@ def _cmd_scan(cfg: Config, args) -> int:
     axis, unit = _SCANS[args.command]
     values = cfg.scan_values()
     records = scan(
-        cfg.to_medium_params(),
+        cfg.medium,
         axis,
         [v * unit for v in values],
         cfg.propagator(),

@@ -8,7 +8,7 @@ Unknown and duplicate keys are errors, with line numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ConfigError, GuardError
 from .experiments import DELTA_POLICIES
@@ -26,9 +26,11 @@ MAX_SCAN_STEPS = 100_000  # scan_values() builds the whole grid as a list
 
 @dataclass(frozen=True, kw_only=True)
 class Config:
-    """Parsed and validated configuration in config units.
+    """Validated configuration in config units, with its medium and time grid.
 
-    Each field is one config key; a field without a default is required.
+    Each ``init`` field is one config key; a field without a default is
+    required.  A Config checks its rules when it is built, however it is
+    built, and builds :attr:`medium` (SI units) and :attr:`grid` then, once.
     """
 
     omega_rabi_mhz: float
@@ -50,8 +52,22 @@ class Config:
     scan_start: float | None = None
     scan_stop: float | None = None
     scan_steps: int | None = None
+    medium: MediumParams = field(init=False, repr=False, compare=False)
+    grid: TimeGrid = field(init=False, repr=False, compare=False)
 
-    def to_medium_params(self) -> MediumParams:
+    def __post_init__(self):
+        if self.eta0 is not None and self.g2n_mhz2 is not None:
+            raise ConfigError("eta0 and g2n_mhz2 are mutually exclusive")
+        if self.eta0 is None and self.g2n_mhz2 is None:
+            raise ConfigError("one of eta0 or g2n_mhz2 is required")
+        if self.scan_steps is not None and self.scan_steps < 2:
+            raise ConfigError("scan_steps must be >= 2")
+        if self.scan_steps is not None and self.scan_steps > MAX_SCAN_STEPS:
+            raise ConfigError(f"scan_steps must be <= {MAX_SCAN_STEPS}")
+        for key in ("window_ns", "fwhm_ns"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be > 0")
+
         omega_rabi = self.omega_rabi_mhz * MHZ
         if self.eta0 is not None:
             try:
@@ -61,7 +77,7 @@ class Config:
         else:
             g2n = self.g2n_mhz2 * MHZ**2
         gamma = self.gamma_mhz * MHZ
-        return MediumParams(
+        object.__setattr__(self, "medium", MediumParams(
             omega_rabi=omega_rabi,
             delta_raman=self.delta_raman_mhz * MHZ,
             delta_one=self.delta_one_mhz * MHZ,
@@ -71,16 +87,18 @@ class Config:
             coupling_g2n=g2n,
             cell_length=self.cell_length_cm * 1e-2,
             dispersion_mode=self.dispersion_mode,
-        )
-
-    def grid(self) -> TimeGrid:
-        return TimeGrid.centered(self.window_ns * 1e-9, self.n_samples,
-                                 self.pulse_center_ns * 1e-9)
+        ))
+        try:
+            grid = TimeGrid.centered(self.window_ns * 1e-9, self.n_samples,
+                                     self.pulse_center_ns * 1e-9)
+        except GuardError as exc:
+            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "grid", grid)
 
     def propagator(self) -> Propagator:
         """A :class:`Propagator` of a newly built Gaussian input pulse."""
         center = self.pulse_center_ns * 1e-9
-        pulse = make_gaussian_pulse(self.grid(), self.fwhm_ns * 1e-9, center)
+        pulse = make_gaussian_pulse(self.grid, self.fwhm_ns * 1e-9, center)
         return Propagator(pulse, self.propagation_mode)
 
     def scan_values(self):
@@ -107,8 +125,8 @@ def _parse_number(key: str, raw: str, line: int):
 
 
 def parse_config(text: str) -> Config:
-    """Parse and validate config text; raises :class:`ConfigError`."""
-    keys = {f.name: f for f in fields(Config)}
+    """The :class:`Config` of config text; raises :class:`ConfigError`."""
+    keys = {f.name: f for f in fields(Config) if f.init}
     values: dict = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -135,24 +153,4 @@ def parse_config(text: str) -> Config:
     for key, f in keys.items():
         if f.default is MISSING and key not in values:
             raise ConfigError(f"missing required key {key!r}")
-    if "eta0" in values and "g2n_mhz2" in values:
-        raise ConfigError("eta0 and g2n_mhz2 are mutually exclusive")
-    if "eta0" not in values and "g2n_mhz2" not in values:
-        raise ConfigError("one of eta0 or g2n_mhz2 is required")
-
-    cfg = Config(**values)
-    if cfg.scan_steps is not None and cfg.scan_steps < 2:
-        raise ConfigError("scan_steps must be >= 2")
-    if cfg.scan_steps is not None and cfg.scan_steps > MAX_SCAN_STEPS:
-        raise ConfigError(f"scan_steps must be <= {MAX_SCAN_STEPS}")
-    for key in ("window_ns", "fwhm_ns"):
-        if getattr(cfg, key) <= 0:
-            raise ConfigError(f"{key} must be > 0")
-
-    # surface parameter and grid invariant violations now
-    cfg.to_medium_params()
-    try:
-        cfg.grid()
-    except GuardError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
+    return Config(**values)

@@ -1,15 +1,18 @@
 import contextlib
+import copy
 import dataclasses
 import io
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -52,7 +55,7 @@ def fresh_env():
 class TestParse:
     def test_units_and_values(self):
         cfg = parse_config(BASE)
-        p = cfg.to_medium_params()
+        p = cfg.medium
         assert p.omega_rabi == pytest.approx(2.0 * math.pi * 420e6, rel=1e-12)
         assert p.cell_length == pytest.approx(0.025, rel=1e-12)
         assert p.gamma == pytest.approx(2.0 * math.pi * 6e6, rel=1e-12)  # default
@@ -134,21 +137,22 @@ scan_steps = 9
             "delta_policy": "fixed", "scan_start": 0.5, "scan_stop": 2.5, "scan_steps": 9,
         }
         cfg = parse_config(text)
-        assert set(expected) == {f.name for f in dataclasses.fields(Config)}
+        assert set(expected) == {f.name for f in dataclasses.fields(Config) if f.init}
         for key, value in expected.items():
             assert getattr(cfg, key) == value, key
             assert type(getattr(cfg, key)) is type(value), key
         cfg = parse_config(text.replace("eta0 = 500", "g2n_mhz2 = 1e7"))
         assert (cfg.eta0, cfg.g2n_mhz2) == (None, 1e7)
-        assert cfg.to_medium_params().coupling_g2n == pytest.approx(1e7 * MHZ**2, rel=1e-12)
+        assert cfg.medium.coupling_g2n == pytest.approx(1e7 * MHZ**2, rel=1e-12)
 
     def test_readme_table_lists_the_config_fields(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         table = readme.split("| key | meaning | default |", 1)[1].split("\n\n", 1)[0]
         keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
-        assert keys == [f.name for f in dataclasses.fields(Config)]
+        config_keys = [f for f in dataclasses.fields(Config) if f.init]
+        assert keys == [f.name for f in config_keys]
         defaults = re.findall(r"^\| `\w+` \|.*\| (.+) \|$", table, flags=re.M)
-        for f, default in zip(dataclasses.fields(Config), defaults, strict=True):
+        for f, default in zip(config_keys, defaults, strict=True):
             if default == "required":
                 assert f.default is dataclasses.MISSING, f.name
             elif default == "scans only" or default.startswith("one of "):
@@ -189,6 +193,75 @@ scan_steps = 9
             text = BASE + "".join(f"{k}\n" for i, k in enumerate(keys) if i != dropped)
             with pytest.raises(ConfigError, match=message):
                 parse_config(text).scan_values()
+
+
+    def test_line_without_equals_sign_names_its_line(self):
+        message = "^line 7: expected 'key = value', got 'eta0 960  # a comment'$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(BASE + "eta0 960  # a comment\n")
+
+
+# the README medium as Config arguments
+BASE_KWARGS = {"omega_rabi_mhz": 420.0, "delta_raman_mhz": 4000.0,
+               "delta_two_photon_mhz": 11.025, "eta0": 960.0,
+               "gamma_c_over_gamma": 0.0, "cell_length_cm": 2.5}
+
+
+class TestConfigRules:
+    """A Config checks every rule between keys when it is built, however it is built."""
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"eta0": None}, "one of eta0 or g2n_mhz2 is required"),
+        ({"g2n_mhz2": 1e7}, "eta0 and g2n_mhz2 are mutually exclusive"),
+        ({"scan_steps": 1}, "scan_steps must be >= 2"),
+        ({"scan_steps": MAX_SCAN_STEPS + 1}, "scan_steps must be <= 100000"),
+        ({"fwhm_ns": 0.0}, "fwhm_ns must be > 0"),
+        ({"window_ns": -70.0}, "window_ns must be > 0"),
+        ({"n_samples": 1000}, "n_samples must be a power of two in [256, 2**20], got 1000"),
+        # the first broken rule decides, in the order parse_config checks them
+        ({"g2n_mhz2": 1e7, "scan_steps": 1, "fwhm_ns": 0.0},
+         "eta0 and g2n_mhz2 are mutually exclusive"),
+        ({"scan_steps": 1, "window_ns": 0.0}, "scan_steps must be >= 2"),
+        ({"fwhm_ns": 0.0, "window_ns": 0.0}, "window_ns must be > 0"),
+        ({"fwhm_ns": 0.0, "omega_rabi_mhz": -1.0}, "fwhm_ns must be > 0"),
+        ({"omega_rabi_mhz": -1.0, "n_samples": 1000}, "omega_rabi must be > 0"),
+    ])
+    def test_direct_build_raises_what_parsing_does(self, changes, message):
+        kwargs = {**BASE_KWARGS, **changes}
+        text = "".join(f"{k} = {v}\n" for k, v in kwargs.items() if v is not None)
+        for build in (lambda: Config(**kwargs), lambda: parse_config(text)):
+            with pytest.raises(ConfigError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_medium_and_grid_are_built_with_the_config(self):
+        cfg = Config(**BASE_KWARGS, window_ns=1500.0, n_samples=1024, pulse_center_ns=10.0)
+        assert cfg == parse_config(BASE + "window_ns = 1500\nn_samples = 1024\n"
+                                   "pulse_center_ns = 10\n")
+        assert cfg.medium.coupling_g2n == pytest.approx(
+            960.0 * cfg.medium.omega_rabi**2 / 4.0, rel=1e-12)
+        assert cfg.grid == mp4wm.TimeGrid.centered(1500e-9, 1024, 10e-9)
+        assert "medium" not in repr(cfg) and "grid" not in repr(cfg)
+
+    def test_medium_and_grid_survive_pickle_and_copy(self):
+        cfg = Config(**BASE_KWARGS, scan_start=0.5, scan_stop=1.0, scan_steps=3)
+        cfg.grid.times  # a read memo travels with the grid
+        for twin in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), copy.copy(cfg)):
+            assert twin == cfg
+            assert twin.medium == cfg.medium
+            assert twin.medium.coefficients == cfg.medium.coefficients
+            assert twin.grid == cfg.grid
+            np.testing.assert_array_equal(twin.grid.times, cfg.grid.times)
+
+    def test_replace_rebuilds_medium_and_grid(self):
+        cfg = Config(**BASE_KWARGS)
+        other = dataclasses.replace(cfg, eta0=480.0, n_samples=2048)
+        assert other.medium.coefficients.eta0 == pytest.approx(480.0, rel=1e-12)
+        assert other.grid.n_samples == 2048
+        assert (cfg.medium.coefficients.eta0, cfg.grid.n_samples) == (
+            pytest.approx(960.0, rel=1e-12), 4096)
+        with pytest.raises(ConfigError, match="^scan_steps must be >= 2$"):
+            dataclasses.replace(cfg, scan_start=0.0, scan_stop=1.0, scan_steps=1)
 
 
 class TestCli:
@@ -243,7 +316,7 @@ class TestCli:
         capsys.readouterr()
         config = parse_config(BASE + "n_samples = 1024\n")
         propagate = config.propagator()
-        tr = mp4wm.run_single(config.to_medium_params(), propagate).traces
+        tr = mp4wm.run_single(config.medium, propagate).traces
         norm = tr.reference.intensity.max()
         columns = (tr.reference.grid.times * 1e9, tr.reference.intensity / norm,
                    tr.probe.intensity / norm, tr.conjugate.intensity / norm)
@@ -538,7 +611,7 @@ class TestCli:
 
     @pytest.mark.filterwarnings("default::mp4wm.params.ModelValidityWarning")
     def test_each_warning_is_one_line_and_an_error_drops_them(self, tmp_path, capsys):
-        # Delta/2pi = 50 MHz is not far off resonance; derive builds the medium twice
+        # Delta/2pi = 50 MHz is not far off resonance
         near = write_cfg(tmp_path, BASE.replace("delta_raman_mhz = 4000", "delta_raman_mhz = 50"))
         assert main(["derive", "--config", near]) == 0
         out, err = capsys.readouterr()
@@ -592,7 +665,7 @@ SWEEP_OVERRIDE = st.sampled_from(sorted(SWEEP_ORDINARY)).flatmap(
 
 
 def test_sweep_ordinary_values_cover_every_key():
-    assert set(SWEEP_ORDINARY) == {f.name for f in dataclasses.fields(Config)}
+    assert set(SWEEP_ORDINARY) == {f.name for f in dataclasses.fields(Config) if f.init}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

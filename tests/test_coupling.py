@@ -9,6 +9,7 @@ from mp4wm.coupling import (
     _SINHC_THRESHOLD,
     analytic_delays,
     entry_bounds,
+    peak_entry_bounds,
     predict_gain,
     renormalized_length,
     transfer_entries,
@@ -307,6 +308,30 @@ class TestEntryBounds:
         assert np.array_equal(b_cp, [0.0, 0.0])
 
 
+    def test_peak_bounds_infinite_at_twice_the_raman_bandwidth(self):
+        # rho = 2 Delta_R / y_min reaches 1 exactly: 1/sqrt(1 - rho^2) is unbounded
+        p = make_params()
+        y_min = 2.0 * p.coefficients.delta_r
+        assert peak_entry_bounds(p, y_min, -1e9, 1e9) == (math.inf, math.inf)
+        assert all(map(math.isfinite, peak_entry_bounds(p, 1.5 * y_min, -1e9, 1e9)))
+
+    def test_peak_bounds_cover_the_loss_term(self):
+        # full mode below the pole of eta(w): Delta_1 (delta + w) < 0 makes
+        # -Re d = gamma_c (K - 2u) |eta|^2 / g^2 N > 0 on every bin
+        p = make_params(delta1_mhz=30.0, gamma_c_frac=0.5, delta2_mhz=0.0,
+                        dispersion_mode="full")
+        c = p.coefficients
+        omega = np.linspace(-1000.0, -800.0, 201) * MHZ
+        quarter = 0.25 * p.omega_rabi**2
+        u_min = quarter + p.delta_one * (p.delta_two_photon + omega[0])
+        assert 0.0 < u_min and quarter + p.delta_one * c.delta_r - 2.0 * u_min > 0.0
+        pair = peak_entry_bounds(p, float(np.abs(omega + c.delta_tilde).min()),
+                                 omega[0], omega[-1])
+        assert all(map(math.isfinite, pair))
+        for bound, bins in zip(pair, entry_bounds(p, omega)):
+            assert np.all(bins <= bound)
+
+
 class TestPhaseToDelay:
     def delay_of(self, entry_fn, w0=0.0, dw=1e4):
         # group delay -d(arg)/dw under the e^{-i w t} forward convention
@@ -355,6 +380,13 @@ class TestAnalyticDelays:
     def test_loss_dominated_rejected(self):
         with pytest.raises(GuardError):
             predict_gain(eta=960.0, xi=1.0, gamma_c=1e7, z=0.025)
+
+    @pytest.mark.parametrize("eta", [2.0, 2.5])
+    def test_loss_at_or_above_gain_rejected(self, eta):
+        # 2 xi = eta gamma_c exactly, and 2 xi < eta gamma_c < 3 xi
+        with pytest.raises(GuardError, match="^loss exceeds gain: 2 xi <= eta gamma_c$"):
+            predict_gain(eta=eta, xi=1.0, gamma_c=1.0, z=0.025)
+        assert predict_gain(eta=1.9, xi=1.0, gamma_c=1.0, z=0.025) > 0.0
 
     def test_overflowing_gain_rejected(self):
         # alpha0 z/c ~ 404: the locked delay is finite, the gain is not

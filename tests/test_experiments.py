@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mp4wm import config, params, pulses
+from mp4wm.cli import main
 from mp4wm.config import parse_config
 from mp4wm.coupling import analytic_delays
 from mp4wm.errors import GuardError
@@ -168,11 +169,12 @@ class TestScanEngine:
          "propagation_mode = exact\nscan_start = -40\nscan_stop = 60\n", "delta", MHZ, 1),
     ])
     def test_coefficients_derived_once_per_point(
-        self, monkeypatch, body, axis, unit, near_bounds
+        self, monkeypatch, tmp_path, body, axis, unit, near_bounds
     ):
-        cfg = parse_config("omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\n"
-                           "delta_two_photon_mhz = 11.025\neta0 = 960\ncell_length_cm = 2.5\n"
-                           f"n_samples = 4096\nscan_steps = 5\n{body}")
+        text = ("omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\n"
+                "delta_two_photon_mhz = 11.025\neta0 = 960\ncell_length_cm = 2.5\n"
+                f"n_samples = 4096\nscan_steps = 5\n{body}")
+        cfg = parse_config(text)
         calls = {"derive_coefficients": 0, "entry_bounds": 0, "transfer_entries": 0}
 
         def counted(module, name):
@@ -191,7 +193,7 @@ class TestScanEngine:
         values = [v * unit for v in cfg.scan_values()]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            base, propagate = cfg.to_medium_params(), cfg.propagator()  # derived as built
+            base, propagate = cfg.medium, cfg.propagator()  # derived as built
             counted(params, "derive_coefficients")
             counted(pulses, "entry_bounds")
             counted(pulses, "transfer_entries")
@@ -202,6 +204,44 @@ class TestScanEngine:
         # the record, the kernel and the bounds share the one derivation of
         # each point's medium, made when it is built
         assert calls["derive_coefficients"] == points
+
+        # the CLI scan builds its config's base medium and time grid once
+        grids = []
+        check_grid = TimeGrid.__post_init__
+
+        def counted_grid(grid):
+            grids.append(grid)
+            check_grid(grid)
+        monkeypatch.setattr(TimeGrid, "__post_init__", counted_grid)
+        calls["derive_coefficients"] = 0
+        (tmp_path / "scan.cfg").write_text(text)
+        argv = [f"scan-{axis}", "--config", str(tmp_path / "scan.cfg"),
+                "--out", str(tmp_path / "scan.csv")]
+        assert main(argv) == 0
+        assert calls["derive_coefficients"] == points + 1
+        assert len(grids) == 1
+
+    @pytest.mark.parametrize("command", ["run", "derive"])
+    def test_one_medium_and_one_grid_per_job(self, monkeypatch, tmp_path, capsys, command):
+        built = {"derive_coefficients": 0, "TimeGrid": 0}
+        derive, check_grid = params.derive_coefficients, TimeGrid.__post_init__
+
+        def counted_derive(p):
+            built["derive_coefficients"] += 1
+            return derive(p)
+
+        def counted_grid(grid):
+            built["TimeGrid"] += 1
+            check_grid(grid)
+        monkeypatch.setattr(params, "derive_coefficients", counted_derive)
+        monkeypatch.setattr(TimeGrid, "__post_init__", counted_grid)
+        (tmp_path / "run.cfg").write_text("omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\n"
+                                          "eta0 = 960\ncell_length_cm = 2.5\nn_samples = 1024\n")
+        argv = [command, "--config", str(tmp_path / "run.cfg")]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "trace.csv")]
+        assert main(argv) == 0
+        assert built == {"derive_coefficients": 1, "TimeGrid": 1}
 
     def test_exact_reference_built_and_fitted_once(self, monkeypatch):
         calls = {"from_spectrum": 0, "fit_gaussian": 0}
@@ -354,7 +394,7 @@ class TestScanPump:
             return derive(p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            base, propagate = cfg.to_medium_params(), cfg.propagator()  # derived as built
+            base, propagate = cfg.medium, cfg.propagator()  # derived as built
             monkeypatch.setattr(params, "derive_coefficients", counted)
             records = scan(base, "pump", [v * MHZ for v in cfg.scan_values()], propagate)
         # one derivation per point, of the medium the point propagates

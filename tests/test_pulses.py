@@ -743,7 +743,7 @@ class TestBandLimitedKernel:
         monkeypatch.setattr(pulses, "entry_bounds", bound)
         monkeypatch.setattr(pulses, "transfer_entries", kernel)
         propagate = cfg.propagator()
-        records = scan(cfg.to_medium_params(), "density", cfg.scan_values(), propagate)
+        records = scan(cfg.medium, "density", cfg.scan_values(), propagate)
         assert all(r.gain_peak is not None for r in records)
         assert len(counted) == calls
         assert filled == [propagate.inside.size] * 5  # the band only, never the full grid
@@ -851,7 +851,7 @@ class TestBandLimitedKernel:
             unit = MHZ if axis == "delta" else 1.0
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                scan(cfg.to_medium_params(), axis, [v * unit for v in cfg.scan_values()],
+                scan(cfg.medium, axis, [v * unit for v in cfg.scan_values()],
                      cfg.propagator())
             # each detuning point bounds only bins near resonance, the density scan none
             assert near == [True] * (steps if axis == "delta" else 0)
@@ -898,7 +898,7 @@ class TestBandLimitedKernel:
                 propagate = cfg.propagator()
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)
-                    scan(cfg.to_medium_params(), axis, values, propagate)
+                    scan(cfg.medium, axis, values, propagate)
                 calls.append(sizes)
             # a point falls back when the kernel also runs on the outside bins
             assert calls[0] == calls[1]
