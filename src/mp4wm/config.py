@@ -8,6 +8,7 @@ Unknown and duplicate keys are errors, with line numbers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ConfigError, GuardError
@@ -56,10 +57,15 @@ class Config:
     grid: TimeGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for key, allowed in _STR_KEYS.items():
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"unknown {key} {getattr(self, key)!r}")
         if self.eta0 is not None and self.g2n_mhz2 is not None:
             raise ConfigError("eta0 and g2n_mhz2 are mutually exclusive")
         if self.eta0 is None and self.g2n_mhz2 is None:
             raise ConfigError("one of eta0 or g2n_mhz2 is required")
+        if self.scan_steps is not None and not isinstance(self.scan_steps, numbers.Integral):
+            raise ConfigError(f"scan_steps must be an integer, got {self.scan_steps!r}")
         if self.scan_steps is not None and self.scan_steps < 2:
             raise ConfigError("scan_steps must be >= 2")
         if self.scan_steps is not None and self.scan_steps > MAX_SCAN_STEPS:
@@ -107,9 +113,8 @@ class Config:
             raise ConfigError(
                 "scan_start, scan_stop and scan_steps are required for scans"
             )
-        n = self.scan_steps
-        step = (self.scan_stop - self.scan_start) / (n - 1)
-        return [self.scan_start + i * step for i in range(n)]
+        step = (self.scan_stop - self.scan_start) / (self.scan_steps - 1)
+        return [self.scan_start + i * step for i in range(self.scan_steps)]
 
 
 def _parse_number(key: str, raw: str, line: int):
@@ -143,12 +148,9 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key not in _STR_KEYS:
-            values[key] = _parse_number(key, raw, lineno)
-        elif raw in _STR_KEYS[key]:
-            values[key] = raw
-        else:
+        if key in _STR_KEYS and raw not in _STR_KEYS[key]:
             raise ConfigError(f"line {lineno}: unknown {key} {raw!r}")
+        values[key] = raw if key in _STR_KEYS else _parse_number(key, raw, lineno)
 
     for key, f in keys.items():
         if f.default is MISSING and key not in values:

@@ -234,6 +234,32 @@ class TestConfigRules:
                 build()
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"propagation_mode": "weird"}, "unknown propagation_mode 'weird'"),
+        ({"delta_policy": "chase"}, "unknown delta_policy 'chase'"),
+        ({"dispersion_mode": "Full"}, "unknown dispersion_mode 'Full'"),
+        ({"n_samples": 4096.0}, "n_samples must be a power of two in [256, 2**20], got 4096.0"),
+        ({"n_samples": "4096"}, "n_samples must be a power of two in [256, 2**20], got 4096"),
+        ({"scan_steps": 3.5}, "scan_steps must be an integer, got 3.5"),
+        ({"scan_steps": 3.0}, "scan_steps must be an integer, got 3.0"),
+        # the string keys come first, in field order, then the type of scan_steps
+        ({"propagation_mode": "weird", "delta_policy": "chase", "eta0": None},
+         "unknown propagation_mode 'weird'"),
+        ({"delta_policy": "chase", "eta0": None}, "unknown delta_policy 'chase'"),
+        ({"scan_steps": 1.0, "fwhm_ns": 0.0}, "scan_steps must be an integer, got 1.0"),
+    ])
+    def test_direct_build_checks_the_rules_parsing_checks_by_line(self, changes, message):
+        # parse_config rejects each of these on its line (TestCli), before any Config
+        with pytest.raises(ConfigError) as info:
+            Config(**{**BASE_KWARGS, **changes})
+        assert str(info.value) == message
+
+    def test_numpy_integers_are_integers(self):
+        cfg = Config(**BASE_KWARGS, n_samples=np.int64(1024), scan_start=0.0,
+                     scan_stop=1.0, scan_steps=np.int32(3))
+        assert cfg.grid.n_samples == 1024
+        assert cfg.scan_values() == [0.0, 0.5, 1.0]
+
     def test_medium_and_grid_are_built_with_the_config(self):
         cfg = Config(**BASE_KWARGS, window_ns=1500.0, n_samples=1024, pulse_center_ns=10.0)
         assert cfg == parse_config(BASE + "window_ns = 1500\nn_samples = 1024\n"

@@ -64,6 +64,14 @@ class TestGrid:
         with pytest.raises(GuardError):
             TimeGrid(n_samples=128, t_start=0.0, t_step=1e-9)
 
+    @pytest.mark.parametrize("n", [4096.0, 4096.5, "4096", None])
+    def test_non_integer_size_is_guard_error(self, n):
+        for build in (lambda: TimeGrid(n_samples=n, t_start=0.0, t_step=1e-9),
+                      lambda: TimeGrid.centered(2e-6, n)):
+            with pytest.raises(GuardError, match=re.escape(
+                    f"n_samples must be a power of two in [256, 2**20], got {n}")):
+                build()
+
     def test_largest_size_is_accepted(self):
         # the grid builds its arrays only when they are read
         assert TimeGrid(n_samples=2**20, t_start=0.0, t_step=1e-9).n_samples == 2**20
@@ -235,7 +243,9 @@ class TestSpectrum:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         log2_n=st.integers(8, 16),
-        rows=st.integers(1, 3),
+        # every stack from_spectrum takes: one row, rows, and rows of rows
+        lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+        given_out=st.booleans(),
         # a config's window / n_samples, and spectra of any magnitude whose
         # inverse sums stay above N times the smallest normal double
         log_dt=st.floats(-300.0, 295.0),
@@ -243,7 +253,7 @@ class TestSpectrum:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_one_scaling_pass_keeps_the_bits_of_ifft_then_the_step(
-        self, log2_n, rows, log_dt, log_scale, seed
+        self, log2_n, lead, given_out, log_dt, log_scale, seed
     ):
         n = 2**log2_n
         grid = TimeGrid(n_samples=n, t_start=0.0, t_step=10.0**log_dt)
@@ -251,22 +261,41 @@ class TestSpectrum:
         rng = np.random.default_rng(seed)
         width = int(rng.integers(1, n + 1))
         bins = (int(rng.integers(0, n)) + np.arange(width)) % n
-        spec = np.zeros((rows, n), dtype=complex)
-        spec[:, bins] = (rng.standard_normal((rows, width))
-                         + 1j * rng.standard_normal((rows, width))) * 10.0**log_scale
-        want = np.array([np.fft.ifft(row) for row in spec])  # 1/N inside ifft, then 1/dt
+        spec = np.zeros(lead + (n,), dtype=complex)
+        spec[..., bins] = (rng.standard_normal(lead + (width,))
+                           + 1j * rng.standard_normal(lead + (width,))) * 10.0**log_scale
+        # row by row, 1/N inside ifft, then 1/dt
+        want = np.array([np.fft.ifft(row) for row in spec.reshape(-1, n)]).reshape(spec.shape)
+        out = np.empty(spec.shape, dtype=complex) if given_out else None
         with np.errstate(over="ignore"):  # both overflow to the same infinities
             np.multiply(want.view(float), 1.0 / grid.t_step, out=want.view(float))
-            got = from_spectrum(spec, grid)
+            got = from_spectrum(spec, grid, out=out)
+        assert out is None or got is out
+        assert got.shape == spec.shape
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("lead", [(2,), (2, 2)])
+    @pytest.mark.parametrize("given_out", [False, True])
+    def test_a_stack_takes_one_inverse_transform(self, monkeypatch, lead, given_out):
+        shapes, ifft = [], np.fft.ifft
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        spec = np.ones(lead + (GRID.n_samples,), dtype=complex)
+        out = np.empty(spec.shape, dtype=complex) if given_out else None
+        from_spectrum(spec, GRID, out=out)
+        assert shapes == [spec.shape]
+
     @pytest.mark.parametrize("spec_shape, out", [
-        # a zip over the rows would stop at the shorter stack, untransformed
+        # shapes the transform rejects with numpy's own ValueError
         ((2, GRID.n_samples), np.zeros(GRID.n_samples, dtype=complex)),
         ((2, GRID.n_samples), np.zeros((3, GRID.n_samples), dtype=complex)),
-        # the last axis not contiguous
+        # the last axis not contiguous, which the float-view scaling cannot view
         ((2, GRID.n_samples), np.empty((GRID.n_samples, 2), dtype=complex).T),
-        # leading axes that reshape only to a copy, which the transforms would fill
+        # leading axes out of C order: outside the contract, though the call would fill them
         ((2, 2, GRID.n_samples),
          np.zeros((2, 2, GRID.n_samples), dtype=complex).transpose(1, 0, 2)),
         # the float-view scaling would misread the bytes of another dtype
