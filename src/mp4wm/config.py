@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from .errors import ConfigError, GuardError
 from .experiments import DELTA_POLICIES
 from .params import DISPERSION_MODES, MediumParams
-from .pulses import PROPAGATION_MODES, Propagator, TimeGrid, make_gaussian_pulse
+from .pulses import PROPAGATION_MODES, Propagator, TimeGrid
 
 MHZ = 2.0 * math.pi * 1e6  # rad/s per MHz of ordinary frequency
 
@@ -102,10 +102,9 @@ class Config:
         object.__setattr__(self, "grid", grid)
 
     def propagator(self) -> Propagator:
-        """A :class:`Propagator` of a newly built Gaussian input pulse."""
-        center = self.pulse_center_ns * 1e-9
-        pulse = make_gaussian_pulse(self.grid, self.fwhm_ns * 1e-9, center)
-        return Propagator(pulse, self.propagation_mode)
+        """A :meth:`Propagator.gaussian` of a newly built input pulse."""
+        return Propagator.gaussian(self.grid, self.fwhm_ns * 1e-9, self.pulse_center_ns * 1e-9,
+                                   self.propagation_mode)
 
     def scan_values(self):
         """The scan grid in config units (MHz or dimensionless scale)."""

@@ -21,7 +21,6 @@ _ALIASING_RATIO = 1e-6      # edge spectral magnitude vs spectral peak
 _BAND_RATIO = 1e-16         # spectral magnitude vs peak that the kernel evaluates
 _BAND_TOLERANCE = 1e-13     # bound of the skipped bins' output vs the output peak
 _PEAK_BOUND_SLACK = 1e-9    # relative rounding allowance of the closed-form checks
-_NEAR_RADIUS = 16.0         # bins within this many Delta_R of resonance take per-bin bounds
 _FIT_MIN_SAMPLES = 8
 _FOUR_LN2 = 4.0 * math.log(2.0)
 
@@ -224,33 +223,54 @@ class PropagationResult:
 class Propagator:
     """Propagates one input probe pulse (no seed conjugate) through any medium.
 
-    Built once per input, it checks its propagation mode and the input's
-    containment, and takes the input's :func:`to_spectrum` once, `spectrum`,
-    which runs the aliasing guard.  It splits the spectrum's bins at
-    `_BAND_RATIO` of its peak magnitude: the kernel runs on the `inside` bins,
+    Built once per input, it checks its propagation mode and keeps the
+    input's spectrum on the grid's FFT-ordered bins, `spectrum`: the
+    :func:`to_spectrum` of any input, whose containment it checks, or a
+    Gaussian's closed form (:meth:`gaussian`).  It splits the bins at
+    `_BAND_RATIO` of the peak magnitude: the kernel runs on the `inside` bins,
     at `inside_omegas`; the `outside` bins, in ascending order of frequency at
-    `outside_omegas`, are bounded from |S| on them, `outside_abs`, and its
-    running sums, `outside_abs_below` of [:i] and `outside_abs_above` of [i:]
-    at i.  All are read-only.  Called on a :class:`MediumParams`, it returns the vacuum
-    reference, the amplified probe and the generated conjugate, all on the
-    input grid.  The conjugate is returned as E_c(t), conjugated back from the
-    E_c*(-w) solution so that its intensity is directly plottable.  The
-    reference is the input in `"relative"` mode, and in `"exact"` mode the
-    input delayed by the vacuum transit e^{-i w z/c}, which is then what the
-    cell propagates.  Every call reuses the propagator's work arrays, so
-    threads that share an input each build their own propagator.
+    `outside_omegas`, are bounded from |S| on them, `outside_abs`.  A bin where
+    S is exactly 0 is in neither: it adds 0 to every output, whatever the
+    kernel's entries there.  All are read-only.  Called on a
+    :class:`MediumParams`, it returns the vacuum reference, the amplified probe
+    and the generated conjugate, all on the input grid.  The conjugate is
+    returned as E_c(t), conjugated back from the E_c*(-w) solution so that its
+    intensity is directly plottable.  The reference is the input in
+    `"relative"` mode, and in `"exact"` mode the input delayed by the vacuum
+    transit e^{-i w z/c}, which is then what the cell propagates.  Every call
+    reuses the propagator's work arrays, so threads that share an input each
+    build their own propagator.
     """
 
     def __init__(self, pulse: SampledPulse, propagation_mode: str = "relative"):
+        pulse.check_containment("input pulse")
+        self._split(pulse, propagation_mode, to_spectrum(pulse))
+
+    @classmethod
+    def gaussian(cls, grid: TimeGrid, fwhm: float, center: float = 0.0,
+                 propagation_mode: str = "relative") -> "Propagator":
+        """The propagator of :func:`make_gaussian_pulse`'s pulse with its exact
+        spectrum sigma sqrt(2 pi) e^{-sigma^2 w^2 / 2 - i w (center - t_start)},
+        sigma = fwhm / sqrt(4 ln 2), which has no FFT round-off floor (~4e-16 of
+        the peak) for the band to take as signal; the FFT runs the aliasing guard.
+        """
+        pulse = make_gaussian_pulse(grid, fwhm, center)  # checks its containment
+        to_spectrum(pulse)  # the aliasing guard
+        sigma, w = fwhm / math.sqrt(_FOUR_LN2), grid.omegas
+        self = cls.__new__(cls)
+        self._split(pulse, propagation_mode, sigma * math.sqrt(2.0 * math.pi)
+                    * np.exp(-0.5 * (sigma * w) ** 2 - 1j * (center - grid.t_start) * w))
+        return self
+
+    def _split(self, pulse: SampledPulse, propagation_mode: str, spectrum: np.ndarray):
         if propagation_mode not in PROPAGATION_MODES:
             raise GuardError(f"unknown propagation mode {propagation_mode!r}")
-        pulse.check_containment("input pulse")
         self.pulse = pulse
         self.propagation_mode = propagation_mode
-        self.spectrum = spectrum = _read_only(to_spectrum(pulse))
+        self.spectrum = spectrum = _read_only(spectrum)
         omegas, mag = pulse.grid.omegas, np.abs(spectrum)
         kept = mag > _BAND_RATIO * mag.max()
-        outside = np.flatnonzero(~kept)
+        outside = np.flatnonzero(~kept & (mag > 0.0))
         # in ascending frequency the FFT order's negative half comes first
         outside = np.roll(outside, -int(np.searchsorted(outside, mag.size // 2)))
         self.inside = _read_only(np.flatnonzero(kept))
@@ -258,16 +278,12 @@ class Propagator:
         self.outside = _read_only(outside)
         self.outside_abs = _read_only(mag[outside])
         self.outside_omegas = _read_only(omegas[outside])
-        below, above = np.zeros((2, outside.size + 1))
-        np.cumsum(self.outside_abs, out=below[1:])
-        np.cumsum(self.outside_abs[::-1], out=above[-2::-1])
-        self.outside_abs_below, self.outside_abs_above = _read_only(below), _read_only(above)
         # m_pp S and m_cp S, then their envelopes, overwritten by every call;
         # the spectra are zero outside the input's band between calls
         self._buffers = np.zeros((2, 2, pulse.grid.n_samples), dtype=complex)
         # (cell length, reference, spectrum the cell propagates, the same on
-        # the band): the input's own, aliasing-checked here, until an
-        # exact-mode call delays it by its cell's vacuum transit
+        # the band): the input's own until an exact-mode call delays it by its
+        # cell's vacuum transit
         self._vacuum = (None, pulse, spectrum, spectrum[self.inside])
 
     def __call__(self, p: MediumParams) -> PropagationResult:
@@ -307,10 +323,9 @@ class Propagator:
         overwrites; they come with a new |row| each and its max, from which
         the budgets were taken.
 
-        The check tries :meth:`_skipped_sums` at three radii, which stops at
-        the first pass: no near bins, the bins within `_NEAR_RADIUS` Delta_R of
-        resonance, then every outside bin.  Each is at or above the rounded
-        per-bin sum over every outside bin, so a pass at any radius is its pass.
+        The check takes :meth:`_skipped_sums`' two bounds in turn and stops at
+        the first that passes: the peak bound, then the per-bin bound.  The
+        first is at or above the second, so a pass of either is the second's.
         """
         grid = self.pulse.grid
         specs, envs = self._buffers
@@ -328,48 +343,44 @@ class Propagator:
             outputs, magnitudes = fill(self.inside, self.inside_omegas, inside)
             scale = 1.0 / (grid.n_samples * grid.t_step)
             budgets = [_BAND_TOLERANCE * top for _, top in magnitudes]
-            for radius in (0.0, _NEAR_RADIUS, math.inf):
+            for sums in self._skipped_sums(p):
                 if all(math.isfinite(s * scale) and s * scale <= b
-                       for s, b in zip(self._skipped_sums(p, radius), budgets)):
+                       for s, b in zip(sums, budgets)):
                     return outputs, magnitudes
             try:
                 return fill(self.outside, self.outside_omegas, spectrum[self.outside])
             finally:
                 specs[:, self.outside] = 0.0
 
-    def _skipped_sums(self, p: MediumParams, radius: float):
-        """Upper bounds on sum_k B_k |S0_k| over the bins outside the band,
-        for m_pp and m_cp in the medium's dispersion mode.
+    def _skipped_sums(self, p: MediumParams):
+        """Upper bounds on sum_k B_k |S0_k| over the bins outside the band, for
+        m_pp and m_cp in the medium's mode: the peak bound, then the per-bin one.
 
-        The bins with |dtilde + w| <= `radius` Delta_R (none at radius 0, all at
-        radius inf) take their :func:`entry_bounds` B_k; each run of bins on
-        either side of them takes one :func:`peak_entry_bounds` pair times its
-        sum of |S0_k|, or makes both sums infinite.  fl(dtilde + w) is monotone
+        The peak bound: each run of bins on either side of resonance takes
+        one :func:`peak_entry_bounds` pair times its sum of |S0_k| (> 0), so
+        an infinite pair makes its sums infinite.  fl(dtilde + w) is monotone
         in w, so a run's smallest |dtilde + w| is at its end nearer the
-        resonance.  The sums carry (1 + `_PEAK_BOUND_SLACK`), so that they are
-        at or above the rounded per-bin sum over every outside bin: np.dot and
-        the running sums of n <= 2**20 non-negative terms each round by at most
-        n eps = 2.3e-10 relative, exp and sqrt round a pair by a few eps, and
-        each B_k rounds by a few eps times its exponents |Re mu| L and Re d/2 L,
-        which the slack covers up to ~1e6.  A pair and the B_k it covers
-        approach each other only at large |dtilde + w|, where both tend to 2.
+        resonance.  Then the per-bin bound: every bin takes its
+        :func:`entry_bounds` B_k.  Both carry (1 + `_PEAK_BOUND_SLACK`), so
+        that the first is at or above the rounded per-bin sum: np.dot and
+        np.sum of n <= 2**20 non-negative terms each round by at most n eps =
+        2.3e-10 relative, exp and sqrt round a pair by a few eps, and each B_k
+        rounds by a few eps times its exponents |Re mu| L and Re d/2 L, which
+        the slack covers up to ~1e6.  A pair and the B_k it covers approach
+        each other only at large |dtilde + w|, where both tend to 2.
         """
         omegas, sizes, c = self.outside_omegas, self.outside_abs, p.coefficients
-        # every bin at radius inf: inf * Delta_R is nan where Delta_R underflows to 0
-        lo, hi = (0, omegas.size) if radius == math.inf else omegas.searchsorted(
-            (-c.delta_tilde - radius * c.delta_r, -c.delta_tilde + radius * c.delta_r)).tolist()
+        split = int(omegas.searchsorted(-c.delta_tilde))
         sums = [0.0, 0.0]
-        if lo < hi:
-            sums = [float(np.dot(b, sizes[lo:hi])) for b in entry_bounds(p, omegas[lo:hi])]
-        for start, stop, inner, total in ((0, lo, lo - 1, self.outside_abs_below[lo]),
-                                          (hi, omegas.size, hi, self.outside_abs_above[hi])):
+        for start, stop, inner in ((0, split, split - 1), (split, omegas.size, split)):
             if start < stop:
                 pair = peak_entry_bounds(p, abs(float(omegas[inner]) + c.delta_tilde),
                                          float(omegas[start]), float(omegas[stop - 1]))
-                if not math.isfinite(pair[0] + pair[1]):
-                    return [math.inf, math.inf]
-                sums = [s + b * float(total) for s, b in zip(sums, pair)]
-        return [s * (1.0 + _PEAK_BOUND_SLACK) for s in sums]
+                total = float(sizes[start:stop].sum())
+                sums = [s + b * total for s, b in zip(sums, pair)]
+        yield [s * (1.0 + _PEAK_BOUND_SLACK) for s in sums]
+        yield [float(np.dot(b, sizes)) * (1.0 + _PEAK_BOUND_SLACK)
+               for b in entry_bounds(p, omegas)]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 
 from mp4wm.coupling import transfer_entries
 from mp4wm.params import MediumParams
-from mp4wm.pulses import Propagator, TimeGrid, make_gaussian_pulse
+from mp4wm.pulses import Propagator, TimeGrid
 
 MHZ = 2.0 * math.pi * 1e6
 C = 299792458.0
@@ -54,6 +54,7 @@ def transfer_array(p, omega, z=None):
 
 def gaussian_propagator(*, fwhm=70e-9, window=2e-6, n_samples=4096, center=0.0,
                         propagation_mode="relative"):
-    """:class:`Propagator` of a Gaussian input, by default the config's 70 ns pulse."""
-    pulse = make_gaussian_pulse(TimeGrid.centered(window, n_samples, center), fwhm, center)
-    return Propagator(pulse, propagation_mode)
+    """:meth:`Propagator.gaussian` of an input on its own grid, by default the
+    config's 70 ns pulse."""
+    grid = TimeGrid.centered(window, n_samples, center)
+    return Propagator.gaussian(grid, fwhm, center, propagation_mode)

@@ -349,6 +349,24 @@ class TestCli:
         rows = [",".join(f"{x:.9g}" for x in row) for row in zip(*columns)]
         assert out_csv.read_bytes() == "\n".join([TRACE_HEADER, *rows, ""]).encode()
 
+    def test_run_trace_is_normalized_to_an_off_sample_reference_peak(self, tmp_path, capsys):
+        # the grid is centred on the pulse, so pulse_center_ns keeps its peak
+        # on a sample; exact mode's vacuum transit, 83.4 ps, moves the
+        # reference of a 2 ns pulse off it, to 0.995 of the input's peak
+        text = BASE + "propagation_mode = exact\nfwhm_ns = 2\nwindow_ns = 200\nn_samples = 1024\n"
+        out_csv = tmp_path / "trace.csv"
+        assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_csv)]) == 0
+        capsys.readouterr()
+        config = parse_config(text)
+        tr = mp4wm.run_single(config.medium, config.propagator()).traces
+        norm = tr.reference.peak
+        assert 0.99 < norm < 0.996
+        rows = out_csv.read_text().splitlines()[1:]
+        cells = np.array([[float(x) for x in row.split(",")] for row in rows])
+        for column, pulse in zip(cells.T[1:], (tr.reference, tr.probe, tr.conjugate)):
+            assert np.allclose(column, pulse.intensity / norm, rtol=1e-8, atol=0.0)
+        assert cells[:, 1].max() == 1.0
+
     def test_scan_outputs_are_deterministic(self, tmp_path):
         cfg = write_cfg(
             tmp_path,

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mp4wm import config, params, pulses
+from mp4wm import params, pulses
 from mp4wm.cli import main
 from mp4wm.config import parse_config
 from mp4wm.coupling import analytic_delays
@@ -135,7 +135,7 @@ class TestScanEngine:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(config, "make_gaussian_pulse")
+        counted(pulses, "make_gaussian_pulse")
         counted(pulses, "to_spectrum")
         counted(pulses, "fit_gaussian")
         labels = []
@@ -148,28 +148,28 @@ class TestScanEngine:
         cfg = parse_config("omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\n"
                            "eta0 = 960\ncell_length_cm = 2.5\nn_samples = 1024\n")
         propagate = cfg.propagator()
-        # the input is checked where it is built and where its propagator is
+        # the input is checked once, where it is built; the FFT is its aliasing guard
         assert calls == {"make_gaussian_pulse": 1, "to_spectrum": 1, "fit_gaussian": 0}
-        assert labels == ["input pulse"] * 2
+        assert labels == ["input pulse"]
         records = scan(make_params(), "density", [0.2, 0.6, 1.0, 1.4], propagate)
         assert len(records) == 4
         # the scan builds, transforms and checks no input; it fits the shared
         # relative-mode reference once, then the probe and the conjugate of each point
         assert calls == {"make_gaussian_pulse": 1, "to_spectrum": 1, "fit_gaussian": 9}
-        assert labels.count("input pulse") == 2
+        assert labels.count("input pulse") == 1
         for arr in (propagate.pulse.envelope, propagate.pulse.intensity, propagate.spectrum):
             assert not arr.flags.writeable
 
-    # the benchmark media: every density point passes the band check at
-    # step 1, every detuning point at step 2, which bounds its near bins
-    @pytest.mark.parametrize("body, axis, unit, near_bounds", [
+    # the benchmark media: every density point passes the band check at its
+    # peak bound, and 4 of the 5 detuning points at its per-bin bound
+    @pytest.mark.parametrize("body, axis, unit, per_bin_bounds", [
         ("gamma_c_over_gamma = 0\ndispersion_mode = constant\npropagation_mode = relative\n"
          "scan_start = 0.2\nscan_stop = 1.5\n", "density", 1.0, 0),
         ("gamma_c_over_gamma = 0.01\ndelta_one_mhz = 30\ndispersion_mode = full\n"
-         "propagation_mode = exact\nscan_start = -40\nscan_stop = 60\n", "delta", MHZ, 1),
+         "propagation_mode = exact\nscan_start = -40\nscan_stop = 60\n", "delta", MHZ, 4),
     ])
     def test_coefficients_derived_once_per_point(
-        self, monkeypatch, tmp_path, body, axis, unit, near_bounds
+        self, monkeypatch, tmp_path, body, axis, unit, per_bin_bounds
     ):
         text = ("omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\n"
                 "delta_two_photon_mhz = 11.025\neta0 = 960\ncell_length_cm = 2.5\n"
@@ -200,7 +200,7 @@ class TestScanEngine:
             scan(base, axis, values, propagate)
         points = len(values)
         assert calls["transfer_entries"] == points  # no point falls back
-        assert calls["entry_bounds"] == near_bounds * points
+        assert calls["entry_bounds"] == per_bin_bounds
         # the record, the kernel and the bounds share the one derivation of
         # each point's medium, made when it is built
         assert calls["derive_coefficients"] == points
@@ -301,6 +301,62 @@ class TestScanEngine:
     def test_rejects_unknown_axis(self):
         with pytest.raises(GuardError, match="axis"):
             scan(make_params(), "length", [1.0], gaussian_propagator())
+
+
+class TestSampleCount:
+    # n_samples doubled at a fixed window keeps the bins and adds ones
+    # beyond the old Nyquist frequency, where the input spectrum is 0 or
+    # below the band, so each output, read at the coarser grid's times, is
+    # the coarser grid's; a scan keeps its blank rows, and its fits move only
+    # as the samples they fit do
+    MEDIUM = ("omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\n"
+              "delta_two_photon_mhz = 11.025\neta0 = 960\ncell_length_cm = 2.5\n")
+
+    @pytest.mark.parametrize("body, axis, unit", [
+        ("gamma_c_over_gamma = 0\ndispersion_mode = constant\npropagation_mode = relative\n"
+         "scan_start = 0.2\nscan_stop = 1.5\nscan_steps = 201\n", "density", 1.0),
+        ("gamma_c_over_gamma = 0.01\ndelta_one_mhz = 30\ndispersion_mode = full\n"
+         "propagation_mode = exact\nscan_start = -40\nscan_stop = 60\nscan_steps = 201\n",
+         "delta", MHZ),
+        # the gain pole of the full eta(w) near -1480 MHz lies on the finer grids only
+        ("gamma_c_over_gamma = 0.5\ndelta_one_mhz = 30\ndispersion_mode = full\n"
+         "propagation_mode = exact\nscan_start = -3000\nscan_stop = 3000\nscan_steps = 121\n",
+         "delta", MHZ),
+    ], ids=["scan-density", "scan-delta-offband", "wide-full"])
+    def test_doubling_the_samples_keeps_each_output_and_blank_row(self, body, axis, unit):
+        runs = {}
+        for n in (4096, 8192, 16384):
+            cfg = parse_config(f"{self.MEDIUM}{body}n_samples = {n}\n")
+            propagate, outputs = cfg.propagator(), []
+
+            def kept(p):
+                try:
+                    res = propagate(p)
+                except GuardError as exc:
+                    outputs.append(type(exc))
+                    raise
+                outputs.append((res.probe.envelope, res.conjugate.envelope))
+                return res
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                records = scan(cfg.medium, axis, [v * unit for v in cfg.scan_values()], kept)
+            runs[n] = records, outputs
+        records, outputs = runs[4096]
+        for n in (8192, 16384):
+            finer, finer_outputs = runs[n]
+            assert ([r.gain_peak is None for r in finer]
+                    == [r.gain_peak is None for r in records])
+            for coarse, fine in zip(outputs, finer_outputs):
+                if isinstance(coarse, type):  # the same guard fails
+                    assert fine is coarse
+                    continue
+                for a, b in zip(coarse, fine):
+                    assert np.max(np.abs(b[:: n // 4096] - a)) <= 1e-14 * np.max(np.abs(a))
+            if axis == "density":
+                # the fit of the finer samples: 1.3e-4 and 1.9e-4 (probe_broadening)
+                for a, b in zip(records, finer):
+                    for x, y in zip(vars(a).values(), vars(b).values()):
+                        assert y == pytest.approx(x, rel=2.5e-4)
 
 
 class TestScanDensity:
