@@ -84,21 +84,12 @@ def transfer_entries(p: MediumParams, omega):
         grow_m1 = np.expm1(x)             # e^{mu L} - 1
         grow = 1.0 + grow_m1              # e^{mu L}
         shrink = 1.0 / grow               # e^{-mu L}
-        # in place, in each product's operand order (an array's complex
-        # multiply need not commute bit for bit); numpy scalars rebind
-        e_minus = pref * shrink
-        shrink += 1.0
         # e_+ - e_- = P expm1(mu L) (1 + e^{-mu L}) does not cancel as mu L -> 0
-        pref_shc = 0.5 * pref
-        pref_shc *= grow_m1
-        pref_shc *= shrink
-        pref_shc /= mu
+        pref_shc = 0.5 * pref * grow_m1 * (shrink + 1.0) / mu
         small = np.abs(x) < _SINHC_THRESHOLD
         if small.any():
             pref_shc = np.where(small, pref * big_l * (1.0 + x * x / 6.0), pref_shc)
-        pref *= grow                      # e_+
-        pref += e_minus
-        pref *= 0.5                       # (e_+ + e_-)/2
+        pref = (pref * grow + pref * shrink) * 0.5  # (e_+ + e_-)/2
         # ufunc calls: on numpy scalars `*` rounds otherwise, and a scalar omega keeps its bits
         half_d_shc = np.multiply(0.5 * direct, pref_shc)
         m_cp = np.multiply(-1j * alpha, pref_shc)
@@ -125,31 +116,11 @@ def entry_bounds(p: MediumParams, omega: np.ndarray):
     big_l = p.cell_length / C_LIGHT
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         direct, alpha, mu_sq = _generator_terms(p, omega)
-        abs_d, abs_alpha = np.abs(direct), np.abs(alpha)
-        half_re_d = 0.5 * direct.real
-        r = np.abs(mu_sq)  # |mu^2| until it becomes r
-        total = np.abs(mu_sq.real)
-        g = np.add(mu_sq.real, total)
-        total += r
-        im_part = np.square(mu_sq.imag, out=mu_sq.imag)
-        im_part /= total
-        g += im_part
-        g *= 0.5
-        np.sqrt(g, out=g)  # Re mu
-        g -= half_re_d
-        g *= big_l
-        np.exp(g, out=g)
-        np.sqrt(r, out=r)
-        np.divide(1.0, r, out=r)
-        np.minimum(r, big_l, out=r)
-        # g (1 + |d|/2 r) and (g |alpha|) r
-        abs_d *= 0.5
-        abs_d *= r
-        abs_d += 1.0
-        abs_d *= g
-        g *= abs_alpha
-        r *= g
-        return abs_d, r
+        re, abs_re, size = mu_sq.real, np.abs(mu_sq.real), np.abs(mu_sq)
+        re_mu = np.sqrt((re + abs_re + np.square(mu_sq.imag) / (abs_re + size)) * 0.5)
+        g = np.exp((re_mu - 0.5 * direct.real) * big_l)
+        r = np.minimum(1.0 / np.sqrt(size), big_l)
+        return (np.abs(direct) * 0.5 * r + 1.0) * g, g * np.abs(alpha) * r
 
 
 def peak_entry_bounds(p: MediumParams, y_min: float, omega_lo: float, omega_hi: float):

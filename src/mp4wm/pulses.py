@@ -253,13 +253,17 @@ class Propagator:
         spectrum sigma sqrt(2 pi) e^{-sigma^2 w^2 / 2 - i w (center - t_start)},
         sigma = fwhm / sqrt(4 ln 2), which has no FFT round-off floor (~4e-16 of
         the peak) for the band to take as signal; the FFT runs the aliasing guard.
+        That is the periodized Gaussian's spectrum, so a window that cuts the tails
+        off above the band floor (edge amplitude > `_BAND_RATIO`) keeps the FFT's.
         """
         pulse = make_gaussian_pulse(grid, fwhm, center)  # checks its containment
-        to_spectrum(pulse)  # the aliasing guard
-        sigma, w = fwhm / math.sqrt(_FOUR_LN2), grid.omegas
+        spectrum = to_spectrum(pulse)  # the aliasing guard
+        if max(pulse.intensity[0], pulse.intensity[-1]) <= _BAND_RATIO**2 * pulse.peak:
+            sigma, w = fwhm / math.sqrt(_FOUR_LN2), grid.omegas
+            spectrum = sigma * math.sqrt(2.0 * math.pi) * np.exp(
+                -0.5 * (sigma * w) ** 2 - 1j * (center - grid.t_start) * w)
         self = cls.__new__(cls)
-        self._split(pulse, propagation_mode, sigma * math.sqrt(2.0 * math.pi)
-                    * np.exp(-0.5 * (sigma * w) ** 2 - 1j * (center - grid.t_start) * w))
+        self._split(pulse, propagation_mode, spectrum)
         return self
 
     def _split(self, pulse: SampledPulse, propagation_mode: str, spectrum: np.ndarray):

@@ -115,10 +115,11 @@ def generator_terms(p, omega):
     """d, alpha and mu^2 = d^2/4 + alpha^2 of the generator, complex, at each frequency."""
     omega = np.asarray(omega, dtype=float)
     d = derive_coefficients(p)
-    eta = eta_of_omega(p, omega)
-    alpha = eta * d.delta_r
-    direct = eta * (1j * (d.delta_tilde + omega) + p.gamma_c)
-    with np.errstate(invalid="ignore", over="ignore"):
+    # a bin on the full-mode pole at gamma_c = 0 divides by zero
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        eta = eta_of_omega(p, omega)
+        alpha = eta * d.delta_r
+        direct = eta * (1j * (d.delta_tilde + omega) + p.gamma_c)
         return direct, alpha, 0.25 * direct * direct + alpha * alpha
 
 

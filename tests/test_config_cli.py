@@ -314,12 +314,18 @@ class TestCli:
         assert code == 3
         assert err.splitlines() == [f"mp4wm: error: derived {quantity} is not finite: inf"]
 
-    def test_run_zero_length_identity(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, BASE.replace("cell_length_cm = 2.5", "cell_length_cm = 0"))
+    # windows of 315 and 330 ns, just above the 70 ns input's containment
+    # width of 312.5 ns, cut its tails off far above the band floor
+    @pytest.mark.parametrize("window_ns", [2000, 315, 330])
+    @pytest.mark.parametrize("mode", ["relative", "exact"])
+    def test_run_zero_length_identity(self, tmp_path, capsys, window_ns, mode):
+        text = BASE.replace("cell_length_cm = 2.5", "cell_length_cm = 0") + (
+            f"window_ns = {window_ns}\npropagation_mode = {mode}\n")
         out_csv = tmp_path / "trace.csv"
-        assert main(["run", "--config", cfg, "--out", str(out_csv)]) == 0
+        assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_csv)]) == 0
         metrics = json.loads(capsys.readouterr().out)
         assert metrics["probe"]["gain_peak"] == pytest.approx(1.0, rel=1e-9)
+        assert metrics["probe"]["gain_energy"] == pytest.approx(1.0, rel=1e-9)
         assert metrics["probe"]["delay_ns"] == pytest.approx(0.0, abs=1e-9)
         lines = out_csv.read_text().splitlines()
         assert lines[0] == TRACE_HEADER
