@@ -31,6 +31,8 @@ P expm1(mu L) (1 + e^{-mu L}) keeps full precision as mu L -> 0; below
 mu^2 without evaluating the entries, and :func:`peak_entry_bounds` bounds
 them in closed form on an interval of frequencies.  All three read
 Delta_R and dtilde from the medium's cached ``p.coefficients``.
+:func:`transfer_entries` also takes a block of media, one row each, in one
+vectorized call.
 
 The Fourier convention is the NumPy one: spectra are obtained with the
 e^{-i w t} kernel, so a time delay tau multiplies a spectrum by
@@ -41,7 +43,8 @@ group delays (common delay eta z / 2c) and physical damping
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,8 +55,35 @@ from .params import C_LIGHT, MediumParams, eta_of_omega
 _SINHC_THRESHOLD = 1e-6
 
 
-def _generator_terms(p: MediumParams, omega: np.ndarray):
-    """d, alpha and mu^2 = d^2/4 + alpha^2 at each frequency.
+def _block(media) -> SimpleNamespace:
+    """A block of k media as one medium whose scalars are (k, 1) columns.
+
+    Each float field of the media and of their coefficients is the column of
+    its values, so every expression of them broadcasts to one row per
+    medium, with the bits of that medium alone; the media must share the
+    cell length and the dispersion mode, which stay scalars.
+    """
+    media = list(media)
+    # the sign bit too: a cell length of -0.0 gives other bits than 0.0
+    if len({(m.cell_length, np.signbit(m.cell_length), m.dispersion_mode)
+            for m in media}) != 1:
+        raise GuardError("a block needs one or more media that share one "
+                         "cell_length and dispersion_mode")
+
+    def columns(objects):
+        names = [f.name for f in fields(objects[0]) if f.type == "float"]
+        values = np.array([[getattr(o, name) for name in names] for o in objects], dtype=float)
+        return {name: values[:, i, None] for i, name in enumerate(names)}
+
+    block = SimpleNamespace(**columns(media), dispersion_mode=media[0].dispersion_mode,
+                            coefficients=SimpleNamespace(**columns([m.coefficients for m in media])))
+    block.cell_length = media[0].cell_length
+    return block
+
+
+def _generator_terms(p, omega: np.ndarray):
+    """d, alpha and mu^2 = d^2/4 + alpha^2 at each frequency, of a medium or
+    of a :func:`_block` (one row per medium).
 
     Extreme inputs overflow to non-finite values, so callers run this under
     ``np.errstate``.
@@ -61,17 +91,26 @@ def _generator_terms(p: MediumParams, omega: np.ndarray):
     d = p.coefficients
     eta = eta_of_omega(p, omega)
     alpha = eta * d.delta_r
-    direct = eta * (1j * (d.delta_tilde + omega) + p.gamma_c)
+    # named, so numpy cannot evaluate `eta * temporary` as `temporary *= eta`
+    # once it has 256 KiB: a complex product's rounding depends on the order
+    # of its operands, and a block's rows would change with the block's size
+    rotation = 1j * (d.delta_tilde + omega) + p.gamma_c
+    direct = eta * rotation
     return direct, alpha, 0.25 * direct * direct + alpha * alpha
 
 
-def transfer_entries(p: MediumParams, omega):
+def transfer_entries(p, omega):
     """Vectorized transfer-matrix entries (m_pp, m_pc, m_cp, m_cc) of exp(N L).
 
-    `omega` may be a scalar or ndarray; entries broadcast with it.  The
-    vacuum factor e^{-i w L} is left out, so delays are measured against the
-    vacuum reference pulse, as in the experiment.
+    `omega` may be a scalar or ndarray; entries broadcast with it.  `p` is one
+    :class:`MediumParams`, or a block: a sequence of k media that share
+    `cell_length` and `dispersion_mode` (else :class:`GuardError`), whose
+    entries have a leading axis of length k, row i those of medium i alone
+    to the bit.  The vacuum factor e^{-i w L} is left out, so delays are
+    measured against the vacuum reference pulse, as in the experiment.
     """
+    if not isinstance(p, MediumParams):
+        p = _block(p)
     big_l = p.cell_length / C_LIGHT
     omega = np.asarray(omega, dtype=float)
     # overflow at extreme gain-length products degrades a point to
@@ -161,7 +200,7 @@ def peak_entry_bounds(p: MediumParams, y_min: float, omega_lo: float, omega_hi: 
     if p.dispersion_mode == "constant":
         exponent = shift * c.eta0 / y_min
     else:
-        g2n, quarter = p.coupling_g2n, 0.25 * p.omega_rabi**2
+        g2n, quarter = p.coupling_g2n, c.quarter_rabi_sq
         u_lo = quarter + p.delta_one * (p.delta_two_photon + omega_lo)
         u_hi = quarter + p.delta_one * (p.delta_two_photon + omega_hi)
         # the smallest |D|^2 on the interval: u^2 is 0 where u changes sign

@@ -3,12 +3,17 @@
 One scan engine covers three axes: two-photon detuning, density (pseudo
 propagation distance) and pump Rabi frequency.  Each scan point runs the
 full pulse pipeline and is summarized in a :class:`ScanRecord`; a failing
-point is recorded with absent fields instead of aborting the scan.
+point is recorded with absent fields and its error instead of aborting the
+scan.  The points run in blocks whose kernel on the input's band is one
+vectorized call (:meth:`Propagator.each`) of at most `_BLOCK_ENTRIES`
+entries, or of one point where the band alone has more.
 """
 from __future__ import annotations
 
+import collections
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .coupling import predict_gain, renormalized_length
@@ -17,6 +22,11 @@ from .params import C_LIGHT, MediumParams, raman_bandwidth
 from .pulses import PropagationResult, Propagator, PulseMetrics, pulse_metrics
 
 _ZERO_CONJUGATE_ENERGY = 1e-30  # relative to reference energy
+# kernel entries per call: 15 points of a 129-bin band, and one point of a
+# band of more than 1024 bins, which keeps the one-point call and its memory.
+# At 4128 the allocator gave heap pages back after each call and faulted
+# them in again, and a scan on a 909-bin band ran slower than one point a call.
+_BLOCK_ENTRIES = 2048
 
 
 @dataclass(frozen=True)
@@ -43,9 +53,12 @@ class ScanRecord:
     inferred_xi: float | None = None
     predicted_gain: float | None = None
     approx_valid: bool = True  # dtilde << 2 Delta_R flag, not serialized
+    # class name and message of the GuardError that blanked the point, not serialized
+    error: tuple[str, str] | None = None
 
 
-def run_single(p: MediumParams, propagate: Propagator) -> SingleRunResult:
+def run_single(p: MediumParams,
+               propagate: Callable[[MediumParams], PropagationResult]) -> SingleRunResult:
     """Propagate one probe pulse through `p` and measure it like the experiment."""
     traces = propagate(p)
     probe_m = pulse_metrics(traces.reference, traces.probe)
@@ -75,13 +88,15 @@ def infer_eta_xi(
     return eta, xi
 
 
-def _record_for(p: MediumParams, var: float, propagate: Propagator) -> ScanRecord:
+def _record_for(p: MediumParams, var: float,
+                propagate: Callable[[MediumParams], PropagationResult]) -> ScanRecord:
     d = p.coefficients
     approx_valid = abs(d.delta_tilde) <= 2.0 * d.delta_r
     try:
         res = run_single(p, propagate)
-    except GuardError:
-        return ScanRecord(var=var, approx_valid=approx_valid)
+    except GuardError as exc:
+        return ScanRecord(var=var, approx_valid=approx_valid,
+                          error=(type(exc).__name__, str(exc)))
 
     pm = res.probe_metrics
     cm = res.conjugate_metrics
@@ -150,6 +165,9 @@ def scan(
     two-photon detuning follow the moving light shift (dtilde pinned to
     0) and `"fixed"` keeps the configured value.  Every point propagates
     the one input of `propagate`; the recorded var is the scan value as given.
+    One warning names the points past the line-center approximation, and
+    how many points are blank, by error class, with the first one's message
+    and its point number, counted from 1 in the order of `values`.
     """
     if axis not in _AXES:
         raise GuardError(f"unknown scan axis {axis!r}")
@@ -157,11 +175,24 @@ def scan(
         raise GuardError(f"unknown delta policy {delta_policy!r}")
     point_at = _AXES[axis]
     points = [(point_at(p, float(v), delta_policy), float(v)) for v in values]
-    records = [_record_for(q, v, propagate) for q, v in points]
-    if not all(r.approx_valid for r in records):
-        warnings.warn(
-            "some scan points have |dtilde| > 2 Delta_R where the line-center "
-            "approximation breaks down",
-            stacklevel=2,
-        )
+    records, length = [], max(1, _BLOCK_ENTRIES // propagate.inside.size)
+    for start in range(0, len(points), length):
+        block = points[start:start + length]
+        # no name holds the calls, so a block's entries are freed before the next's
+        records += [_record_for(q, v, call)
+                    for (q, v), call in zip(block, propagate.each([q for q, _ in block]))]
+    clauses = [] if all(r.approx_valid for r in records) else [
+        "some scan points have |dtilde| > 2 Delta_R where the line-center "
+        "approximation breaks down"]
+    counts, firsts = collections.Counter(), {}  # by error class, in order of first point
+    for number, r in enumerate(records, 1):
+        if r.error is not None:
+            name, message = r.error
+            counts[name] += 1
+            firsts.setdefault(name, f"{message}, first at point {number}")
+    if counts:
+        groups = "; ".join(f"{name} {n}: {firsts[name]}" for name, n in counts.items())
+        clauses.append(f"{counts.total()} of {len(records)} points blank ({groups})")
+    if clauses:
+        warnings.warn("; ".join(clauses), stacklevel=2)
     return records

@@ -139,6 +139,7 @@ class DerivedCoefficients:
     delta_r: float        # Raman bandwidth, also the light shift Omega^2/4Delta (rad/s)
     alpha0: float         # cross-coupling eta0 * delta_r (rad/s)
     delta_tilde: float    # light-shifted two-photon detuning (rad/s)
+    quarter_rabi_sq: float  # Omega^2/4, the pump term of eta(w)'s denominator ((rad/s)^2)
     v_group: float        # c / eta0 (m/s)
     saturation_rabi: float  # 2 sqrt(Delta * gamma) (rad/s)
 
@@ -159,6 +160,7 @@ def derive_coefficients(p: MediumParams) -> DerivedCoefficients:
         delta_r=delta_r,
         alpha0=eta0 * delta_r,
         delta_tilde=p.delta_two_photon - delta_r,
+        quarter_rabi_sq=p.omega_rabi**2 / 4.0,
         v_group=C_LIGHT / eta0,
         saturation_rabi=2.0 * math.sqrt(p.delta_raman * p.gamma),
     )
@@ -170,11 +172,15 @@ def eta_of_omega(p: MediumParams, omega):
     ``"full"`` evaluates the dispersive form
     g^2 N / [Omega^2/4 + Delta_1 (delta + omega + i gamma_c)];
     ``"constant"`` returns the flat approximation 4 g^2 N / Omega^2.
-    Accepts scalar or ndarray `omega`; returns complex values.
+    Accepts scalar or ndarray `omega`; returns complex values.  The scalars
+    of `p` may be the (k, 1) columns of a block of
+    :func:`mp4wm.coupling.transfer_entries`, so it squares none of them:
+    Python's ``x**2`` and numpy's can differ in the last bit, and a row
+    would not keep the bits of its medium.
     """
     if p.dispersion_mode == "constant":
         return p.coefficients.eta0 + 0j * omega
-    denom = p.omega_rabi**2 / 4.0 + p.delta_one * (
+    denom = p.coefficients.quarter_rabi_sq + p.delta_one * (
         p.delta_two_photon + omega + 1j * p.gamma_c
     )
     return p.coupling_g2n / denom

@@ -5,7 +5,9 @@ Spectra use the NumPy FFT convention (forward kernel e^{-i w t}); see
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -237,9 +239,10 @@ class Propagator:
     returned as E_c(t), conjugated back from the E_c*(-w) solution so that its
     intensity is directly plottable.  The reference is the input in
     `"relative"` mode, and in `"exact"` mode the input delayed by the vacuum
-    transit e^{-i w z/c}, which is then what the cell propagates.  Every call
-    reuses the propagator's work arrays, so threads that share an input each
-    build their own propagator.
+    transit e^{-i w z/c}, which is then what the cell propagates.  A scan
+    takes its calls from :meth:`each`, which evaluates the kernel on the band
+    for a block of media at once.  Every call reuses the propagator's work
+    arrays, so threads that share an input each build their own propagator.
     """
 
     def __init__(self, pulse: SampledPulse, propagation_mode: str = "relative"):
@@ -291,6 +294,19 @@ class Propagator:
         self._vacuum = (None, pulse, spectrum, spectrum[self.inside])
 
     def __call__(self, p: MediumParams) -> PropagationResult:
+        m_pp, _, m_cp, _ = transfer_entries(p, self.inside_omegas)
+        return self._propagate(p, m_pp, m_cp)
+
+    def each(self, media) -> list[Callable[[MediumParams], PropagationResult]]:
+        """For each medium of the block `media`, a call on it that returns
+        what ``self(medium)`` does, to the bit: one :func:`transfer_entries`
+        call evaluates the kernel on the band for the whole block, and each
+        call takes, and overwrites, its medium's rows."""
+        m_pp, _, m_cp, _ = transfer_entries(media, self.inside_omegas)
+        return [functools.partial(self._propagate, m_pp=a, m_cp=b) for a, b in zip(m_pp, m_cp)]
+
+    def _propagate(self, p: MediumParams, m_pp: np.ndarray, m_cp: np.ndarray
+                   ) -> PropagationResult:
         grid = self.pulse.grid
         # a scan changes no cell length, so its points share one vacuum-delayed input
         if self.propagation_mode == "exact" and self._vacuum[0] != p.cell_length:
@@ -299,7 +315,8 @@ class Propagator:
             reference = SampledPulse(grid, from_spectrum(spectrum, grid))
             self._vacuum = (p.cell_length, reference, spectrum, spectrum[self.inside])
         _, reference, *spectra = self._vacuum
-        (probe_env, conj_star_env), (probe_mag, conj_mag) = self._output_envelopes(p, *spectra)
+        (probe_env, conj_star_env), (probe_mag, conj_mag) = self._output_envelopes(
+            p, *spectra, m_pp, m_cp)
         # each pulse copies its envelope out of the work arrays and squares
         # its magnitude in place into its intensity, and its max into its peak
         probe = SampledPulse(grid, probe_env, probe_mag)
@@ -311,13 +328,15 @@ class Propagator:
         return PropagationResult(reference=reference, probe=probe, conjugate=conjugate)
 
     def _output_envelopes(
-        self, p: MediumParams, spectrum: np.ndarray, inside: np.ndarray
+        self, p: MediumParams, spectrum: np.ndarray, inside: np.ndarray,
+        m_pp: np.ndarray, m_cp: np.ndarray,
     ) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
         """Rows ifft(m_pp S) and ifft(m_cp S) as envelopes, the kernel run on the band.
 
         `spectrum` is S0 = the input's :attr:`spectrum`, or phi S0
         for a phase factor |phi| = 1, so the input's band and its bound serve
-        for both; `inside` is `spectrum` on the band.  The bins outside the
+        for both; `inside` is `spectrum` on the band, and `m_pp` and `m_cp`
+        are p's kernel there, which this overwrites.  The bins outside the
         band add at most sum_k B_k |S0_k| / (N dt) to any output sample, with
         B_k from :func:`entry_bounds` (0 when no bin is outside).  Unless that
         is finite and within `_BAND_TOLERANCE` of the peak amplitude of each
@@ -334,9 +353,8 @@ class Propagator:
         grid = self.pulse.grid
         specs, envs = self._buffers
 
-        def fill(bins: np.ndarray, omegas: np.ndarray, values: np.ndarray):
-            m_pp, _, m_cp, _ = transfer_entries(p, omegas)
-            for spec, m in zip(specs, (m_pp, m_cp)):
+        def fill(bins: np.ndarray, values: np.ndarray, *entries: np.ndarray):
+            for spec, m in zip(specs, entries):
                 spec[bins] = np.multiply(m, values, out=m)
             outputs = from_spectrum(specs, grid, out=envs)
             mags = np.abs(outputs)
@@ -344,7 +362,7 @@ class Propagator:
 
         # non-finite entries pass through silently; the output guards report them
         with np.errstate(invalid="ignore", over="ignore"):
-            outputs, magnitudes = fill(self.inside, self.inside_omegas, inside)
+            outputs, magnitudes = fill(self.inside, inside, m_pp, m_cp)
             scale = 1.0 / (grid.n_samples * grid.t_step)
             budgets = [_BAND_TOLERANCE * top for _, top in magnitudes]
             for sums in self._skipped_sums(p):
@@ -352,7 +370,8 @@ class Propagator:
                        for s, b in zip(sums, budgets)):
                     return outputs, magnitudes
             try:
-                return fill(self.outside, self.outside_omegas, spectrum[self.outside])
+                m_pp, _, m_cp, _ = transfer_entries(p, self.outside_omegas)
+                return fill(self.outside, spectrum[self.outside], m_pp, m_cp)
             finally:
                 specs[:, self.outside] = 0.0
 

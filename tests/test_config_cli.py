@@ -777,3 +777,42 @@ def test_distinct_warnings_share_one_line(tmp_path, capsys):
     assert lines[0].startswith("mp4wm: warning: pump Rabi coupling does not dominate")
     assert lines[0].endswith("; upper-lambda detuning is not far off resonance compared "
                              "with the lower lambda and the linewidth")
+
+
+# the benchmark's detuning scan: full eta(w), exact reference, 201 points
+OFFBAND = ("omega_rabi_mhz = 420\ndelta_raman_mhz = 4000\ndelta_two_photon_mhz = 11.025\n"
+           "eta0 = 960\ncell_length_cm = 2.5\ngamma_c_over_gamma = 0.01\ndelta_one_mhz = 30\n"
+           "dispersion_mode = full\npropagation_mode = exact\nn_samples = 4096\n"
+           "scan_start = -40\nscan_stop = 60\nscan_steps = 201\n")
+LINE_CENTER = ("some scan points have |dtilde| > 2 Delta_R where the line-center "
+               "approximation breaks down")
+
+
+@pytest.mark.parametrize("window, clause", [
+    # the input's FFT spectrum at a 500 ns window: entries that overflow near
+    # the eta(w) pole reach every point's band
+    ("500", "201 of 201 points blank (GuardError 201: envelope must be finite "
+            "everywhere, first at point 1)"),
+    (None, "36 of 201 points blank (FitError 36: no unique dominant peak: 1/e^2 "
+           "region is not contiguous, first at point 15)"),
+])
+def test_the_warning_says_why_points_are_blank(tmp_path, capsys, window, clause):
+    text = OFFBAND + (f"window_ns = {window}\n" if window else "")
+    outputs = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"offband.{fmt}"
+        argv = ["scan-delta", "--config", write_cfg(tmp_path, text), "--out", str(out),
+                "--format", fmt]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"mp4wm: warning: {LINE_CENTER}; {clause}"]
+        outputs[fmt] = out.read_text()
+    rows = [row.split(",") for row in outputs["csv"].splitlines()[1:]]
+    blank = [i for i, row in enumerate(rows, 1) if not any(row[1:])]
+    assert len(rows) == 201 and len(blank) == int(clause.split()[0])
+    assert blank[0] == int(clause.rstrip(")").split()[-1])
+    # the reasons reach neither data file
+    payload = strict_json(outputs["json"])
+    assert [i for i, row in enumerate(payload, 1) if row["gain_peak"] is None] == blank
+    assert all(set(row) == set(SCAN_HEADER.split(",")) for row in payload)
+    assert "Error" not in outputs["csv"] + outputs["json"]

@@ -13,7 +13,7 @@ from mp4wm.config import parse_config
 from mp4wm.coupling import analytic_delays
 from mp4wm.errors import GuardError
 from mp4wm.experiments import infer_eta_xi, predict_gain, run_single, scan
-from mp4wm.params import derive_coefficients
+from mp4wm.params import MediumParams, derive_coefficients
 from mp4wm.pulses import PropagationResult, SampledPulse, TimeGrid, make_gaussian_pulse
 
 from _oracles import coefficients_at
@@ -115,12 +115,14 @@ class TestScanDelta:
 
 
 class TestScanEngine:
-    def test_unit_gain_has_zero_renormalized_length(self):
+    def test_unit_gain_has_zero_renormalized_length(self, monkeypatch):
         # a stub propagation returns the input as the probe, at gain 1 to the bit
-        reference = gaussian_propagator().pulse
+        propagate = gaussian_propagator()
+        reference = propagate.pulse
         silent = SampledPulse(reference.grid, np.zeros(reference.grid.n_samples))
-        (record,) = scan(make_params(), "density", [1.0],
-                         lambda p: PropagationResult(reference, reference, silent))
+        monkeypatch.setattr(propagate, "_propagate",
+                            lambda p, m_pp, m_cp: PropagationResult(reference, reference, silent))
+        (record,) = scan(make_params(), "density", [1.0], propagate)
         assert record.gain_peak == 1.0 and record.renorm_length == 0.0
         assert record.conj_delay is None
 
@@ -175,14 +177,15 @@ class TestScanEngine:
                 "delta_two_photon_mhz = 11.025\neta0 = 960\ncell_length_cm = 2.5\n"
                 f"n_samples = 4096\nscan_steps = 5\n{body}")
         cfg = parse_config(text)
+        # calls, but kernel rows for transfer_entries: one per medium of a block
         calls = {"derive_coefficients": 0, "entry_bounds": 0, "transfer_entries": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+            def wrapper(p, *args, **kwargs):
+                calls[name] += 1 if isinstance(p, MediumParams) else len(p)
+                return fn(p, *args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
         # the program reads a medium's scalars through MediumParams.coefficients,
@@ -199,7 +202,7 @@ class TestScanEngine:
             counted(pulses, "transfer_entries")
             scan(base, axis, values, propagate)
         points = len(values)
-        assert calls["transfer_entries"] == points  # no point falls back
+        assert calls["transfer_entries"] == points  # one row a point: none falls back
         assert calls["entry_bounds"] == per_bin_bounds
         # the record, the kernel and the bounds share the one derivation of
         # each point's medium, made when it is built
@@ -283,20 +286,36 @@ class TestScanEngine:
             assert getattr(grid, name) is arr
             assert not arr.flags.writeable
 
-    def test_kernel_runs_on_the_input_band_only(self, monkeypatch):
-        sizes = []
+    @pytest.mark.parametrize("window, n_samples, band, lengths", [
+        (2e-6, 1024, 129, [3]),
+        (2e-6, 1024, 129, [15, 15, 5]),
+        # a window that cuts the input's tails keeps its FFT spectrum, whose
+        # band is every bin: 2 points a call on 1024 bins, and one on 2048
+        (5e-7, 1024, 1024, [2, 2, 1]),
+        (5e-7, 2048, 2048, [1, 1, 1]),
+    ])
+    def test_kernel_runs_on_the_input_band_only(self, monkeypatch, window, n_samples, band,
+                                                lengths):
+        calls = []
         transfer_entries = pulses.transfer_entries
 
         def counted(p, omega, *args):
-            sizes.append(omega.size)
+            rows = [p] if isinstance(p, MediumParams) else p
+            calls.append((omega.size, [q.coefficients.eta0 for q in rows]))
             return transfer_entries(p, omega, *args)
         monkeypatch.setattr(pulses, "transfer_entries", counted)
-        propagate = gaussian_propagator(n_samples=1024)
-        scan(make_params(), "density", [0.2, 0.6, 1.0], propagate)
-        band_size = propagate.inside.size
-        assert band_size < 1024
-        # no point of the README medium needs the full-grid fallback
-        assert sizes == [band_size] * 3
+        propagate = gaussian_propagator(window=window, n_samples=n_samples)
+        p, scales = make_params(), np.linspace(0.2, 1.5, sum(lengths))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            scan(p, "density", scales, propagate)
+        assert propagate.inside.size == band
+        # a kernel call on the band for each block of points, a row for each
+        # point in scan order; no point of the README medium needs the
+        # full-grid fallback
+        eta0 = [p.scaled_density(s).coefficients.eta0 for s in scales]
+        ends = np.cumsum(lengths)
+        assert calls == [(band, eta0[end - n:end]) for n, end in zip(lengths, ends)]
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(GuardError, match="axis"):
@@ -323,23 +342,28 @@ class TestSampleCount:
          "propagation_mode = exact\nscan_start = -3000\nscan_stop = 3000\nscan_steps = 121\n",
          "delta", MHZ),
     ], ids=["scan-density", "scan-delta-offband", "wide-full"])
-    def test_doubling_the_samples_keeps_each_output_and_blank_row(self, body, axis, unit):
+    def test_doubling_the_samples_keeps_each_output_and_blank_row(
+        self, monkeypatch, body, axis, unit
+    ):
         runs = {}
+        step = pulses.Propagator._propagate
         for n in (4096, 8192, 16384):
             cfg = parse_config(f"{self.MEDIUM}{body}n_samples = {n}\n")
             propagate, outputs = cfg.propagator(), []
 
-            def kept(p):
+            def kept(self, p, **entries):
                 try:
-                    res = propagate(p)
+                    res = step(self, p, **entries)
                 except GuardError as exc:
                     outputs.append(type(exc))
                     raise
                 outputs.append((res.probe.envelope, res.conjugate.envelope))
                 return res
+            monkeypatch.setattr(pulses.Propagator, "_propagate", kept)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                records = scan(cfg.medium, axis, [v * unit for v in cfg.scan_values()], kept)
+                records = scan(cfg.medium, axis, [v * unit for v in cfg.scan_values()], propagate)
+            assert len(outputs) == len(records)
             runs[n] = records, outputs
         records, outputs = runs[4096]
         for n in (8192, 16384):
@@ -397,13 +421,20 @@ class TestScanDensity:
         # at 100x the density the output envelope is finite but |E|^2 is not;
         # at 1e6x the envelope itself is not
         p = make_params(gamma_c_frac=0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             records = scan(p, "density", [1.0, 100.0, 1e6], gaussian_propagator())
-        assert records[0].gain_peak is not None
+        assert records[0].gain_peak is not None and records[0].error is None
         assert records[1].gain_peak is None
         assert records[2].gain_peak is None
         assert records[2].var == 1e6
+        assert records[1].error == (
+            "GuardError", "intensity overflows double precision; the gain is too large")
+        assert records[2].error == ("GuardError", "envelope must be finite everywhere")
+        # no numpy warning; one line for the blank points, of one error class
+        assert [str(w.message) for w in caught] == [
+            "2 of 3 points blank (GuardError 2: intensity overflows double precision; "
+            "the gain is too large, first at point 2)"]
 
 
 class TestScanPump:
@@ -448,11 +479,15 @@ class TestScanPump:
         def counted(p):
             calls.append(p)
             return derive(p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             base, propagate = cfg.medium, cfg.propagator()  # derived as built
             monkeypatch.setattr(params, "derive_coefficients", counted)
             records = scan(base, "pump", [v * MHZ for v in cfg.scan_values()], propagate)
+        # no validity warning: the one warning names the points the 1024
+        # samples' window does not contain
+        assert len(caught) == 1
+        assert str(caught[0].message).startswith("3 of 3 points blank (ContainmentError 3: ")
         # one derivation per point, of the medium the point propagates
         assert len(calls) == len(records)
         assert [q.coefficients.delta_tilde for q in calls] == [0.0] * len(records)

@@ -629,6 +629,27 @@ class TestPropagation:
             assert np.array_equal(getattr(res, name).envelope, envelope)
             assert np.array_equal(getattr(res, name).intensity, intensity)
 
+    @pytest.mark.parametrize("propagation_mode", ["relative", "exact"])
+    def test_each_call_of_a_block_is_the_medium_s_own_call_to_the_bit(self, propagation_mode):
+        # band calls, then one whose entries overflow: it falls back and
+        # fails a guard, and the call after it reuses the work arrays
+        media = [make_params(delta1_mhz=30.0, gamma_c_frac=gc, delta2_mhz=d2,
+                             dispersion_mode="full")
+                 for gc, d2 in ((0.01, -30.0), (0.01, 0.0), (0.5, 1000.0))]
+        media.insert(2, make_params(eta0=1e9, delta1_mhz=30.0, dispersion_mode="full"))
+        propagate = Propagator.gaussian(GRID, 70e-9, propagation_mode=propagation_mode)
+        names = ("reference", "probe", "conjugate")
+
+        def outcome(call, p):
+            try:
+                res = call(p)
+            except GuardError as exc:
+                return type(exc), str(exc)
+            return [getattr(res, name).envelope.tobytes() for name in names]
+        singles = [outcome(propagate, p) for p in media]
+        assert singles[2] == (GuardError, "envelope must be finite everywhere")
+        assert [outcome(call, p) for p, call in zip(media, propagate.each(media))] == singles
+
     def test_a_delayed_probe_fails_containment_at_the_right_edge_only(self):
         # a 3 m cell of next to no coupling delays the input by its vacuum
         # transit, 10.007 ns, and the outputs are periodic on the window, so
@@ -640,7 +661,7 @@ class TestPropagation:
         propagate = Propagator.gaussian(grid, 70e-9, center=333.6e-9, propagation_mode="exact")
         p = make_params(eta0=1e-6, z=3.0)
         spectrum = np.exp(-1j * grid.omegas * p.cell_length / C) * propagate.spectrum
-        _, ((probe, top), _) = propagate._output_envelopes(p, spectrum, spectrum[propagate.inside])
+        _, ((probe, top), _) = _output_envelopes(propagate, p, spectrum)
         assert probe[0] ** 2 < 0.98e-6 * top ** 2 and probe[-1] ** 2 > 1.06e-6 * top ** 2
         with pytest.raises(ContainmentError, match="^propagated probe intensity at the window "
                                                    "edge is 1.07e-06 of the peak"):
@@ -653,6 +674,13 @@ class TestPropagation:
         pulse = make_gaussian_pulse(grid, 70e-9)
         with pytest.raises(ContainmentError):
             Propagator(pulse)(p)
+
+
+def _output_envelopes(propagate, p, spectrum):
+    """The propagator's outputs of `spectrum` through `p`, the kernel on the
+    band evaluated as a call on `p` evaluates it."""
+    m_pp, _, m_cp, _ = transfer_entries(p, propagate.inside_omegas)
+    return propagate._output_envelopes(p, spectrum, spectrum[propagate.inside], m_pp, m_cp)
 
 
 def _full_grid_outputs(p, propagate):
@@ -703,8 +731,7 @@ class TestBandLimitedKernel:
         spectrum = propagate.spectrum
         if propagate.propagation_mode == "exact":
             spectrum = np.exp(-1j * self.GRID_1K.omegas * p.cell_length / C) * spectrum
-        envelopes, magnitudes = propagate._output_envelopes(
-            p, spectrum, spectrum[propagate.inside])
+        envelopes, magnitudes = _output_envelopes(propagate, p, spectrum)
         # copies: the rows are the propagator's work arrays, which its calls overwrite
         outputs = [env.copy() for env in envelopes]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -829,7 +856,7 @@ class TestBandLimitedKernel:
             return entry_bounds(*args)
 
         def kernel(p, omegas, *args):
-            filled.append(omegas.size)
+            filled.append((omegas.size, len(p)))
             return transfer_entries(p, omegas, *args)
         monkeypatch.setattr(pulses, "entry_bounds", bound)
         monkeypatch.setattr(pulses, "transfer_entries", kernel)
@@ -837,7 +864,8 @@ class TestBandLimitedKernel:
         records = scan(cfg.medium, "density", cfg.scan_values(), propagate)
         assert all(r.gain_peak is not None for r in records)
         assert len(counted) == calls
-        assert filled == [propagate.inside.size] * 5  # the band only, never the full grid
+        # one call on the band for the 5 points, never the full grid
+        assert filled == [(propagate.inside.size, 5)]
         # each point that needs it makes one call on all skipped bins
         assert [args[1].size for args in counted] == [propagate.outside.size] * calls
 
@@ -938,7 +966,7 @@ class TestBandLimitedKernel:
                 return entry_bounds(p, omega, *args)
 
             def kernel(p, omega, *args):
-                kernel_sizes.append(omega.size)
+                kernel_sizes.append((omega.size, len(p)))
                 return transfer_entries(p, omega, *args)
             monkeypatch.setattr(pulses, "entry_bounds", bound)
             monkeypatch.setattr(pulses, "transfer_entries", kernel)
@@ -948,7 +976,9 @@ class TestBandLimitedKernel:
                 warnings.simplefilter("ignore", UserWarning)
                 scan(cfg.medium, axis, [v * unit for v in cfg.scan_values()], propagate)
             assert bound_sizes == [propagate.outside.size] * per_bin
-            assert kernel_sizes == [propagate.inside.size] * steps
+            # calls on the band, a row for every point, and none on the skipped bins
+            assert {size for size, _ in kernel_sizes} == {propagate.inside.size}
+            assert sum(rows for _, rows in kernel_sizes) == steps
 
     @pytest.mark.parametrize("ratio, falls_back", [(0.9e-13, False), (1.2e-13, True)])
     def test_budget_is_1e_13_of_each_output_peak(self, monkeypatch, ratio, falls_back):
@@ -956,7 +986,7 @@ class TestBandLimitedKernel:
         propagate = Propagator.gaussian(GRID, 70e-9)
         p = make_params()
         spectrum = propagate.spectrum
-        _, magnitudes = propagate._output_envelopes(p, spectrum, spectrum[propagate.inside])
+        _, magnitudes = _output_envelopes(propagate, p, spectrum)
         sums = [ratio * top * GRID.n_samples * GRID.t_step for _, top in magnitudes]
         monkeypatch.setattr(Propagator, "_skipped_sums", lambda self, p: iter([sums]))
         sizes = []
