@@ -4,9 +4,7 @@ One scan engine covers three axes: two-photon detuning, density (pseudo
 propagation distance) and pump Rabi frequency.  Each scan point runs the
 full pulse pipeline and is summarized in a :class:`ScanRecord`; a failing
 point is recorded with absent fields and its error instead of aborting the
-scan.  The points run in blocks whose kernel on the input's band is one
-vectorized call (:meth:`Propagator.each`) of at most `_BLOCK_ENTRIES`
-entries, or of one point where the band alone has more.
+scan.
 """
 from __future__ import annotations
 
@@ -22,11 +20,6 @@ from .params import C_LIGHT, MediumParams, raman_bandwidth
 from .pulses import PropagationResult, Propagator, PulseMetrics, pulse_metrics
 
 _ZERO_CONJUGATE_ENERGY = 1e-30  # relative to reference energy
-# kernel entries per call: 15 points of a 129-bin band, and one point of a
-# band of more than 1024 bins, which keeps the one-point call and its memory.
-# At 4128 the allocator gave heap pages back after each call and faulted
-# them in again, and a scan on a 909-bin band ran slower than one point a call.
-_BLOCK_ENTRIES = 2048
 
 
 @dataclass(frozen=True)
@@ -174,13 +167,10 @@ def scan(
     if delta_policy not in DELTA_POLICIES:
         raise GuardError(f"unknown delta policy {delta_policy!r}")
     point_at = _AXES[axis]
-    points = [(point_at(p, float(v), delta_policy), float(v)) for v in values]
-    records, length = [], max(1, _BLOCK_ENTRIES // propagate.inside.size)
-    for start in range(0, len(points), length):
-        block = points[start:start + length]
-        # no name holds the calls, so a block's entries are freed before the next's
-        records += [_record_for(q, v, call)
-                    for (q, v), call in zip(block, propagate.each([q for q, _ in block]))]
+    values = [float(v) for v in values]
+    media = [point_at(p, v, delta_policy) for v in values]
+    # map keeps no call past its record, so no block's rows outlive their block
+    records = list(map(_record_for, media, values, propagate.each(media)))
     clauses = [] if all(r.approx_valid for r in records) else [
         "some scan points have |dtilde| > 2 Delta_R where the line-center "
         "approximation breaks down"]

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Iterable, Iterator
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -22,6 +22,10 @@ _CONTAINMENT_RATIO = 1e-6   # boundary intensity vs peak
 _ALIASING_RATIO = 1e-6      # edge spectral magnitude vs spectral peak
 _BAND_RATIO = 1e-16         # spectral magnitude vs peak that the kernel evaluates
 _BAND_TOLERANCE = 1e-13     # bound of the skipped bins' output vs the output peak
+# kernel entries per call: 15 media of a 129-bin band, one (as alone) of a band
+# over 1024 bins; at 4128 the allocator gave heap pages back after each call and
+# faulted them in again: a 909-bin band's scan ran slower than one medium a call
+_BLOCK_ENTRIES = 2048
 _PEAK_BOUND_SLACK = 1e-9    # relative rounding allowance of the closed-form checks
 _FIT_MIN_SAMPLES = 8
 _FOUR_LN2 = 4.0 * math.log(2.0)
@@ -239,10 +243,10 @@ class Propagator:
     returned as E_c(t), conjugated back from the E_c*(-w) solution so that its
     intensity is directly plottable.  The reference is the input in
     `"relative"` mode, and in `"exact"` mode the input delayed by the vacuum
-    transit e^{-i w z/c}, which is then what the cell propagates.  A scan
-    takes its calls from :meth:`each`, which evaluates the kernel on the band
-    for a block of media at once.  Every call reuses the propagator's work
-    arrays, so threads that share an input each build their own propagator.
+    transit e^{-i w z/c}, which is then what the cell propagates.  :meth:`each`
+    runs the kernel for a block of media at once; a call is `each` of one medium.
+    Every call reuses the propagator's work arrays, so threads that share an
+    input each build their own propagator.
     """
 
     def __init__(self, pulse: SampledPulse, propagation_mode: str = "relative"):
@@ -294,14 +298,20 @@ class Propagator:
         self._vacuum = (None, pulse, spectrum, spectrum[self.inside])
 
     def __call__(self, p: MediumParams) -> PropagationResult:
-        m_pp, _, m_cp, _ = transfer_entries(p, self.inside_omegas)
-        return self._propagate(p, m_pp, m_cp)
+        (call,) = self.each([p])
+        return call(p)
 
-    def each(self, media) -> list[Callable[[MediumParams], PropagationResult]]:
-        """For each medium of the block `media`, a call on it that returns
-        what ``self(medium)`` does, to the bit: one :func:`transfer_entries`
-        call evaluates the kernel on the band for the whole block, and each
-        call takes, and overwrites, its medium's rows."""
+    def each(self, media: Iterable[MediumParams]) -> Iterator[functools.partial]:
+        """For each medium of `media` in turn, a call on it that returns what
+        ``self(medium)`` does, to the bit.  Each block of at most `_BLOCK_ENTRIES`
+        kernel entries on the band (one medium where the band has more) takes one
+        :func:`transfer_entries` call when its first call is asked for; each call
+        takes, and overwrites, its medium's rows, which no name holds past the calls."""
+        media, length = list(media), max(1, _BLOCK_ENTRIES // max(1, self.inside.size))
+        for start in range(0, len(media), length):
+            yield from self._block(media[start:start + length])
+
+    def _block(self, media: list[MediumParams]) -> list[functools.partial]:
         m_pp, _, m_cp, _ = transfer_entries(media, self.inside_omegas)
         return [functools.partial(self._propagate, m_pp=a, m_cp=b) for a, b in zip(m_pp, m_cp)]
 

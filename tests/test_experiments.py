@@ -3,6 +3,7 @@ import math
 import pickle
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from mp4wm.coupling import analytic_delays
 from mp4wm.errors import GuardError
 from mp4wm.experiments import infer_eta_xi, predict_gain, run_single, scan
 from mp4wm.params import MediumParams, derive_coefficients
-from mp4wm.pulses import PropagationResult, SampledPulse, TimeGrid, make_gaussian_pulse
+from mp4wm.pulses import (
+    PropagationResult, Propagator, SampledPulse, TimeGrid, make_gaussian_pulse,
+)
 
 from _oracles import coefficients_at
 from conftest import C, MHZ, gaussian_propagator, make_params
@@ -316,6 +319,36 @@ class TestScanEngine:
         eta0 = [p.scaled_density(s).coefficients.eta0 for s in scales]
         ends = np.cumsum(lengths)
         assert calls == [(band, eta0[end - n:end]) for n, end in zip(lengths, ends)]
+
+    def test_no_block_s_rows_outlive_it(self, monkeypatch):
+        # each block's kernel runs once the previous block's calls are gone:
+        # none of its rows is alive then, so a scan holds one block's at most
+        rows, blocks = [], []
+        transfer_entries = pulses.transfer_entries
+
+        def kept(media, omega):
+            blocks.append((len(media), sum(ref() is not None for ref in rows)))
+            entries = transfer_entries(media, omega)
+            rows.extend(weakref.ref(entries[i]) for i in (0, 2))  # m_pp and m_cp
+            return entries
+        monkeypatch.setattr(pulses, "transfer_entries", kept)
+        propagate = gaussian_propagator(window=2e-6, n_samples=1024)
+        records = scan(make_params(), "density", np.linspace(0.2, 1.5, 40), propagate)
+        assert propagate.inside.size == 129 and all(r.error is None for r in records)
+        assert blocks == [(15, 0), (15, 0), (10, 0)]
+
+    def test_an_input_with_no_band_scans_to_blank_records(self):
+        # an all-zero input has no bin in its band; each point's output is
+        # zero, so its fit fails and the point is blank
+        grid = TimeGrid.centered(2e-6, 1024)
+        propagate = Propagator(SampledPulse(grid, np.zeros(grid.n_samples)))
+        assert propagate.inside.size == 0
+        with pytest.warns(UserWarning, match=r"^3 of 3 points blank \(FitError 3: cannot fit "
+                                             r"an all-zero pulse, first at point 1\)$"):
+            records = scan(make_params(), "density", [0.2, 0.6, 1.0], propagate)
+        assert [r.var for r in records] == [0.2, 0.6, 1.0]
+        assert all(r.error == ("FitError", "cannot fit an all-zero pulse")
+                   and r.gain_peak is None for r in records)
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(GuardError, match="axis"):

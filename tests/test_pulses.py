@@ -422,6 +422,20 @@ class TestPropagation:
         for out in (res.probe, res.conjugate):
             assert out.peak == 0.0 and not np.any(out.envelope)
 
+    def test_each_takes_a_block_s_kernel_when_its_first_call_is_asked_for(self, monkeypatch):
+        sizes = []
+        kernel = pulses.transfer_entries
+        monkeypatch.setattr(pulses, "transfer_entries",
+                            lambda media, omega: sizes.append(len(media)) or kernel(media, omega))
+        propagate = Propagator.gaussian(GRID, 70e-9)  # 2048 // 129: 15 media a block
+        assert list(propagate.each([])) == [] and sizes == []
+        calls = propagate.each([make_params()] * 16)
+        assert sizes == []
+        assert next(calls) is not None and sizes == [15]
+        assert len(list(calls)) == 15 and sizes == [15, 1]
+        propagate(make_params())  # a call is a block of one
+        assert sizes == [15, 1, 1]
+
     def test_zero_length_identity(self):
         p = make_params().replace(cell_length=0.0)
         pulse = make_gaussian_pulse(GRID, 70e-9)
