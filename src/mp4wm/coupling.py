@@ -30,9 +30,9 @@ P expm1(mu L) (1 + e^{-mu L}) keeps full precision as mu L -> 0; below
 :func:`entry_bounds` bounds |m_pp| and |m_cp| from the same d, alpha and
 mu^2 without evaluating the entries, and :func:`peak_entry_bounds` bounds
 them in closed form on an interval of frequencies.  All three read
-Delta_R and dtilde from the medium's cached ``p.coefficients``.
-:func:`transfer_entries` also takes a block of media, one row each, in one
-vectorized call.
+Delta_R and dtilde from the medium's ``p.coefficients``.
+:func:`transfer_entries` also takes a block of media that share one
+``dispersion_mode``, one row each, in one vectorized call.
 
 The Fourier convention is the NumPy one: spectra are obtained with the
 e^{-i w t} kernel, so a time delay tau multiplies a spectrum by
@@ -44,41 +44,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import GuardError
-from .params import C_LIGHT, MediumParams, eta_of_omega
+from .params import _NUMERIC_FIELDS, C_LIGHT, DerivedCoefficients, MediumParams, eta_of_omega
 
 # below this |mu L| the sinh(mu L)/mu factor switches to its series
 _SINHC_THRESHOLD = 1e-6
+
+# the float fields of a medium, then of its coefficients: a block's columns
+_COEFFICIENTS = tuple(f.name for f in fields(DerivedCoefficients))
+_floats = attrgetter(*_NUMERIC_FIELDS, *(f"coefficients.{name}" for name in _COEFFICIENTS))
 
 
 def _block(media) -> SimpleNamespace:
     """A block of k media as one medium whose scalars are (k, 1) columns.
 
     Each float field of the media and of their coefficients is the column of
-    its values, so every expression of them broadcasts to one row per
-    medium, with the bits of that medium alone; the media must share the
-    cell length and the dispersion mode, which stay scalars.
+    its values, so every expression of them broadcasts to one row per medium,
+    with the bits of that medium alone.  The media share one
+    ``dispersion_mode``, the string that :func:`eta_of_omega` branches on.
     """
     media = list(media)
-    # the sign bit too: a cell length of -0.0 gives other bits than 0.0
-    if len({(m.cell_length, np.signbit(m.cell_length), m.dispersion_mode)
-            for m in media}) != 1:
-        raise GuardError("a block needs one or more media that share one "
-                         "cell_length and dispersion_mode")
-
-    def columns(objects):
-        names = [f.name for f in fields(objects[0]) if f.type == "float"]
-        values = np.array([[getattr(o, name) for name in names] for o in objects], dtype=float)
-        return {name: values[:, i, None] for i, name in enumerate(names)}
-
-    block = SimpleNamespace(**columns(media), dispersion_mode=media[0].dispersion_mode,
-                            coefficients=SimpleNamespace(**columns([m.coefficients for m in media])))
-    block.cell_length = media[0].cell_length
-    return block
+    if len({m.dispersion_mode for m in media}) != 1:
+        raise GuardError("a block needs one or more media that share one dispersion_mode")
+    columns = list(np.array([_floats(m) for m in media], dtype=float).T[:, :, None])
+    return SimpleNamespace(
+        **dict(zip(_NUMERIC_FIELDS, columns)), dispersion_mode=media[0].dispersion_mode,
+        coefficients=SimpleNamespace(**dict(zip(_COEFFICIENTS, columns[len(_NUMERIC_FIELDS):]))))
 
 
 def _generator_terms(p, omega: np.ndarray):
@@ -103,11 +99,11 @@ def transfer_entries(p, omega):
     """Vectorized transfer-matrix entries (m_pp, m_pc, m_cp, m_cc) of exp(N L).
 
     `omega` may be a scalar or ndarray; entries broadcast with it.  `p` is one
-    :class:`MediumParams`, or a block: a sequence of k media that share
-    `cell_length` and `dispersion_mode` (else :class:`GuardError`), whose
-    entries have a leading axis of length k, row i those of medium i alone
-    to the bit.  The vacuum factor e^{-i w L} is left out, so delays are
-    measured against the vacuum reference pulse, as in the experiment.
+    :class:`MediumParams`, or a block: a sequence of k media that share one
+    `dispersion_mode` (else :class:`GuardError`), whose entries have a
+    leading axis of length k, row i those of medium i alone to the bit.  The
+    vacuum factor e^{-i w L} is left out, so delays are measured against the
+    vacuum reference pulse, as in the experiment.
     """
     if not isinstance(p, MediumParams):
         p = _block(p)

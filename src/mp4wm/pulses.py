@@ -302,11 +302,12 @@ class Propagator:
         return call(p)
 
     def each(self, media: Iterable[MediumParams]) -> Iterator[functools.partial]:
-        """For each medium of `media` in turn, a call on it that returns what
-        ``self(medium)`` does, to the bit.  Each block of at most `_BLOCK_ENTRIES`
-        kernel entries on the band (one medium where the band has more) takes one
-        :func:`transfer_entries` call when its first call is asked for; each call
-        takes, and overwrites, its medium's rows, which no name holds past the calls."""
+        """For each medium of `media`, which share one dispersion mode, in turn a
+        call on it that returns what ``self(medium)`` does, to the bit.  Each block
+        of at most `_BLOCK_ENTRIES` kernel entries on the band (one medium where the
+        band has more) takes one :func:`transfer_entries` call when its first call
+        is asked for; each call takes, and overwrites, its medium's rows, which no
+        name holds past the calls."""
         media, length = list(media), max(1, _BLOCK_ENTRIES // max(1, self.inside.size))
         for start in range(0, len(media), length):
             yield from self._block(media[start:start + length])
@@ -364,26 +365,26 @@ class Propagator:
         specs, envs = self._buffers
 
         def fill(bins: np.ndarray, values: np.ndarray, *entries: np.ndarray):
-            for spec, m in zip(specs, entries):
-                spec[bins] = np.multiply(m, values, out=m)
-            outputs = from_spectrum(specs, grid, out=envs)
-            mags = np.abs(outputs)
-            return outputs, list(zip(mags, mags.max(axis=1).tolist()))
+            # non-finite entries pass through silently; the output guards report them
+            with np.errstate(invalid="ignore", over="ignore"):
+                for spec, m in zip(specs, entries):
+                    spec[bins] = np.multiply(m, values, out=m)
+                outputs = from_spectrum(specs, grid, out=envs)
+                mags = np.abs(outputs)
+                return outputs, list(zip(mags, mags.max(axis=1).tolist()))
 
-        # non-finite entries pass through silently; the output guards report them
-        with np.errstate(invalid="ignore", over="ignore"):
-            outputs, magnitudes = fill(self.inside, inside, m_pp, m_cp)
-            scale = 1.0 / (grid.n_samples * grid.t_step)
-            budgets = [_BAND_TOLERANCE * top for _, top in magnitudes]
-            for sums in self._skipped_sums(p):
-                if all(math.isfinite(s * scale) and s * scale <= b
-                       for s, b in zip(sums, budgets)):
-                    return outputs, magnitudes
-            try:
-                m_pp, _, m_cp, _ = transfer_entries(p, self.outside_omegas)
-                return fill(self.outside, spectrum[self.outside], m_pp, m_cp)
-            finally:
-                specs[:, self.outside] = 0.0
+        outputs, magnitudes = fill(self.inside, inside, m_pp, m_cp)
+        scale = 1.0 / (grid.n_samples * grid.t_step)
+        budgets = [_BAND_TOLERANCE * top for _, top in magnitudes]
+        for sums in self._skipped_sums(p):
+            if all(math.isfinite(s * scale) and s * scale <= b
+                   for s, b in zip(sums, budgets)):
+                return outputs, magnitudes
+        try:
+            m_pp, _, m_cp, _ = transfer_entries(p, self.outside_omegas)
+            return fill(self.outside, spectrum[self.outside], m_pp, m_cp)
+        finally:
+            specs[:, self.outside] = 0.0
 
     def _skipped_sums(self, p: MediumParams):
         """Upper bounds on sum_k B_k |S0_k| over the bins outside the band, for

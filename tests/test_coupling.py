@@ -272,13 +272,15 @@ class TestTwoExponentialForm:
 
 
 # one medium of a block: Omega varies as on the pump axis, delta2 None is
-# the light shift, and a gamma_c of 0 leaves no loss
+# the light shift, a gamma_c of 0 leaves no loss, and z = 0 (or -0.0, whose
+# bits differ) takes the series on every bin
 BLOCK_MEDIUM = st.fixed_dictionaries({
     "omega_mhz": st.floats(100.0, 800.0),
     "eta0": st.floats(50.0, 2000.0),
     "gamma_c_frac": st.sampled_from([0.0, 0.01]) | st.floats(0.0, 0.5),
     "delta1_mhz": st.sampled_from([0.0, 30.0, -30.0]),
     "delta2_mhz": st.none() | st.floats(-3000.0, 3000.0),
+    "z": st.sampled_from([0.0, -0.0, 0.025]) | st.floats(1e-6, 0.1),
 })
 
 
@@ -287,22 +289,23 @@ class TestBlockKernel:
     @given(
         media=st.lists(BLOCK_MEDIUM, min_size=1, max_size=40),
         dispersion_mode=st.sampled_from(["constant", "full"]),
-        z=st.sampled_from([0.0, 0.025]) | st.floats(1e-6, 0.1),  # z = 0: the series on every bin
         n_bins=st.sampled_from([1, 129, 4096]),
         overflow=st.none() | st.integers(0, 39),
     )
     # 40 rows of the benchmark's offband scan on its 4096 bins: numpy reuses a
     # temporary of 256 KiB or more in place, and the block's exceed that
     @example(media=[{"omega_mhz": 420.0, "eta0": 960.0, "gamma_c_frac": 0.01,
-                     "delta1_mhz": 30.0, "delta2_mhz": 0.5 * i} for i in range(-80, 40, 3)],
-             dispersion_mode="full", z=0.025, n_bins=4096, overflow=None)
+                     "delta1_mhz": 30.0, "delta2_mhz": 0.5 * i, "z": 0.025}
+                    for i in range(-80, 40, 3)],
+             dispersion_mode="full", n_bins=4096, overflow=None)
     def test_each_row_is_the_single_medium_entries_to_the_bit(
-        self, media, dispersion_mode, z, n_bins, overflow
+        self, media, dispersion_mode, n_bins, overflow
     ):
-        block = [make_params(z=z, dispersion_mode=dispersion_mode, **m) for m in media]
+        block = [make_params(dispersion_mode=dispersion_mode, **m) for m in media]
         if overflow is not None:  # mu z / c ~ 5e6 at z = 2.5 cm: e^{mu L} overflows
             overflow %= len(block)
-            block[overflow] = make_params(eta0=1e9, z=z, dispersion_mode=dispersion_mode)
+            block[overflow] = make_params(eta0=1e9, z=media[overflow]["z"],
+                                          dispersion_mode=dispersion_mode)
         omega = 2.0 * math.pi * np.fft.fftfreq(n_bins, 2e-6 / n_bins)  # 2000 ns window
         rows = transfer_entries(block, omega)
         assert len(rows) == 4
@@ -312,19 +315,14 @@ class TestBlockKernel:
             single = transfer_entries(p, omega)
             for row, want in zip(rows, single):  # the same bits, nan and inf too
                 assert row[i].view(float).tobytes() == want.view(float).tobytes()
-            if i == overflow and z > 0.01:
+            if i == overflow and p.cell_length > 0.01:
                 assert not np.all(np.isfinite(single[0]))
 
-    @pytest.mark.parametrize("field, value", [
-        ("cell_length", 0.03), ("cell_length", -0.0), ("dispersion_mode", "full"),
-    ])
-    def test_a_block_shares_its_cell_length_and_dispersion_mode(self, field, value):
-        p = make_params(z=0.0)
-        w = np.array([0.0, 1e9])
-        with pytest.raises(GuardError, match="share one cell_length and dispersion_mode"):
-            transfer_entries([p, p.replace(**{field: value})], w)
-        with pytest.raises(GuardError, match="one or more media"):
-            transfer_entries([], w)
+    @pytest.mark.parametrize("modes", [["constant", "full"], []], ids=["mixed", "empty"])
+    def test_a_block_shares_its_dispersion_mode(self, modes):
+        block = [make_params(dispersion_mode=mode) for mode in modes]
+        with pytest.raises(GuardError, match="one or more media that share one dispersion_mode"):
+            transfer_entries(block, np.array([0.0, 1e9]))
 
 
 class TestEntryBounds:

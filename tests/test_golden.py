@@ -1,9 +1,12 @@
-"""Byte-for-byte regression of CLI outputs on the small configs in golden/.
+"""Byte-for-byte regression of CLI outputs on the configs in golden/.
 
 Each `<command>_<case>.cfg` is run through `mp4wm <command>`: a scan is
 compared in both CSV and JSON, a `run` by the metrics JSON it prints.
 The stored files pin the scan header, the 9-digit formatting and the
-blank cells of failed scan points.
+blank cells of failed scan points.  `scan-density_benchmark` and
+`scan-delta_offband` are the two scans of `perfbench/` at its default
+seed, 201 points on 4096 samples, whose outputs the benchmark's checks
+only bound.
 """
 from pathlib import Path
 
